@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Tensor, add_bias, gelu, layer_norm, matmul, softmax
+from .tensor import Tensor, gelu, layer_norm, linear, softmax
 
 
 class ClassifierParams:
@@ -42,14 +42,14 @@ class ClassifierParams:
 
 
 def classify(x: Tensor, p: ClassifierParams) -> Tensor:
-    """(1, in_width) -> (1, C) logits.  Loss consumes logits directly;
+    """(B, in_width) -> (B, C) logits.  Loss consumes logits directly;
     softmax is materialized only at prediction time."""
-    if x.shape != (1, p.in_width):
-        raise ShapeError(f"classify: input shape {x.shape} != (1, {p.in_width})")
-    h = add_bias(matmul(x, p.fc1_w), p.fc1_b)
+    if x.data.ndim != 2 or x.shape[1] != p.in_width:
+        raise ShapeError(f"classify: input shape {x.shape} != (batch, {p.in_width})")
+    h = linear(x, p.fc1_w, p.fc1_b)
     h = layer_norm(h, p.norm_gamma, p.norm_beta)
     h = gelu(h)
-    return add_bias(matmul(h, p.fc2_w), p.fc2_b)
+    return linear(h, p.fc2_w, p.fc2_b)
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,11 @@ class AnswerDistribution:
     answer: str
 
 
-def predict(logits: Tensor, answer_vocab: list[str]) -> AnswerDistribution:
-    flat = logits.data.reshape(-1)
-    if flat.shape[0] != len(answer_vocab):
-        raise ShapeError(f"predict: {flat.shape[0]} logits vs {len(answer_vocab)} answers")
-    probs = softmax(Tensor(flat), axis=-1).data
-    idx = int(np.argmax(flat))  # np.argmax returns the lowest index on ties
-    return AnswerDistribution(probabilities=probs, index=idx, answer=answer_vocab[idx])
+def predict(logits: Tensor, answer_vocab: list[str]) -> list[AnswerDistribution]:
+    """One answer per row of (B, C) logits."""
+    if logits.data.ndim != 2 or logits.shape[1] != len(answer_vocab):
+        raise ShapeError(f"predict: logits {logits.shape} vs {len(answer_vocab)} answers")
+    probs = softmax(Tensor(logits.data), axis=-1).data
+    best = np.argmax(logits.data, axis=1)  # np.argmax returns the lowest index on ties
+    return [AnswerDistribution(probabilities=row, index=int(i), answer=answer_vocab[i])
+            for row, i in zip(probs, best)]

@@ -33,5 +33,9 @@ class FormatError(VivqaError):
     """Binary container violation: bad magic, version, checksum, truncation."""
 
 
+class NumericalError(VivqaError):
+    """Non-finite value where training needs a finite one, e.g. the loss."""
+
+
 class StatisticsError(VivqaError):
     """Degenerate statistical input, e.g. zero-variance t-test samples."""

@@ -18,7 +18,7 @@ from .multiway import (
     FusionConfig, FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
 )
 from .rng import RngStream
-from .tensor import Tensor
+from .tensor import Tensor, stack
 from .text import (
     ProjectionParams, TextEncoderParams, TokenizedQuestion, Vocabulary,
     encode as text_encode, project,
@@ -63,8 +63,9 @@ class VivqaModel:
         self.fusion = FusionStackParams(self.fusion_cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
-        self._feature_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._token_cache: dict[str, np.ndarray] = {}
+        # (example id, image ref) -> frozen vision tokens.  The id fixes the
+        # pixel-noise seed and the ref the image, so together they fix the tokens.
+        self._token_cache: dict[tuple[str, str], np.ndarray] = {}
 
     # -- parameters ---------------------------------------------------------
 
@@ -105,12 +106,8 @@ class VivqaModel:
                                 noise_seed=example_noise_seed(example.id))
 
     def visual_features(self, example: Example) -> tuple[Tensor, Tensor]:
-        """(global, local) feature tensors.  Frozen extractor outputs are
-        cached per example id and stay off the gradient tape."""
-        frozen = self.cfg.freeze_extractors
-        if frozen and example.id in self._feature_cache:
-            g, l = self._feature_cache[example.id]
-            return Tensor(g), Tensor(l)
+        """(global, local) feature tensors.  Frozen extractor outputs stay
+        off the gradient tape."""
         if example.image.startswith("synthetic:"):
             img = self._raw_image(example)
             g = extract_global_stub(img, self.extractor)
@@ -120,17 +117,18 @@ class VivqaModel:
             l = read_feature_file(example.image + ".local.vvqf")
             g = Tensor(g.data.astype(np.float64))
             l = Tensor(l.data.astype(np.float64))
-        if frozen:
+        if self.cfg.freeze_extractors:
             g, l = g.detach(), l.detach()
-            self._feature_cache[example.id] = (g.data, l.data)
         return g, l
 
     def vision_tokens(self, example: Example) -> Tensor:
-        # The adapter and fusion are parameter-free, so with frozen
-        # extractors the whole vision path is a constant per example.
+        """(k, hidden) vision tokens of one example.  The adapter and fusion
+        are parameter-free, so with frozen extractors the whole vision path
+        is a constant per example, computed once."""
         frozen = self.cfg.freeze_extractors
-        if frozen and example.id in self._token_cache:
-            return Tensor(self._token_cache[example.id])
+        key = (example.id, example.image)
+        if frozen and key in self._token_cache:
+            return Tensor(self._token_cache[key])
         g, l = self.visual_features(example)
         mode = self.cfg.vision_mode
         if mode == "global":
@@ -140,18 +138,21 @@ class VivqaModel:
             out = adapted if mode == "local" else fuse(g, adapted, self.cfg.fusion_op)
         if frozen:
             out = out.detach()
-            self._token_cache[example.id] = out.data
+            self._token_cache[key] = out.data
         return out
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, example: Example, tokens: TokenizedQuestion,
-                training: bool = False, rng: RngStream | None = None) -> Tensor:
-        """One (image, question) pair -> (1, C) logits."""
-        v = self.vision_tokens(example)
-        q = project(text_encode(tokens, self.text_params), self.projection)
-        fused = concat_modalities(v, q, tokens.mask, self.fusion)
-        fused = fusion_encode(fused, self.fusion, training, rng)
+    def forward(self, batch: list[tuple[Example, TokenizedQuestion]],
+                training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
+        """B (image, question) pairs -> (B, C) logits.  In training, rngs[i]
+        is item i's stream for its drop-path draws."""
+        v = stack([self.vision_tokens(ex) for ex, _ in batch])
+        ids = np.stack([tokens.ids for _, tokens in batch])
+        mask = np.stack([tokens.mask for _, tokens in batch])
+        q = project(text_encode(ids, self.text_params), self.projection)
+        fused = concat_modalities(v, q, mask, self.fusion)
+        fused = fusion_encode(fused, self.fusion, training, rngs)
         pooled = pool_cls(fused, self.fusion)
         return classify(pooled, self.classifier)
 

@@ -2,11 +2,13 @@
 vision+text sequence, with separate per-modality feed-forward experts, then
 the pooler that produces the classification vector.
 
-Blocks are pre-norm residual:
+A minibatch runs as one (B, rows, hidden) sequence tensor.  Blocks are
+pre-norm residual:
     x <- x + drop_path(SharedMHSA(norm(x), mask))
     x <- x + drop_path(Expert_modality(norm_modality(x)))   # rows routed by k
-Padded text keys get an additive mask of MASK_VALUE so their attention
-weight is exactly zero.
+Expert routing slices axis 1 at the vision row count k, which is fixed per
+config.  Padded text keys get an additive mask of MASK_VALUE so their
+attention weight is exactly zero.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .rng import RngStream
 from .tensor import (
-    MASK_VALUE, Tensor, add, add_bias, concat, drop_path, embedding_lookup,
-    gelu, layer_norm, matmul, multi_head_attention, narrow, tanh,
+    MASK_VALUE, Tensor, add, concat, drop_path, embedding_lookup, gelu, layer_norm,
+    linear, multi_head_attention, narrow, reshape, tanh,
 )
 
 
@@ -46,14 +48,14 @@ class FusionConfig:
 
 @dataclass
 class FusedSequence:
-    x: Tensor                 # (k + l_max + 2, hidden)
+    x: Tensor                 # (B, k + l_max + 2, hidden)
     boundary: int             # k: first text row
-    mask: np.ndarray          # (rows,) 1.0 = real token, 0.0 = PAD
+    mask: np.ndarray          # (B, rows) 1.0 = real token, 0.0 = PAD
 
     def __post_init__(self):
-        if not 0 < self.boundary < self.x.shape[0]:
+        if not 0 < self.boundary < self.x.shape[1]:
             raise ValueError(
-                f"boundary {self.boundary} outside sequence of {self.x.shape[0]} rows")
+                f"boundary {self.boundary} outside sequence of {self.x.shape[1]} rows")
 
 
 def _linear_params(rng: RngStream, d_in: int, d_out: int, name: str, out: dict):
@@ -90,7 +92,7 @@ class MultiwayBlockParams:
 
 
 def _linear(x: Tensor, p: MultiwayBlockParams, name: str) -> Tensor:
-    return add_bias(matmul(x, p[f"{name}.weight"]), p[f"{name}.bias"])
+    return linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
 
 
 def _mask_bias(mask: np.ndarray) -> np.ndarray:
@@ -115,21 +117,24 @@ def _expert_ffn(x: Tensor, p: MultiwayBlockParams, expert: str) -> Tensor:
 
 
 def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams) -> Tensor:
-    """Pre-residual expert output: rows [0,k) through the vision expert,
-    rows [k,end) through the language expert."""
-    rows = x.shape[0]
-    xv = narrow(x, 0, 0, boundary)
-    xt = narrow(x, 0, boundary, rows - boundary)
-    return concat([_expert_ffn(xv, p, "vision"), _expert_ffn(xt, p, "language")], axis=0)
+    """Pre-residual expert output: rows [0,k) of every item through the
+    vision expert, rows [k,end) through the language expert."""
+    rows = x.shape[1]
+    xv = narrow(x, 1, 0, boundary)
+    xt = narrow(x, 1, boundary, rows - boundary)
+    return concat([_expert_ffn(xv, p, "vision"), _expert_ffn(xt, p, "language")], axis=1)
 
 
 def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
-                   training: bool, rng: RngStream | None = None) -> FusedSequence:
+                   training: bool,
+                   rngs: list[RngStream] | None = None) -> FusedSequence:
+    """One block; in training, rngs[i] draws item i's drop-path keeps,
+    attention branch first, then the expert branch."""
     x = f.x
     attn = shared_attention(x, f.mask, p, p.cfg)
-    x = add(x, drop_path(attn, drop_rate, training, rng))
+    x = add(x, drop_path(attn, drop_rate, training, rngs))
     experts = expert_sublayer(x, f.boundary, p)
-    x = add(x, drop_path(experts, drop_rate, training, rng))
+    x = add(x, drop_path(experts, drop_rate, training, rngs))
     return FusedSequence(x=x, boundary=f.boundary, mask=f.mask)
 
 
@@ -164,21 +169,24 @@ class FusionStackParams:
 
 def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
                       stack: FusionStackParams) -> FusedSequence:
-    """Vision rows first, text rows after; add learned position and
-    modality-type embeddings when enabled."""
+    """(B, k, hidden) vision rows first, (B, L, hidden) text rows after,
+    with the (B, L) text mask; add learned position and modality-type
+    embeddings when enabled."""
     cfg = stack.cfg
+    if v.data.ndim != 3 or q.data.ndim != 3 or v.shape[0] != q.shape[0]:
+        raise ShapeError(f"concat_modalities: batches {v.shape} / {q.shape}")
     if v.shape[-1] != cfg.hidden or q.shape[-1] != cfg.hidden:
         raise ShapeError(f"concat_modalities: widths {v.shape} / {q.shape} != {cfg.hidden}")
-    k = v.shape[0]
-    x = concat([v, q], axis=0)
-    rows = x.shape[0]
+    batch, k = v.shape[:2]
+    x = concat([v, q], axis=1)
+    rows = x.shape[1]
     if cfg.use_position_embeddings:
-        x = add(x, embedding_lookup(stack.extra["fusion.position"], np.arange(rows)))
+        positions = np.broadcast_to(np.arange(rows), (batch, rows))
+        x = add(x, embedding_lookup(stack.extra["fusion.position"], positions))
     if cfg.use_modality_type_embeddings:
-        types = np.concatenate([np.zeros(k, dtype=np.int64),
-                                np.ones(rows - k, dtype=np.int64)])
+        types = np.broadcast_to(np.arange(rows) >= k, (batch, rows))
         x = add(x, embedding_lookup(stack.extra["fusion.type"], types))
-    mask = np.concatenate([np.ones(k), q_mask])
+    mask = np.concatenate([np.ones((batch, k)), q_mask], axis=1)
     return FusedSequence(x=x, boundary=k, mask=mask)
 
 
@@ -190,21 +198,23 @@ def block_drop_rates(cfg: FusionConfig) -> list[float]:
 
 
 def encode(f: FusedSequence, stack: FusionStackParams, training: bool,
-           rng: RngStream | None = None) -> FusedSequence:
+           rngs: list[RngStream] | None = None) -> FusedSequence:
+    """All blocks.  In training, rngs holds one stream per item; block i
+    draws from each item's `layer<i>` child stream."""
     rates = block_drop_rates(stack.cfg)
     for i, (bp, rate) in enumerate(zip(stack.blocks, rates)):
-        layer_rng = rng.split(f"layer{i}") if rng is not None else None
-        f = multiway_block(f, bp, rate, training, layer_rng)
+        layer_rngs = [r.split(f"layer{i}") for r in rngs] if rngs is not None else None
+        f = multiway_block(f, bp, rate, training, layer_rngs)
     return f
 
 
 def pool_cls(f: FusedSequence, stack: FusionStackParams) -> Tensor:
-    """Classification vector: chosen row -> norm -> affine -> tanh, (1, hidden)."""
+    """Classification vectors: each item's chosen row -> norm -> affine ->
+    tanh, (B, hidden)."""
     cfg = stack.cfg
     row_idx = 0 if cfg.cls_row == "first" else f.boundary
-    row = narrow(f.x, 0, row_idx, 1)
+    row = reshape(narrow(f.x, 1, row_idx, 1), (f.x.shape[0], cfg.hidden))
     row = layer_norm(row, stack.extra["fusion.pooler_norm.gamma"],
                      stack.extra["fusion.pooler_norm.beta"])
-    row = add_bias(matmul(row, stack.extra["fusion.pooler.weight"]),
-                   stack.extra["fusion.pooler.bias"])
+    row = linear(row, stack.extra["fusion.pooler.weight"], stack.extra["fusion.pooler.bias"])
     return tanh(row)

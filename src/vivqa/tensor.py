@@ -4,20 +4,26 @@ The graph is define-by-run: every differentiable op attaches its parents and
 a local backward closure to the output tensor.  `backward(loss)` walks the
 graph once in reverse topological order, accumulates total derivatives into
 requires_grad leaves, then clears the graph so a second backward on the same
-loss is a usage error.
+loss is a usage error.  Inside `with no_grad():` ops compute their values
+but record no graph, so inference keeps no closures or activations alive.
 
-Broadcasting is deliberately restricted: elementwise ops demand identical
-shapes, the single sanctioned broadcast is the bias row in `add_bias`.
-64-bit is the default dtype; 32-bit is allowed for training speed but all
-gradient checks assume 64-bit.
+A minibatch travels as one leading batch axis: the model's activations are
+(B, rows, width), `matmul` and `linear` take (..., n, k) @ (k, m),
+`layer_norm` normalizes the last axis of any rank, `multi_head_attention`
+takes (B, S, width) with a (B, S) key bias, `cross_entropy` takes (B, C)
+logits and (B,) targets with mean reduction, and `drop_path` draws one
+keep-or-kill per item.  Broadcasting is otherwise deliberately restricted:
+elementwise ops demand identical shapes; the single sanctioned broadcast is
+the bias row in `linear`.  64-bit is the default dtype; 32-bit is allowed
+for training speed but all gradient checks assume 64-bit.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ShapeError, UsageError
 from .rng import RngStream
@@ -30,6 +36,9 @@ MASK_VALUE = -1e30
 
 _debug_checks = False
 
+# False inside `no_grad()`: `_node` then records no parents or closures.
+_grad_enabled = True
+
 # Nodes visited across all backward passes; the freeze ablation compares this.
 _backward_node_visits = 0
 
@@ -37,6 +46,18 @@ _backward_node_visits = 0
 def set_debug_checks(on: bool) -> None:
     global _debug_checks
     _debug_checks = bool(on)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inference mode: ops inside the block record no graph."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def backward_node_visits() -> int:
@@ -107,10 +128,9 @@ class Tensor:
 
 def _node(data, parents: Sequence[Tensor], backward_fn) -> Tensor:
     _check_finite(data)
-    req = any(p.requires_grad for p in parents)
     out = Tensor(data)
-    out.requires_grad = req
-    if req:
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
@@ -146,26 +166,35 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _node(a.data * s, (a,), lambda g: (g * s,))
 
 
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """Fold every leading axis into one: (..., d) -> (n, d)."""
+    return arr.reshape(-1, arr.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(..., n, k) @ (k, m); the leading axes of `a` are batch axes."""
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: expects (..., n, k) @ (k, m), got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, _rows(ad).T @ _rows(g)))
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: x[..., d] + b[d].  The one permitted broadcast."""
-    bd = b.data.reshape(-1)
-    if x.shape[-1] != bd.shape[0]:
-        raise ShapeError(f"add_bias: last axis {x.shape} vs bias {b.shape}")
-    axes = tuple(range(x.data.ndim - 1))
-    return _node(
-        x.data + bd,
-        (x, b),
-        lambda g: (g, g.sum(axis=axes).reshape(b.shape)),
-    )
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map in one node: (..., n, k) @ (k, m) + the bias row b[m],
+    the one permitted broadcast."""
+    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: expects (..., n, k) @ (k, m) + (m,), got "
+                         f"{x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+
+    def bwd(g):
+        g2 = _rows(g)
+        return (g @ wd.T, _rows(xd).T @ g2, g2.sum(axis=0))
+
+    return _node(xd @ wd + b.data, (x, w, b), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -175,6 +204,18 @@ def sum_all(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Structural ops
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Equal-shaped tensors -> one tensor with a new leading batch axis."""
+    if not parts:
+        raise ShapeError("stack: empty part list")
+    ref = parts[0].shape
+    for p in parts[1:]:
+        if p.shape != ref:
+            raise ShapeError(f"stack: shape mismatch {ref} vs {p.shape}")
+    # backward: tuple(g) splits g along the new axis, one slice per part
+    return _node(np.stack([p.data for p in parts]), tuple(parts), tuple)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -280,12 +321,79 @@ def tanh(t: Tensor) -> Tensor:
     return _node(y, (t,), lambda g: (g * (1.0 - y * y),))
 
 
+# W. J. Cody, "Rational Chebyshev approximations for the error function",
+# Math. Comp. 23 (1969) 631-637: the coefficients of his CALERF routine for
+# |x| <= 0.46875 (erf), 0.46875 < |x| <= 4 and |x| > 4 (erfc).
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+          2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+          6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRTPI = 1.0 / np.sqrt(np.pi)
+
+
+def _cody_ratio(z: np.ndarray, num_coef, den_coef):
+    """Numerator and denominator of one of Cody's rational forms in z, in
+    his evaluation order (in place, so no temporaries).  As in CALERF,
+    num_coef[-1] multiplies the highest power and num_coef[-2], den_coef[-1]
+    are the constant terms."""
+    num = num_coef[-1] * z
+    den = z.copy()
+    for a, b in zip(num_coef[:-2], den_coef[:-1]):
+        num += a
+        num *= z
+        den += b
+        den *= z
+    num += num_coef[-2]
+    den += den_coef[-1]
+    return num, den
+
+
+def erf(x) -> np.ndarray:
+    """Error function to within a few ulp, elementwise (Cody 1969)."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    y = np.abs(flat)
+    out = np.empty_like(y)
+    is_small = y <= 0.46875
+    small = np.flatnonzero(is_small)
+    rest = np.flatnonzero(~is_small)            # NaN included
+    ys = y[small]
+    num, den = _cody_ratio(ys * ys, _ERF_A, _ERF_B)
+    out[small] = flat[small] * num / den
+
+    # erfc(y) = exp(-y^2) R(y); erf(6) already rounds to 1
+    y = np.minimum(y[rest], 6.0)
+    num, den = _cody_ratio(np.minimum(y, 4.0), _ERF_C, _ERF_D)
+    erfc = num / den
+    tail = np.flatnonzero(y > 4.0)
+    if tail.size:
+        yt = y[tail]
+        z = 1.0 / (yt * yt)
+        num, den = _cody_ratio(z, _ERF_P, _ERF_Q)
+        erfc[tail] = (_INV_SQRTPI - z * num / den) / yt
+    # erf needs erfc only to absolute accuracy, so Cody's split of exp(-y^2)
+    # into two factors (for relative accuracy in the far tail) is not needed
+    erfc *= np.exp(-y * y)
+    out[rest] = np.copysign((0.5 - erfc) + 0.5, flat[rest])
+    return out.reshape(x.shape)
+
+
 def gelu(t: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = t.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-    return _node(x * cdf, (t,), lambda g: (g * (cdf + x * pdf),))
+    slope = cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
+    return _node(x * cdf, (t,), lambda g: (g * slope,))
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
@@ -332,46 +440,46 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
                          heads: int, weights_sink: list | None = None) -> Tensor:
-    """Scaled dot-product attention over all heads in one graph node.
+    """Scaled dot-product attention over all heads and items in one node.
 
-    q, k, v are (rows, heads*head_dim); columns are laid out head-major, so
-    head h owns columns [h*head_dim, (h+1)*head_dim).  `key_bias` (rows,) is
-    added to every score row before the softmax; a large negative bias drives
-    a key's weight to exactly zero.  `weights_sink`, when given, receives the
-    (heads, rows, rows) attention-weight array for inspection.
+    q, k, v are (B, rows, heads*head_dim); columns are laid out head-major,
+    so head h owns columns [h*head_dim, (h+1)*head_dim).  `key_bias` (B, rows)
+    is added to every score row of its item before the softmax; a large
+    negative bias drives a key's weight to exactly zero.  `weights_sink`,
+    when given, receives the (B, heads, rows, rows) attention-weight array.
     """
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+    if q.data.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
         raise ShapeError(f"multi_head_attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape}")
-    rows, width = q.shape
+    batch, rows, width = q.shape
     if width % heads != 0:
         raise ShapeError(f"multi_head_attention: width {width} not divisible by {heads} heads")
     d = width // heads
-    bias = np.asarray(key_bias, dtype=np.float64).reshape(-1)
-    if bias.shape[0] != rows:
-        raise ShapeError(f"multi_head_attention: bias length {bias.shape[0]} vs {rows} rows")
+    bias = np.asarray(key_bias, dtype=np.float64)
+    if bias.shape != (batch, rows):
+        raise ShapeError(f"multi_head_attention: key bias {bias.shape} vs {(batch, rows)}")
     inv_sqrt_d = 1.0 / np.sqrt(d)
 
     def split_heads(arr):
-        return arr.reshape(rows, heads, d).transpose(1, 0, 2)   # (H, S, d)
+        return arr.reshape(batch, rows, heads, d).transpose(0, 2, 1, 3)   # (B, H, S, d)
 
     def merge_heads(arr):
-        return arr.transpose(1, 0, 2).reshape(rows, width)
+        return arr.transpose(0, 2, 1, 3).reshape(batch, rows, width)
 
     qd, kd, vd = split_heads(q.data), split_heads(k.data), split_heads(v.data)
-    scores = qd @ kd.transpose(0, 2, 1) * inv_sqrt_d + bias[None, None, :]
+    scores = qd @ kd.transpose(0, 1, 3, 2) * inv_sqrt_d + bias[:, None, None, :]
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    w = e / e.sum(axis=-1, keepdims=True)                       # (H, S, S)
+    w = e / e.sum(axis=-1, keepdims=True)                       # (B, H, S, S)
     if weights_sink is not None:
         weights_sink.append(w.copy())
 
     def bwd(g):
         gout = split_heads(g)
-        dw = gout @ vd.transpose(0, 2, 1)
-        dv = w.transpose(0, 2, 1) @ gout
+        dw = gout @ vd.transpose(0, 1, 3, 2)
+        dv = w.transpose(0, 1, 3, 2) @ gout
         ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
         dq = (ds @ kd) * inv_sqrt_d
-        dk = (ds.transpose(0, 2, 1) @ qd) * inv_sqrt_d
+        dk = (ds.transpose(0, 1, 3, 2) @ qd) * inv_sqrt_d
         return (merge_heads(dq), merge_heads(dk), merge_heads(dv))
 
     return _node(merge_heads(w @ vd), (q, k, v), bwd)
@@ -382,6 +490,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows of `table` for an id array of any shape, e.g. (B, S) -> (B, S, d)."""
     ids = np.asarray(ids, dtype=np.int64)
     vocab = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -394,41 +503,50 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(dt, ids, g)
         return (dt,)
 
-    return _node(table.data[ids].copy(), (table,), bwd)
+    return _node(table.data[ids], (table,), bwd)
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target], log-space.  logits: (C,) or (1, C)."""
-    flat = logits.data.reshape(-1)
-    c = flat.shape[0]
-    target = int(target)
-    if target < 0 or target >= c:
-        raise IndexError(f"cross_entropy: target {target} outside {c} classes")
-    m = flat.max()
-    lse = m + np.log(np.exp(flat - m).sum())
-    loss = lse - flat[target]
-    probs = np.exp(flat - lse)
-    shape = logits.shape
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Batch mean of -log softmax(logits[i])[targets[i]], in log space.
+    logits: (B, C); targets: (B,) class indices."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
+    batch, c = logits.shape
+    if targets.size and (targets.min() < 0 or targets.max() >= c):
+        bad = targets[(targets < 0) | (targets >= c)][0]
+        raise IndexError(f"cross_entropy: target {bad} outside {c} classes")
+    x = logits.data
+    m = x.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+    items = np.arange(batch)
+    loss = (lse[:, 0] - x[items, targets]).mean()
 
     def bwd(g):
-        d = probs.copy()
-        d[target] -= 1.0
-        return (float(g) * d.reshape(shape),)
+        d = np.exp(x - lse)
+        d[items, targets] -= 1.0
+        return (d * (float(g) / batch),)
 
     return _node(np.asarray(loss), (logits,), bwd)
 
 
-def drop_path(x: Tensor, rate: float, training: bool, rng: RngStream | None = None) -> Tensor:
-    """Stochastic depth on one residual branch: keep-or-kill the whole branch
-    per sample, rescaled by 1/(1-rate) so the expectation is preserved."""
+def drop_path(x: Tensor, rate: float, training: bool,
+              rngs: Sequence[RngStream] | None = None) -> Tensor:
+    """Stochastic depth on one residual branch, per sample: item i of the
+    leading batch axis keeps its whole branch, rescaled by 1/(1-rate) so the
+    expectation is preserved, or loses it, by one draw from rngs[i]."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return scale(x, 1.0)
-    if rng is None:
-        raise UsageError("drop_path: training mode needs an RngStream")
-    keep = rng.bernoulli(1.0 - rate)
-    return scale(x, (1.0 / (1.0 - rate)) if keep else 0.0)
+        return x
+    if rngs is None:
+        raise UsageError("drop_path: training mode needs one RngStream per item")
+    if len(rngs) != x.shape[0]:
+        raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
+    kept = 1.0 / (1.0 - rate)
+    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs])
+    mask = mask.reshape((-1,) + (1,) * (x.data.ndim - 1))       # (B, 1, 1)
+    return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +606,15 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     numeric = np.zeros_like(leaf.data)
     flat = leaf.data.reshape(-1)
     nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(Tensor(leaf.data.copy())).data)
-        flat[i] = orig - h
-        fm = float(f(Tensor(leaf.data.copy())).data)
-        flat[i] = orig
-        nflat[i] = (fp - fm) / (2.0 * h)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = float(f(Tensor(leaf.data.copy())).data)
+            flat[i] = orig - h
+            fm = float(f(Tensor(leaf.data.copy())).data)
+            flat[i] = orig
+            nflat[i] = (fp - fm) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

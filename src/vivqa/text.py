@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Tensor, add, add_bias, embedding_lookup, matmul
+from .tensor import Tensor, add, embedding_lookup, linear
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 RESERVED = ["[PAD]", "[CLS]", "[SEP]", "[UNK]"]
@@ -97,11 +97,14 @@ class TextEncoderParams:
         return {"text.embedding": self.embedding, "text.positional": self.positional}
 
 
-def encode(tq: TokenizedQuestion, p: TextEncoderParams) -> Tensor:
-    """(l_max + 2, width) token + positional embeddings; PAD rows are
-    produced here and masked downstream."""
-    tok = embedding_lookup(p.embedding, tq.ids)
-    pos = embedding_lookup(p.positional, np.arange(len(tq.ids)))
+def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
+    """(B, l_max + 2) token ids -> (B, l_max + 2, width) token + positional
+    embeddings; PAD rows are produced here and masked downstream."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ShapeError(f"encode: token ids must be (batch, length), got {ids.shape}")
+    tok = embedding_lookup(p.embedding, ids)
+    pos = embedding_lookup(p.positional, np.broadcast_to(np.arange(ids.shape[1]), ids.shape))
     return add(tok, pos)
 
 
@@ -120,4 +123,4 @@ class ProjectionParams:
 def project(q: Tensor, p: ProjectionParams) -> Tensor:
     if q.shape[-1] != p.in_width:
         raise ShapeError(f"project: last axis {q.shape} != {p.in_width}")
-    return add_bias(matmul(q, p.weight), p.bias)
+    return linear(q, p.weight, p.bias)

@@ -1,5 +1,7 @@
 """Training protocol and evaluation: cross-entropy over the answer classes,
 AdamW with the cosine-warmup schedule, deterministic batching per seed.
+Each minibatch is one forward graph, one backward and one optimizer step;
+evaluation runs batch_size chunks without recording a graph.
 
 Reports are split into a deterministic part (report.json — a pure function
 of config, seed, corpus) and a timing file that is allowed to vary between
@@ -18,10 +20,8 @@ import numpy as np
 from . import tensor as T
 from .classifier import predict
 from .config import RunConfig
-from .data import (
-    AnswerVocab, Example, OOV_TARGET, batch_iter, load_jsonl, split_train_test,
-)
-from .errors import ConfigError, DataError
+from .data import AnswerVocab, batch_iter, load_jsonl, split_train_test
+from .errors import ConfigError, DataError, NumericalError
 from .metrics import MetricsReport, PredictionRecord, report as metrics_report, \
     write_predictions
 from .model import VivqaModel, ensure_out_dir, save_checkpoint
@@ -74,14 +74,19 @@ def _metrics_to_dict(m: MetricsReport) -> dict:
 
 
 def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
-    """Deterministic eval-mode inference over a split."""
+    """Deterministic eval-mode inference over a split, in split order."""
+    split = list(split)
+    size = model.cfg.batch_size
     records = []
-    for ex in split:
-        tokens = tokenize(ex.question, model.vocab, model.cfg.l_max)
-        logits = model.forward(ex, tokens, training=False)
-        dist = predict(logits, model.answer_vocab.answers)
-        records.append(PredictionRecord(id=ex.id, prediction=dist.answer,
-                                        ground_truth=ex.answer))
+    with T.no_grad():
+        for start in range(0, len(split), size):
+            chunk = split[start:start + size]
+            batch = [(ex, tokenize(ex.question, model.vocab, model.cfg.l_max))
+                     for ex in chunk]
+            dists = predict(model.forward(batch), model.answer_vocab.answers)
+            records += [PredictionRecord(id=ex.id, prediction=dist.answer,
+                                         ground_truth=ex.answer)
+                        for ex, dist in zip(chunk, dists)]
     return records
 
 
@@ -101,7 +106,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     item_cache: dict = {}
     for epoch in range(cfg.epochs):
         epoch_rng = run_rng.split(f"epoch-{epoch}")
-        losses = []
+        loss_sum = 0.0
         hits = 0
         total = 0
         for batch in batch_iter(train_split, cfg.batch_size, cfg.l_max,
@@ -109,20 +114,22 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
                                 cfg.seed, epoch, is_train=True,
                                 item_cache=item_cache):
             optimizer.zero_grad()
-            inv_b = 1.0 / len(batch)
-            for j, item in enumerate(batch):
-                item_rng = epoch_rng.split(f"item-{item.example.id}")
-                logits = model.forward(item.example, item.tokens,
-                                       training=True, rng=item_rng)
-                loss = T.cross_entropy(logits, item.target)
-                losses.append(float(loss.data))
-                if int(np.argmax(logits.data)) == item.target:
-                    hits += 1
-                total += 1
-                T.backward(T.scale(loss, inv_b))
+            rngs = [epoch_rng.split(f"item-{item.example.id}") for item in batch]
+            logits = model.forward([(item.example, item.tokens) for item in batch],
+                                   training=True, rngs=rngs)
+            targets = np.array([item.target for item in batch])
+            loss = T.cross_entropy(logits, targets)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise NumericalError(
+                    f"training loss is {value} at epoch {epoch}, step {step}")
+            loss_sum += value * len(batch)
+            hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
+            total += len(batch)
+            T.backward(loss)
             optimizer.step(lr_at(step, schedule))
             step += 1
-        report.epoch_losses.append(sum(losses) / max(1, len(losses)))
+        report.epoch_losses.append(loss_sum / max(1, total))
         report.epochs_run = epoch + 1
         if (cfg.early_stop_train_acc is not None
                 and total and hits / total >= cfg.early_stop_train_acc):

@@ -27,8 +27,7 @@ import numpy as np
 from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
-    Tensor, adaptive_avg_pool, add, add_bias, concat, flatten, matmul, mul,
-    permute, reshape,
+    Tensor, adaptive_avg_pool, add, concat, flatten, linear, mul, permute, reshape,
 )
 
 FUSION_OPS = ("multiply", "add", "concatenate")
@@ -133,7 +132,7 @@ def extract_global_stub(img: np.ndarray, p: StubExtractorParams) -> Tensor:
     """Global-contract features: (n_tokens, token_dim)."""
     _check_image(img, p.dims)
     summary = Tensor(_image_summary(img, p).reshape(1, -1))
-    out = add_bias(matmul(summary, p.global_weight), p.global_bias)
+    out = linear(summary, p.global_weight, p.global_bias)
     return reshape(out, (p.dims.n_tokens, p.dims.token_dim))
 
 
@@ -147,7 +146,7 @@ def extract_local_stub(img: np.ndarray, p: StubExtractorParams) -> Tensor:
     _check_image(img, p.dims)
     d = p.dims
     means = Tensor(_block_means(img, d) - MID_GRAY)         # (grid^2, channels)
-    cells = add_bias(matmul(means, p.local_weight), p.local_bias)
+    cells = linear(means, p.local_weight, p.local_bias)
     return permute(reshape(cells, (d.grid, d.grid, d.local_channels)), (2, 0, 1))
 
 

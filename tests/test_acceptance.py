@@ -48,7 +48,8 @@ def tiny_cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# C1: published-scale shape chain, exact, one forward pass under 60 s.
+# C1: published-scale shape chain, exact, one forward pass under 60 s.  The
+# model stages carry a leading batch axis (here B = 1).
 
 
 def test_c1_shape_chain_paper_preset():
@@ -80,18 +81,20 @@ def test_c1_shape_chain_paper_preset():
 
     fused_v = fuse(g, adapted, "concatenate")
     assert fused_v.shape == (64, 768)
+    batch_v = T.stack([fused_v])
+    assert batch_v.shape == (1, 64, 768)
 
     tokens = tokenize(ex.question, model.vocab, cfg.l_max)
-    embedded = text_encode(tokens, model.text_params)
-    assert embedded.shape == (cfg.l_max + 2, 1024)
+    embedded = text_encode(tokens.ids[None], model.text_params)
+    assert embedded.shape == (1, cfg.l_max + 2, 1024)
     q = project(embedded, model.projection)
-    assert q.shape == (cfg.l_max + 2, 768)
+    assert q.shape == (1, cfg.l_max + 2, 768)
 
-    seq = concat_modalities(fused_v, q, tokens.mask, model.fusion)
+    seq = concat_modalities(batch_v, q, tokens.mask[None], model.fusion)
     rows = 64 + cfg.l_max + 2
-    assert seq.x.shape == (rows, 768)
+    assert seq.x.shape == (1, rows, 768)
     seq = encode(seq, model.fusion, training=False)
-    assert seq.x.shape == (rows, 768)
+    assert seq.x.shape == (1, rows, 768)
     pooled = pool_cls(seq, model.fusion)
     assert pooled.shape == (1, 768)
 
@@ -103,7 +106,8 @@ def test_c1_shape_chain_paper_preset():
 
 # ---------------------------------------------------------------------------
 # C2: finite-difference gradient audit — every differentiable op family and
-# the composed tiny-preset model, 20 seeds, h=1e-5, max rel err <= 1e-4.
+# the composed tiny-preset model on a batch, 20 seeds, h=1e-5, max rel err
+# <= 1e-4.  Batched ops run at B > 1.
 
 N_GRAD_SEEDS = 20
 GRAD_TOL = 1e-4
@@ -120,23 +124,27 @@ def _op_cases(seed):
     m42 = Tensor(r.normal(size=(4, 2)))
     bias = Tensor(r.normal(size=(4,)))
     w34 = _proj(r, (3, 4))
-    w32 = _proj(r, (3, 2))
     w38 = _proj(r, (3, 8))
     w_pool = _proj(r, (3, 2, 2))
     gamma = Tensor(r.normal(size=(4,)))
     beta = Tensor(r.normal(size=(4,)))
     qkv = Tensor(r.normal(size=(4, 4)))
-    kbias = np.zeros(4)
-    kbias[3] = T.MASK_VALUE
-    ids = [0, 2, 2, 1]
+    kbias = np.zeros((2, 4))
+    kbias[:, 3] = kbias[1, 1] = T.MASK_VALUE
+    ids = [[0, 2, 2, 1], [1, 1, 3, 0]]
     wlk = _proj(r, (4, 4))
+    w244 = _proj(r, (2, 4, 4))
+    qkv3 = Tensor(r.normal(size=(2, 4, 4)))
+    x234 = Tensor(r.normal(size=(2, 3, 4)))
+    w232 = _proj(r, (2, 3, 2))
 
     def s(t, w):
         return T.sum_all(T.mul(t, Tensor(w)))
 
     return [
         ("arith", lambda x: s(T.add(T.sub(T.mul(x, other), T.scale(x, 0.7)), x), w34), x34),
-        ("matmul", lambda x: s(T.add_bias(T.matmul(x, m42), Tensor(r2(seed, 2))), w32), x34),
+        ("matmul", lambda x: s(T.matmul(x, m42), w232), x234),
+        ("linear", lambda x: s(T.linear(x, m42, Tensor(r2(seed, 2))), w232), x234),
         ("structural", lambda x: s(T.flatten(T.permute(T.reshape(
             T.concat([x, other], axis=0), (2, 3, 4)), (1, 0, 2)), keep_axis=0),
             w38), Tensor(np.random.default_rng(2000 + seed).normal(size=(3, 4)))),
@@ -148,9 +156,11 @@ def _op_cases(seed):
         ("softmax", lambda x: s(T.softmax(x), w34), x34),
         ("layer_norm", lambda x: s(T.layer_norm(x, gamma, beta), w34), x34),
         ("attention", lambda x: s(T.multi_head_attention(
-            x, qkv, T.scale(qkv, 0.5), kbias, heads=2), wlk), Tensor(r.normal(size=(4, 4)))),
-        ("lookup", lambda w: s(T.embedding_lookup(w, ids), wlk), qkv),
-        ("cross_entropy", lambda x: T.cross_entropy(x, 2), Tensor(r.normal(size=(1, 4)))),
+            x, qkv3, T.scale(qkv3, 0.5), kbias, heads=2), w244),
+         Tensor(r.normal(size=(2, 4, 4)))),
+        ("lookup", lambda w: s(T.embedding_lookup(w, ids), w244), qkv),
+        ("cross_entropy", lambda x: T.cross_entropy(x, [2, 0, 3]),
+         Tensor(r.normal(size=(3, 4)))),
     ]
 
 
@@ -168,17 +178,19 @@ def test_c2_gradient_audit_ops_and_composed_model():
     corpus = make_synthetic(8, 2, 2, seed=5)
     cfg = tiny_cfg(vision_mode="global")
     model = build_model(cfg, corpus)
-    ex = corpus[0]
-    tokens = tokenize(ex.question, model.vocab, cfg.l_max)
-    v0 = model.vision_tokens(ex).detach()
-    q0 = project(text_encode(tokens, model.text_params), model.projection).detach()
-    target = model.answer_vocab.index[ex.answer]
+    batch = corpus[:2]
+    tokens = [tokenize(ex.question, model.vocab, cfg.l_max) for ex in batch]
+    mask = np.stack([tq.mask for tq in tokens])
+    v0 = T.stack([model.vision_tokens(ex) for ex in batch]).detach()
+    q0 = project(text_encode(np.stack([tq.ids for tq in tokens]), model.text_params),
+                 model.projection).detach()
+    targets = [model.answer_vocab.index[ex.answer] for ex in batch]
 
     def composed(v, q):
-        seq = concat_modalities(v, q, tokens.mask, model.fusion)
+        seq = concat_modalities(v, q, mask, model.fusion)
         seq = encode(seq, model.fusion, training=False)
         return T.cross_entropy(classify(pool_cls(seq, model.fusion), model.classifier),
-                               target)
+                               targets)
 
     for seed in range(N_GRAD_SEEDS):
         r = np.random.default_rng(4000 + seed)

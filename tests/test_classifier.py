@@ -11,61 +11,63 @@ from vivqa.tensor import Tensor, backward, grad_check, cross_entropy, sum_all
 def test_shapes_and_hidden_width():
     p = ClassifierParams(in_width=24, n_classes=16, rng=RngStream(0))
     assert p.hidden == 48
-    out = classify(Tensor(np.random.default_rng(0).normal(size=(1, 24))), p)
-    assert out.shape == (1, 16)
+    out = classify(Tensor(np.random.default_rng(0).normal(size=(3, 24))), p)
+    assert out.shape == (3, 16)
 
 
 def test_rejects_wrong_input_shape():
     p = ClassifierParams(8, 4, RngStream(1))
     with pytest.raises(ShapeError):
-        classify(Tensor(np.zeros((2, 8))), p)
+        classify(Tensor(np.zeros(8)), p)
     with pytest.raises(ShapeError):
         classify(Tensor(np.zeros((1, 9))), p)
+    with pytest.raises(ShapeError):
+        classify(Tensor(np.zeros((2, 1, 8))), p)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gradient_check_c5(seed):
     p = ClassifierParams(6, 5, RngStream(10 + seed))
     r = np.random.default_rng(seed)
-    f = lambda x: cross_entropy(classify(x, p), int(r.integers(0, 5)))
-    # freeze the target per function instance
-    target = int(r.integers(0, 5))
-    f = lambda x: cross_entropy(classify(x, p), target)
-    assert grad_check(f, Tensor(r.normal(size=(1, 6)))) < 1e-4
+    targets = r.integers(0, 5, size=3)
+    f = lambda x: cross_entropy(classify(x, p), targets)
+    assert grad_check(f, Tensor(r.normal(size=(3, 6)))) < 1e-4
 
 
 def test_all_params_receive_gradient():
     p = ClassifierParams(6, 5, RngStream(2))
-    backward(sum_all(classify(Tensor(np.random.default_rng(0).normal(size=(1, 6))), p)))
+    backward(sum_all(classify(Tensor(np.random.default_rng(0).normal(size=(2, 6))), p)))
     for name, t in p.named_params().items():
         assert t.grad is not None, name
 
 
 def test_predict_exhaustive_argmax():
     answers = [f"a{i}" for i in range(8)]
-    for j in range(8):
-        logits = np.zeros(8)
-        logits[j] = 1.0
-        dist = predict(Tensor(logits.reshape(1, 8)), answers)
+    dists = predict(Tensor(np.eye(8)), answers)   # row j peaks at class j
+    for j, dist in enumerate(dists):
         assert dist.index == j
         assert dist.answer == f"a{j}"
 
 
 def test_predict_tie_breaks_to_lowest_index():
-    dist = predict(Tensor(np.zeros((1, 4))), ["w", "x", "y", "z"])
+    [dist] = predict(Tensor(np.zeros((1, 4))), ["w", "x", "y", "z"])
     assert dist.index == 0
     assert dist.answer == "w"
 
 
 def test_predict_probabilities_normalized():
-    dist = predict(Tensor(np.array([[1.0, 2.0, 3.0]])), ["a", "b", "c"])
-    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dist.probabilities.argmax() == dist.index
+    dists = predict(Tensor(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])), ["a", "b", "c"])
+    for dist in dists:
+        assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.probabilities.argmax() == dist.index
+    assert [d.answer for d in dists] == ["c", "a"]
 
 
 def test_predict_rejects_mismatched_vocab():
     with pytest.raises(ShapeError):
         predict(Tensor(np.zeros((1, 3))), ["a", "b"])
+    with pytest.raises(ShapeError):
+        predict(Tensor(np.zeros(2)), ["a", "b"])
 
 
 def test_deterministic_init_per_seed():

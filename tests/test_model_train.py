@@ -1,16 +1,19 @@
-"""Pipeline-level tests: forward shapes, feature caching, freeze contract,
-checkpoint round trip, training determinism, and report artifacts."""
+"""Pipeline-level tests: forward shapes, a batch against its items one by
+one, feature caching, freeze contract, checkpoint round trip, training
+determinism, non-finite losses, and report artifacts."""
 import json
 
 import numpy as np
 import pytest
 
 import vivqa.tensor as T
+from vivqa.cli import main
 from vivqa.config import RunConfig
-from vivqa.data import make_synthetic, split_train_test
-from vivqa.errors import ConfigError
+from vivqa.data import make_synthetic, save_jsonl, split_train_test
+from vivqa.errors import ConfigError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
+from vivqa.rng import RngStream
 from vivqa.text import tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
 from vivqa.vvqf import write_feature_file
@@ -28,12 +31,39 @@ def corpus():
     return make_synthetic(24, 2, 2, seed=1)
 
 
+def _batch(model, examples):
+    return [(ex, tokenize(ex.question, model.vocab, model.cfg.l_max)) for ex in examples]
+
+
 def test_forward_logit_shape(corpus):
     cfg = tiny_cfg()
     model = build_model(cfg, corpus)
-    ex = corpus[0]
-    logits = model.forward(ex, tokenize(ex.question, model.vocab, cfg.l_max))
-    assert logits.shape == (1, len(model.answer_vocab))
+    logits = model.forward(_batch(model, corpus[:3]))
+    assert logits.shape == (3, len(model.answer_vocab))
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_batch_forward_equals_single_item_forwards(corpus, training):
+    """B items in one graph give the logits of B one-item graphs; in
+    training, each item's drop-path keeps come from its own stream."""
+    cfg = tiny_cfg(layers=3, drop_path=0.5, vision_mode="both", freeze_extractors=False)
+    model = build_model(cfg, corpus)
+    batch = _batch(model, corpus[:6])
+
+    def forward(items, rngs):
+        return model.forward(items, training=training, rngs=rngs if training else None).data
+
+    def streams():
+        return [RngStream(5).split(f"item-{ex.id}") for ex, _ in batch]
+
+    together = forward(batch, streams())
+    alone = [forward([item], [rng]) for item, rng in zip(batch, streams())]
+    np.testing.assert_allclose(together, np.concatenate(alone), rtol=0, atol=1e-12)
+    if training:
+        # at rate 0.5 over 3 layers some branch is dropped, so handing the
+        # items each other's streams changes the logits
+        swapped = forward(batch, streams()[::-1])
+        assert np.abs(swapped - together).max() > 1e-6
 
 
 def test_vision_mode_row_counts(corpus):
@@ -52,7 +82,23 @@ def test_frozen_features_cached_and_detached(corpus):
     assert not a.requires_grad
     b = model.vision_tokens(ex)
     np.testing.assert_array_equal(a.data, b.data)
-    assert ex.id in model._token_cache
+    assert (ex.id, ex.image) in model._token_cache
+
+
+def test_reused_example_id_with_new_image_gets_new_tokens():
+    """Two corpora with the default id prefix reuse ids for other images;
+    a warm model must not serve the first corpus's tokens for the second."""
+    first = make_synthetic(8, 4, 4, seed=0)
+    second = make_synthetic(8, 4, 4, seed=1)
+    model = build_model(tiny_cfg(), first)
+    for ex in first:
+        model.vision_tokens(ex)
+    changed = [(a, b) for a, b in zip(first, second) if a.id == b.id and a.image != b.image]
+    assert changed
+    for old, new in changed:
+        fresh = build_model(tiny_cfg(), first).vision_tokens(new).data
+        np.testing.assert_array_equal(model.vision_tokens(new).data, fresh)
+        assert np.abs(fresh - model.vision_tokens(old).data).max() > 1e-6
 
 
 def test_unfrozen_features_not_cached(corpus):
@@ -76,8 +122,8 @@ def test_vvqf_image_path(tmp_path, corpus):
                                                dims.grid))))
     from vivqa.data import Example
     ex = Example(id="v1", image=str(base), question="màu gì", answer=corpus[0].answer)
-    logits = model.forward(ex, tokenize(ex.question, model.vocab, cfg.l_max))
-    assert logits.shape == (1, len(model.answer_vocab))
+    logits = model.forward(_batch(model, [ex, corpus[0]]))
+    assert logits.shape == (2, len(model.answer_vocab))
 
 
 def test_param_counts_freeze_contract(corpus):
@@ -134,6 +180,32 @@ def test_predictions_reproducible(corpus):
     a = predict_split(model, corpus)
     b = predict_split(model, corpus)
     assert a == b
+
+
+def test_nan_loss_fails_fast_naming_epoch_and_step(corpus):
+    cfg = tiny_cfg(epochs=2)
+    model = build_model(cfg, corpus)
+    model.classifier.fc2_w.data[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="epoch 0, step 0"):
+        train_model(model, corpus, cfg)
+
+
+def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
+    import vivqa.train as train_mod
+
+    def poisoned(cfg, split):
+        model = build_model(cfg, split)
+        model.classifier.fc2_w.data[:] = np.nan
+        return model
+
+    monkeypatch.setattr(train_mod, "build_model", poisoned)
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, corpus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(preset="tiny", epochs=1, batch_size=8, layers=1,
+                                   heads=2, lr=1e-3)))
+    assert main(["train", "--config", str(cfg), "--data", str(data)]) == 4
+    assert "training loss is nan at epoch 0, step 0" in capsys.readouterr().err
 
 
 def test_early_stop(corpus):

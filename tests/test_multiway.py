@@ -1,6 +1,7 @@
 """Multiway fusion stack tests: configuration guards, shape preservation,
 expert routing, masking, embeddings, drop-path ramp, pooling, and a
-composed gradient check of one block."""
+composed gradient check of one block.  Sequences carry a leading batch
+axis: (B, rows, hidden) with a (B, rows) mask."""
 import numpy as np
 import pytest
 
@@ -21,12 +22,12 @@ def small_cfg(**kw):
     return FusionConfig(**base)
 
 
-def make_seq(cfg, k=3, t=4, seed=0, masked=()):
+def make_seq(cfg, k=3, t=4, seed=0, masked=(), batch=2):
     r = np.random.default_rng(seed)
-    x = Tensor(r.normal(size=(k + t, cfg.hidden)))
-    mask = np.ones(k + t)
+    x = Tensor(r.normal(size=(batch, k + t, cfg.hidden)))
+    mask = np.ones((batch, k + t))
     for i in masked:
-        mask[i] = 0.0
+        mask[:, i] = 0.0
     return FusedSequence(x=x, boundary=k, mask=mask)
 
 
@@ -41,9 +42,9 @@ def test_config_guards():
 
 def test_fused_sequence_boundary_guard():
     with pytest.raises(ValueError):
-        FusedSequence(x=Tensor(np.zeros((4, 8))), boundary=4, mask=np.ones(4))
+        FusedSequence(x=Tensor(np.zeros((1, 4, 8))), boundary=4, mask=np.ones((1, 4)))
     with pytest.raises(ValueError):
-        FusedSequence(x=Tensor(np.zeros((4, 8))), boundary=0, mask=np.ones(4))
+        FusedSequence(x=Tensor(np.zeros((1, 4, 8))), boundary=0, mask=np.ones((1, 4)))
 
 
 def test_block_preserves_shape():
@@ -66,16 +67,16 @@ def test_expert_routing_disjoint():
     saved = p["vision.fc2.weight"].data.copy()
     p["vision.fc2.weight"].data = saved + 0.5
     bumped = expert_sublayer(f.x, f.boundary, p).data
-    assert np.abs(bumped[:3] - base[:3]).max() > 1e-6
-    np.testing.assert_array_equal(bumped[3:], base[3:])
+    assert np.abs(bumped[:, :3] - base[:, :3]).max() > 1e-6
+    np.testing.assert_array_equal(bumped[:, 3:], base[:, 3:])
 
     p["vision.fc2.weight"].data = saved
     lang = p["language.fc1.weight"].data.copy()
     lang[0, 0] += 0.5
     p["language.fc1.weight"].data = lang
     bumped = expert_sublayer(f.x, f.boundary, p).data
-    np.testing.assert_array_equal(bumped[:3], base[:3])
-    assert np.abs(bumped[3:] - base[3:]).max() > 1e-6
+    np.testing.assert_array_equal(bumped[:, :3], base[:, :3])
+    assert np.abs(bumped[:, 3:] - base[:, 3:]).max() > 1e-6
 
 
 def test_attention_is_shared_across_modalities():
@@ -94,11 +95,13 @@ def test_masked_positions_have_zero_attention_weight():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(3))
     f = make_seq(cfg, k=3, t=4, masked=(5, 6))
+    f.mask[1, 4] = 0.0                      # item 1 has one more padded key
     sink = []
     shared_attention(f.x, f.mask, p, cfg, weights_sink=sink)
     w = sink[0]
-    assert np.all(w[:, :, 5] == 0.0)
-    assert np.all(w[:, :, 6] == 0.0)
+    assert np.all(w[:, :, :, 5] == 0.0)
+    assert np.all(w[:, :, :, 6] == 0.0)
+    assert np.all(w[1, :, :, 4] == 0.0) and np.all(w[0, :, :, 4] > 0.0)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -110,9 +113,9 @@ def test_masked_key_value_cannot_leak():
     f = make_seq(cfg, k=3, t=4, masked=(6,))
     base = shared_attention(f.x, f.mask, p, cfg).data
     x2 = f.x.data.copy()
-    x2[6] += 3.0
+    x2[:, 6] += 3.0
     out = shared_attention(Tensor(x2), f.mask, p, cfg).data
-    np.testing.assert_allclose(out[:6], base[:6], atol=1e-12)
+    np.testing.assert_allclose(out[:, :6], base[:, :6], atol=1e-12)
 
 
 def test_permutation_equivariance_within_modality():
@@ -124,11 +127,11 @@ def test_permutation_equivariance_within_modality():
     out = multiway_block(f, p, 0.0, training=False).x.data
     perm = [2, 0, 3, 1]
     x2 = f.x.data.copy()
-    x2[:4] = x2[perm]
+    x2[:, :4] = x2[:, perm]
     out2 = multiway_block(FusedSequence(Tensor(x2), 4, f.mask), p, 0.0,
                           training=False).x.data
-    np.testing.assert_allclose(out2[:4], out[perm], atol=1e-10)
-    np.testing.assert_allclose(out2[4:], out[4:], atol=1e-10)
+    np.testing.assert_allclose(out2[:, :4], out[:, perm], atol=1e-10)
+    np.testing.assert_allclose(out2[:, 4:], out[:, 4:], atol=1e-10)
 
 
 def test_drop_rates_linear_ramp():
@@ -142,28 +145,29 @@ def test_concat_modalities_layout():
     cfg = small_cfg(use_position_embeddings=False, use_modality_type_embeddings=False)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(0))
     r = np.random.default_rng(0)
-    v = Tensor(r.normal(size=(3, 8)))
-    q = Tensor(r.normal(size=(5, 8)))
-    q_mask = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+    v = Tensor(r.normal(size=(2, 3, 8)))
+    q = Tensor(r.normal(size=(2, 5, 8)))
+    q_mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0]])
     f = concat_modalities(v, q, q_mask, stack)
     assert f.boundary == 3
-    np.testing.assert_array_equal(f.x.data[:3], v.data)   # vision rows first
-    np.testing.assert_array_equal(f.x.data[3:], q.data)
-    np.testing.assert_array_equal(f.mask, [1, 1, 1, 1, 1, 1, 0, 0])
+    np.testing.assert_array_equal(f.x.data[:, :3], v.data)   # vision rows first
+    np.testing.assert_array_equal(f.x.data[:, 3:], q.data)
+    np.testing.assert_array_equal(f.mask, [[1, 1, 1, 1, 1, 1, 0, 0],
+                                           [1, 1, 1, 1, 1, 1, 1, 0]])
 
 
 def test_concat_modalities_adds_position_and_type():
     cfg = small_cfg()
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(1))
     r = np.random.default_rng(1)
-    v = Tensor(r.normal(size=(3, 8)))
-    q = Tensor(r.normal(size=(4, 8)))
-    f = concat_modalities(v, q, np.ones(4), stack)
+    v = Tensor(r.normal(size=(2, 3, 8)))
+    q = Tensor(r.normal(size=(2, 4, 8)))
+    f = concat_modalities(v, q, np.ones((2, 4)), stack)
     pos = stack.extra["fusion.position"].data
     typ = stack.extra["fusion.type"].data
-    want = np.concatenate([v.data, q.data]) + pos[:7]
-    want[:3] += typ[0]
-    want[3:] += typ[1]
+    want = np.concatenate([v.data, q.data], axis=1) + pos[:7]
+    want[:, :3] += typ[0]
+    want[:, 3:] += typ[1]
     np.testing.assert_allclose(f.x.data, want, atol=1e-12)
 
 
@@ -171,8 +175,11 @@ def test_concat_modalities_rejects_wrong_width():
     cfg = small_cfg()
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(2))
     with pytest.raises(ShapeError):
-        concat_modalities(Tensor(np.zeros((3, 9))), Tensor(np.zeros((4, 8))),
-                          np.ones(4), stack)
+        concat_modalities(Tensor(np.zeros((1, 3, 9))), Tensor(np.zeros((1, 4, 8))),
+                          np.ones((1, 4)), stack)
+    with pytest.raises(ShapeError):
+        concat_modalities(Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros((1, 4, 8))),
+                          np.ones((1, 4)), stack)
 
 
 def test_encode_runs_all_layers_and_is_deterministic_in_eval():
@@ -182,14 +189,16 @@ def test_encode_runs_all_layers_and_is_deterministic_in_eval():
     a = encode(f, stack, training=False).x.data
     b = encode(make_seq(cfg, k=3, t=4), stack, training=False).x.data
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (7, 8)
+    assert a.shape == (2, 7, 8)
 
 
 def test_encode_training_drop_path_reproducible_per_seed():
     cfg = small_cfg(layers=3, drop_path_rate=0.5)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(4))
-    a = encode(make_seq(cfg), stack, training=True, rng=RngStream(9)).x.data
-    b = encode(make_seq(cfg), stack, training=True, rng=RngStream(9)).x.data
+    a = encode(make_seq(cfg), stack, training=True,
+               rngs=[RngStream(9), RngStream(10)]).x.data
+    b = encode(make_seq(cfg), stack, training=True,
+               rngs=[RngStream(9), RngStream(10)]).x.data
     np.testing.assert_array_equal(a, b)
 
 
@@ -198,7 +207,7 @@ def test_pool_cls_rows():
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(5))
     f = make_seq(cfg, k=3, t=4, seed=11)
     out = pool_cls(f, stack)
-    assert out.shape == (1, cfg.hidden)
+    assert out.shape == (2, cfg.hidden)
     assert np.all(np.abs(out.data) < 1.0)  # tanh range
 
     cfg_t = small_cfg(cls_row="text")
@@ -206,7 +215,7 @@ def test_pool_cls_rows():
     out_first = pool_cls(f, stack_t).data
     # "text" pools the boundary row instead of row 0
     x2 = f.x.data.copy()
-    x2[0] += 1.0  # perturb row 0: must not affect "text" pooling
+    x2[:, 0] += 1.0  # perturb row 0: must not affect "text" pooling
     out_pert = pool_cls(FusedSequence(Tensor(x2), 3, f.mask), stack_t).data
     np.testing.assert_array_equal(out_first, out_pert)
 
@@ -216,15 +225,15 @@ def test_block_gradient_check(seed):
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(100 + seed))
     r = np.random.default_rng(seed)
-    mask = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-    proj = r.normal(size=(6, 8))
+    mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+    proj = r.normal(size=(2, 6, 8))
 
     def f(x):
         seq = FusedSequence(x=x, boundary=3, mask=mask)
         out = multiway_block(seq, p, 0.0, training=False)
         return sum_all(mul(out.x, Tensor(proj)))
 
-    assert grad_check(f, Tensor(r.normal(size=(6, 8)))) < 1e-4
+    assert grad_check(f, Tensor(r.normal(size=(2, 6, 8)))) < 1e-4
 
 
 def test_block_param_gradients_flow():

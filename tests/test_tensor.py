@@ -1,10 +1,11 @@
 """Autodiff engine tests: hand-evaluated forward oracles, finite-difference
-gradient oracles for every op, brute-force pooling oracle, and graph
-lifecycle rules."""
+gradient oracles for every op (batched ops at B > 1), brute-force pooling
+and per-item oracles, the erf oracle, and graph lifecycle rules."""
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import vivqa.tensor as T
@@ -71,20 +72,31 @@ def test_layer_norm_hand():
 
 
 def test_cross_entropy_hand():
-    loss = T.cross_entropy(Tensor([10.0, -10.0]), 0)
+    loss = T.cross_entropy(Tensor([[10.0, -10.0]]), [0])
     assert math.isclose(float(loss.data), math.log1p(math.exp(-20.0)),
                         rel_tol=1e-6, abs_tol=1e-18)
 
 
 def test_cross_entropy_uniform():
     # C equal logits -> loss = ln C, independent of the shared value
-    loss = T.cross_entropy(Tensor([[7.0, 7.0, 7.0, 7.0]]), 2)
+    loss = T.cross_entropy(Tensor([[7.0, 7.0, 7.0, 7.0]]), [2])
     assert math.isclose(float(loss.data), math.log(4.0), rel_tol=1e-12)
+
+
+def test_cross_entropy_is_batch_mean():
+    logits = np.array([[10.0, -10.0], [7.0, 7.0]])
+    loss = T.cross_entropy(Tensor(logits), [0, 1])
+    want = 0.5 * (math.log1p(math.exp(-20.0)) + math.log(2.0))
+    assert math.isclose(float(loss.data), want, rel_tol=1e-12)
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
-        T.cross_entropy(Tensor([1.0, 2.0]), 2)
+        T.cross_entropy(Tensor([[1.0, 2.0]]), [2])
+    with pytest.raises(ShapeError):
+        T.cross_entropy(Tensor([1.0, 2.0]), 0)
+    with pytest.raises(ShapeError):
+        T.cross_entropy(Tensor([[1.0, 2.0]]), [0, 1])
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -112,6 +124,18 @@ def test_gelu_fixed_points():
     phi = lambda v: 0.5 * (1.0 + math.erf(v / math.sqrt(2.0)))
     np.testing.assert_allclose(y.data, [0.0, 1.0 * phi(1.0), -1.0 * phi(-1.0)],
                                atol=1e-12)
+
+
+def test_erf_matches_scipy_oracle():
+    grid = np.linspace(-30.0, 30.0, 600_001)
+    edges = np.array([0.46875, 4.0, 6.0, 26.0, 1e-300, 5e-324])
+    near = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    x = np.concatenate([grid, near, -near, [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf]])
+    got = T.erf(x)
+    assert np.max(np.abs(got - scipy.special.erf(x))) <= 1e-15
+    assert np.array_equal(np.signbit(T.erf(np.array([0.0, -0.0]))), [False, True])
+    assert np.isnan(T.erf(np.array([np.nan]))[0])
+    assert T.erf(np.ones((2, 3))).shape == (2, 3)
 
 
 def test_tanh_matches_numpy(rng):
@@ -301,10 +325,13 @@ def test_grad_structural_ops(seed):
     other = Tensor(r.normal(size=(3, 4)))
     f = scalarize(lambda t: T.concat([t, other], axis=0))(r.normal(size=(6, 4)))
     assert grad_check(f, x) < GRAD_TOL
+    f = scalarize(lambda t: T.stack([t, other]))(r.normal(size=(2, 3, 4)))
+    assert grad_check(f, x) < GRAD_TOL
     f = scalarize(lambda t: T.adaptive_avg_pool(t, (5,)))(r.normal(size=(3, 5)))
     assert grad_check(f, x) < GRAD_TOL
     base = Tensor(r.normal(size=(3, 4)))
-    f = scalarize(lambda t: T.add_bias(base, t))(r.normal(size=(3, 4)))
+    w = Tensor(r.normal(size=(4, 4)))
+    f = scalarize(lambda t: T.linear(base, w, t))(r.normal(size=(3, 4)))
     assert grad_check(f, Tensor(r.normal(size=4))) < GRAD_TOL
 
 
@@ -312,14 +339,94 @@ def test_grad_structural_ops(seed):
 def test_grad_composed_ce_matmul(seed):
     r = np.random.default_rng(400 + seed)
     w = r.normal(size=(4, 4))
-    f = lambda x: T.cross_entropy(T.matmul(x, Tensor(w)), 2)
-    assert grad_check(f, Tensor(r.normal(size=(1, 4)))) < GRAD_TOL
+    f = lambda x: T.cross_entropy(T.matmul(x, Tensor(w)), [2, 0, 3])
+    assert grad_check(f, Tensor(r.normal(size=(3, 4)))) < GRAD_TOL
 
 
 def test_grad_embedding_repeated_id_accumulates():
     table = Tensor(np.zeros((3, 2)), requires_grad=True)
-    backward(T.sum_all(T.embedding_lookup(table, [1, 1, 2])))
-    np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
+    backward(T.sum_all(T.embedding_lookup(table, [[1, 1], [2, 1]])))
+    np.testing.assert_array_equal(table.grad, [[0, 0], [3, 3], [1, 1]])
+
+
+# ---------------------------------------------------------------------------
+# Batched ops: a leading batch axis of B > 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_batched_matmul_and_linear(seed):
+    r = np.random.default_rng(700 + seed)
+    x = Tensor(r.normal(size=(3, 2, 4)))
+    w = Tensor(r.normal(size=(4, 5)))
+    b = Tensor(r.normal(size=5))
+    proj = r.normal(size=(3, 2, 5))
+    assert grad_check(scalarize(lambda t: T.matmul(t, w))(proj), x) < GRAD_TOL
+    assert grad_check(scalarize(lambda t: T.matmul(x, t))(proj), w) < GRAD_TOL
+    assert grad_check(scalarize(lambda t: T.linear(t, w, b))(proj), x) < GRAD_TOL
+    assert grad_check(scalarize(lambda t: T.linear(x, t, b))(proj), w) < GRAD_TOL
+    assert grad_check(scalarize(lambda t: T.linear(x, w, t))(proj), b) < GRAD_TOL
+
+
+def test_batched_matmul_and_linear_equal_per_item(rng):
+    x = rng.normal(size=(3, 2, 4))
+    w, b = rng.normal(size=(4, 5)), rng.normal(size=5)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    for i in range(3):
+        np.testing.assert_allclose(out[i], x[i] @ w + b, atol=1e-12)
+    np.testing.assert_allclose(T.matmul(Tensor(x), Tensor(w)).data, x @ w, atol=1e-12)
+
+
+def test_linear_rejects_bad_shapes():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, Tensor(np.ones(3)))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, Tensor(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.ones(3)), w, Tensor(np.ones(4)))
+    with pytest.raises(ShapeError):
+        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_batched_layer_norm(seed):
+    r = np.random.default_rng(800 + seed)
+    x = r.normal(size=(3, 2, 6))
+    gamma, beta = r.normal(size=6) + 1.0, r.normal(size=6)
+    proj = r.normal(size=(3, 2, 6))
+    f = scalarize(lambda t: T.layer_norm(t, Tensor(gamma), Tensor(beta)))(proj)
+    assert grad_check(f, Tensor(x)) < GRAD_TOL
+    f = scalarize(lambda t: T.layer_norm(Tensor(x), t, Tensor(beta)))(proj)
+    assert grad_check(f, Tensor(gamma)) < GRAD_TOL
+    f = scalarize(lambda t: T.layer_norm(Tensor(x), Tensor(gamma), t))(proj)
+    assert grad_check(f, Tensor(beta)) < GRAD_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_batched_embedding_lookup(seed):
+    r = np.random.default_rng(900 + seed)
+    ids = np.array([[0, 2, 2], [1, 2, 0]])
+    f = scalarize(lambda t: T.embedding_lookup(t, ids))(r.normal(size=(2, 3, 4)))
+    assert grad_check(f, Tensor(r.normal(size=(3, 4)))) < GRAD_TOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_batched_cross_entropy(seed):
+    r = np.random.default_rng(1000 + seed)
+    f = lambda t: T.cross_entropy(t, [1, 0, 4, 1])
+    assert grad_check(f, Tensor(r.normal(size=(4, 5)))) < GRAD_TOL
+
+
+def test_stack_adds_leading_axis_and_checks_shapes(rng):
+    parts = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(3)]
+    out = T.stack(parts)
+    np.testing.assert_array_equal(out.data, np.stack([p.data for p in parts]))
+    backward(T.sum_all(T.mul(out, Tensor(np.arange(18.0).reshape(3, 2, 3)))))
+    np.testing.assert_array_equal(parts[2].grad, np.arange(12.0, 18.0).reshape(2, 3))
+    with pytest.raises(ShapeError):
+        T.stack([Tensor(np.ones(2)), Tensor(np.ones(3))])
+    with pytest.raises(ShapeError):
+        T.stack([])
 
 
 def test_embedding_rejects_out_of_range():
@@ -330,10 +437,12 @@ def test_embedding_rejects_out_of_range():
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_multi_head_attention(seed):
     r = np.random.default_rng(500 + seed)
-    S, H, d = 4, 2, 3
-    bias = np.array([0.0, 0.0, T.MASK_VALUE, 0.0])
-    mats = [r.normal(size=(S, H * d)) for _ in range(3)]
-    proj = r.normal(size=(S, H * d))
+    B, S, H, d = 2, 4, 2, 3
+    # per-item key bias; key 2 is padded in every item, key 3 only in item 1
+    bias = np.array([[0.0, 0.0, T.MASK_VALUE, 0.0],
+                     [0.0, 0.0, T.MASK_VALUE, T.MASK_VALUE]])
+    mats = [r.normal(size=(B, S, H * d)) for _ in range(3)]
+    proj = r.normal(size=(B, S, H * d))
     for arg in range(3):
         def f(x, arg=arg):
             ops = [Tensor(m) for m in mats]
@@ -344,33 +453,47 @@ def test_grad_multi_head_attention(seed):
 
 
 def test_multi_head_attention_equals_per_head_loop(rng):
-    """Oracle: the fused op equals attention assembled from primitive ops."""
-    S, H, d = 5, 3, 2
-    q, k, v = (Tensor(rng.normal(size=(S, H * d))) for _ in range(3))
-    mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    """Oracle: the fused op equals attention assembled from primitive ops,
+    one item and one head at a time."""
+    B, S, H, d = 2, 5, 3, 2
+    q, k, v = (rng.normal(size=(B, S, H * d)) for _ in range(3))
+    mask = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 0.0]])
     bias = np.where(mask > 0, 0.0, T.MASK_VALUE)
-    fused = T.multi_head_attention(q, k, v, bias, H)
-    heads = []
-    for h in range(H):
-        qh = T.narrow(q, 1, h * d, d)
-        kh = T.narrow(k, 1, h * d, d)
-        vh = T.narrow(v, 1, h * d, d)
-        scores = T.scale(T.matmul(qh, T.permute(kh, (1, 0))), 1.0 / math.sqrt(d))
-        w = T.softmax(T.add_bias(scores, Tensor(bias)), axis=-1)
-        heads.append(T.matmul(w, vh))
-    oracle = T.concat(heads, axis=1)
-    np.testing.assert_allclose(fused.data, oracle.data, atol=1e-12)
+    fused = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), bias, H)
+    for i in range(B):
+        heads = []
+        for h in range(H):
+            qh = T.narrow(Tensor(q[i]), 1, h * d, d)
+            kh = T.narrow(Tensor(k[i]), 1, h * d, d)
+            vh = T.narrow(Tensor(v[i]), 1, h * d, d)
+            scores = T.scale(T.matmul(qh, T.permute(kh, (1, 0))), 1.0 / math.sqrt(d))
+            w = T.softmax(T.add(scores, Tensor(np.tile(bias[i], (S, 1)))), axis=-1)
+            heads.append(T.matmul(w, vh))
+        oracle = T.concat(heads, axis=1)
+        np.testing.assert_allclose(fused.data[i], oracle.data, atol=1e-12)
 
 
 def test_multi_head_attention_masked_weights_exactly_zero(rng):
-    S, H = 6, 2
-    q, k, v = (Tensor(rng.normal(size=(S, 8))) for _ in range(3))
-    bias = np.array([0.0, T.MASK_VALUE, 0.0, 0.0, T.MASK_VALUE, 0.0])
+    B, S, H = 2, 6, 2
+    q, k, v = (Tensor(rng.normal(size=(B, S, 8))) for _ in range(3))
+    bias = np.zeros((B, S))
+    bias[:, 1] = bias[0, 4] = T.MASK_VALUE
     sink = []
     T.multi_head_attention(q, k, v, bias, H, weights_sink=sink)
     w = sink[0]
-    assert np.all(w[:, :, 1] == 0.0) and np.all(w[:, :, 4] == 0.0)
-    np.testing.assert_allclose(w.sum(axis=-1), np.ones((H, S)), atol=1e-12)
+    assert w.shape == (B, H, S, S)
+    assert np.all(w[:, :, :, 1] == 0.0) and np.all(w[0, :, :, 4] == 0.0)
+    assert np.all(w[1, :, :, 4] > 0.0)
+    np.testing.assert_allclose(w.sum(axis=-1), np.ones((B, H, S)), atol=1e-12)
+
+
+def test_multi_head_attention_rejects_bad_shapes(rng):
+    q = Tensor(rng.normal(size=(2, 3, 4)))
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(q, q, q, np.zeros(3), 2)
+    with pytest.raises(ShapeError):
+        T.multi_head_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
+                               Tensor(np.ones((3, 4))), np.zeros(3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,29 +502,55 @@ def test_multi_head_attention_masked_weights_exactly_zero(rng):
 
 def test_drop_path_eval_is_identity(rng):
     x = Tensor(rng.normal(size=(2, 3)))
-    np.testing.assert_array_equal(T.drop_path(x, 0.5, training=False).data, x.data)
+    assert T.drop_path(x, 0.5, training=False) is x
+    assert T.drop_path(x, 0.0, training=True, rngs=[RngStream(0), RngStream(1)]) is x
 
 
 def test_drop_path_needs_rng_in_training():
     with pytest.raises(UsageError):
-        T.drop_path(Tensor(np.ones(2)), 0.5, training=True, rng=None)
+        T.drop_path(Tensor(np.ones((2, 1))), 0.5, training=True, rngs=None)
     with pytest.raises(ValueError):
-        T.drop_path(Tensor(np.ones(2)), 1.0, training=True, rng=RngStream(0))
+        T.drop_path(Tensor(np.ones((1, 2))), 1.0, training=True, rngs=[RngStream(0)])
+    with pytest.raises(ShapeError):
+        T.drop_path(Tensor(np.ones((2, 1))), 0.5, training=True, rngs=[RngStream(0)])
 
 
 def test_drop_path_preserves_expectation():
-    stream = RngStream(7)
-    n = 100_000
-    total = sum(float(T.drop_path(Tensor([1.0]), 0.3, True, stream).data[0])
+    streams = [RngStream(7), RngStream(8)]
+    n = 50_000
+    total = sum(T.drop_path(Tensor(np.ones((2, 1))), 0.3, True, streams).data.sum()
                 for _ in range(n))
-    assert abs(total / n - 1.0) < 0.02
+    assert abs(total / (2 * n) - 1.0) < 0.02
 
 
 def test_drop_path_outputs_are_zero_or_rescaled():
     stream = RngStream(11)
-    seen = {float(T.drop_path(Tensor([1.0]), 0.25, True, stream).data[0])
+    seen = {float(T.drop_path(Tensor([[1.0]]), 0.25, True, [stream]).data[0, 0])
             for _ in range(200)}
     assert seen == {0.0, 1.0 / 0.75}
+
+
+def test_drop_path_mask_is_per_item_in_stream_order(rng):
+    """Item i keeps or drops its whole branch by the next draw of rngs[i]."""
+    x = rng.normal(size=(4, 3, 2))
+    streams = [RngStream(s) for s in range(4)]
+    twins = [RngStream(s) for s in range(4)]
+    out = T.drop_path(Tensor(x), 0.5, True, streams).data
+    for i, twin in enumerate(twins):
+        want = x[i] / 0.5 if twin.bernoulli(0.5) else np.zeros_like(x[i])
+        np.testing.assert_array_equal(out[i], want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_batched_drop_path(seed):
+    r = np.random.default_rng(1100 + seed)
+    proj = r.normal(size=(4, 2, 3))
+
+    def f(t):
+        streams = [RngStream(seed * 10 + i) for i in range(4)]   # same mask each call
+        return T.sum_all(T.mul(T.drop_path(t, 0.4, True, streams), Tensor(proj)))
+
+    assert grad_check(f, Tensor(r.normal(size=(4, 2, 3)))) < GRAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +590,21 @@ def test_backward_node_visit_counter_increases(rng):
     x = Tensor(rng.normal(size=3), requires_grad=True)
     backward(T.sum_all(T.mul(x, x)))
     assert T.backward_node_visits() > before
+
+
+def test_no_grad_records_nothing(rng):
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    with T.no_grad():
+        y = T.sum_all(T.mul(x, x))
+    assert not y.requires_grad and y._parents == () and y._backward_fn is None
+    assert float(y.data) == pytest.approx(float((x.data ** 2).sum()))
+    # recording resumes after the block, also when the block raised
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError
+    z = T.sum_all(T.mul(x, x))
+    backward(z)
+    np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-12)
 
 
 def test_detach_stops_gradient(rng):

@@ -113,18 +113,21 @@ def test_tokenize_invariants(words):
 def test_encode_shape_and_composition():
     v = build_vocab(["a b"])
     p = TextEncoderParams(len(v), width=8, l_max=4, rng=RngStream(0))
-    tq = tokenize("a b", v, 4)
-    out = encode(tq, p)
-    assert out.shape == (6, 8)
-    want = p.embedding.data[tq.ids] + p.positional.data[np.arange(6)]
-    np.testing.assert_allclose(out.data, want, atol=1e-12)
+    tqs = [tokenize("a b", v, 4), tokenize("b", v, 4)]
+    out = encode(np.stack([tq.ids for tq in tqs]), p)
+    assert out.shape == (2, 6, 8)
+    for i, tq in enumerate(tqs):
+        want = p.embedding.data[tq.ids] + p.positional.data[np.arange(6)]
+        np.testing.assert_allclose(out.data[i], want, atol=1e-12)
+    with pytest.raises(ShapeError):
+        encode(tqs[0].ids, p)
 
 
 def test_encode_params_are_trainable():
     v = build_vocab(["a"])
     p = TextEncoderParams(len(v), 8, 3, RngStream(0))
     tq = tokenize("a", v, 3)
-    backward(sum_all(encode(tq, p)))
+    backward(sum_all(encode(tq.ids[None], p)))
     assert p.embedding.grad is not None
     assert p.positional.grad is not None
     # only looked-up embedding rows receive gradient
@@ -136,12 +139,12 @@ def test_encode_params_are_trainable():
 
 def test_projection_shapes_and_grad(rng):
     p = ProjectionParams(8, 5, RngStream(1))
-    x = Tensor(rng.normal(size=(4, 8)))
+    x = Tensor(rng.normal(size=(2, 4, 8)))
     out = project(x, p)
-    assert out.shape == (4, 5)
+    assert out.shape == (2, 4, 5)
     with pytest.raises(ShapeError):
-        project(Tensor(rng.normal(size=(4, 7))), p)
-    proj = rng.normal(size=(4, 5))
+        project(Tensor(rng.normal(size=(2, 4, 7))), p)
+    proj = rng.normal(size=(2, 4, 5))
     f = lambda t: sum_all(mul(project(t, p), Tensor(proj)))
     assert grad_check(f, x) < 1e-4
 
