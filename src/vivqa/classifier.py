@@ -1,5 +1,6 @@
 """Classification head and answer selection: affine -> norm -> GELU ->
-affine to the answer classes, then softmax + argmax (ties to lowest index).
+affine to the answer classes, then argmax over the logits (ties to lowest
+index).
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Tensor, gelu, layer_norm, linear, softmax
+from .tensor import Tensor, gelu, layer_norm, linear
 
 
 class ClassifierParams:
@@ -42,8 +43,8 @@ class ClassifierParams:
 
 
 def classify(x: Tensor, p: ClassifierParams) -> Tensor:
-    """(B, in_width) -> (B, C) logits.  Loss consumes logits directly;
-    softmax is materialized only at prediction time."""
+    """(B, in_width) -> (B, C) logits.  Loss and prediction both consume
+    logits directly."""
     if x.data.ndim != 2 or x.shape[1] != p.in_width:
         raise ShapeError(f"classify: input shape {x.shape} != (batch, {p.in_width})")
     h = linear(x, p.fc1_w, p.fc1_b)
@@ -54,7 +55,6 @@ def classify(x: Tensor, p: ClassifierParams) -> Tensor:
 
 @dataclass(frozen=True)
 class AnswerDistribution:
-    probabilities: np.ndarray
     index: int
     answer: str
 
@@ -63,7 +63,5 @@ def predict(logits: Tensor, answer_vocab: list[str]) -> list[AnswerDistribution]
     """One answer per row of (B, C) logits."""
     if logits.data.ndim != 2 or logits.shape[1] != len(answer_vocab):
         raise ShapeError(f"predict: logits {logits.shape} vs {len(answer_vocab)} answers")
-    probs = softmax(Tensor(logits.data), axis=-1).data
     best = np.argmax(logits.data, axis=1)  # np.argmax returns the lowest index on ties
-    return [AnswerDistribution(probabilities=row, index=int(i), answer=answer_vocab[i])
-            for row, i in zip(probs, best)]
+    return [AnswerDistribution(index=int(i), answer=answer_vocab[i]) for i in best]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -70,16 +71,20 @@ def save_jsonl(path, examples) -> None:
 
 class AnswerVocab:
     """Canonicalized answer string -> class index, built from training
-    answers only; frequency descending, ties lexicographic."""
+    answers only; frequency descending, ties lexicographic.  With `ranked`,
+    `answers` is already that class list, as a checkpoint stores it."""
 
-    def __init__(self, answers: list[str]):
+    def __init__(self, answers: list[str], ranked: bool = False):
         if not answers:
             raise ValueError("AnswerVocab: no answers")
-        counts: dict[str, int] = {}
-        for a in answers:
-            key = canonicalize(a)
-            counts[key] = counts.get(key, 0) + 1
-        self.answers = sorted(counts, key=lambda a: (-counts[a], a))
+        if ranked:
+            self.answers = list(answers)
+        else:
+            counts: dict[str, int] = {}
+            for a in answers:
+                key = canonicalize(a)
+                counts[key] = counts.get(key, 0) + 1
+            self.answers = sorted(counts, key=lambda a: (-counts[a], a))
         self.index = {a: i for i, a in enumerate(self.answers)}
 
     def __len__(self) -> int:
@@ -165,6 +170,8 @@ BASE_LEVEL = MID_GRAY
 TEXTURE_AMP = 0.12
 LOCAL_DELTA = (0.30, 0.18, 0.24)
 NOISE_AMP = 0.02
+MAX_GLOBAL_CUES = 15
+_SYNTHETIC_REF = re.compile(r"synthetic:g=(?P<g>-?[0-9]+),l=(?P<l>-?[0-9]+)")
 
 _QUESTION_TEMPLATES = (
     "what pair is shown",
@@ -183,15 +190,26 @@ class SyntheticSpec:
 
     @classmethod
     def parse(cls, ref: str) -> "SyntheticSpec":
+        """`synthetic:g=<G>,l=<L>` with G in [0, MAX_GLOBAL_CUES) and L >= 0;
+        `render_synthetic` bounds L by the grid."""
         if not ref.startswith("synthetic:"):
             raise DataError(f"not a synthetic image ref: {ref!r}")
-        fields = dict(part.split("=") for part in ref[len("synthetic:"):].split(","))
-        return cls(global_cue=int(fields["g"]), local_cue=int(fields["l"]))
+        m = _SYNTHETIC_REF.fullmatch(ref)
+        if m is None:
+            raise ParseError(f"malformed synthetic image ref {ref!r}: "
+                             "expected synthetic:g=<int>,l=<int>")
+        g, l = int(m["g"]), int(m["l"])
+        if not 0 <= g < MAX_GLOBAL_CUES:
+            raise ParseError(f"{ref!r}: global cue must be in [0, {MAX_GLOBAL_CUES - 1}]")
+        if l < 0:
+            raise ParseError(f"{ref!r}: local cue must be >= 0")
+        return cls(global_cue=g, local_cue=l)
 
 
 def _walsh_texture(g: int, block: int) -> np.ndarray:
     """Within-block zero-mean sign pattern: 2-D Walsh function (index g+1)
-    on a 4x4 sub-grid tiled over one block.  Supports up to 15 cues."""
+    on a 4x4 sub-grid tiled over one block.  Index 16 would be the constant
+    function, hence MAX_GLOBAL_CUES."""
     m = g + 1
     sub = block // 4
     u = np.arange(4)
@@ -208,16 +226,18 @@ def _local_positions(grid: int, n_local: int) -> list[tuple[int, int]]:
     return cells[:n_local]
 
 
-def render_synthetic(spec: SyntheticSpec, dims: VisionDims, n_local: int,
+def render_synthetic(spec: SyntheticSpec, dims: VisionDims,
                      noise_seed: int = 0) -> np.ndarray:
     """Deterministic (channels, H, W) image in [0, 1] for one cue pair."""
     if dims.block % 4 != 0:
         raise ValueError(f"block size {dims.block} not divisible by 4")
     c, size, b, grid = dims.channels, dims.image_size, dims.block, dims.grid
+    if not 0 <= spec.local_cue < grid * grid:
+        raise DataError(f"local cue {spec.local_cue} outside the {grid}x{grid} block grid")
     img = np.full((c, size, size), BASE_LEVEL)
     tile = _walsh_texture(spec.global_cue, b)
     img += TEXTURE_AMP * np.tile(tile, (grid, grid))[None, :, :]
-    bi, bj = _local_positions(grid, n_local)[spec.local_cue]
+    bi, bj = _local_positions(grid, grid * grid)[spec.local_cue]
     for ch in range(c):
         img[ch, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += LOCAL_DELTA[ch % 3]
     noise = RngStream(noise_seed).split("pixel-noise").uniform(-NOISE_AMP, NOISE_AMP,
@@ -237,8 +257,8 @@ def make_synthetic(n: int, n_global: int, n_local: int, seed: int,
         raise ValueError("make_synthetic: n must be >= 1")
     if n_global < 2 or n_local < 2:
         raise ValueError("make_synthetic: cue counts must be >= 2")
-    if n_global > 15:
-        raise ValueError("make_synthetic: at most 15 global texture cues")
+    if n_global > MAX_GLOBAL_CUES:
+        raise ValueError(f"make_synthetic: at most {MAX_GLOBAL_CUES} global texture cues")
     rng = RngStream(seed).split("make-synthetic")
     pairs = [(g, l) for g in range(n_global) for l in range(n_local)]
     out: list[Example] = []

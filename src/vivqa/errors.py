@@ -30,7 +30,9 @@ class ParseError(DataError):
 
 
 class FormatError(VivqaError):
-    """Binary container violation: bad magic, version, checksum, truncation."""
+    """Binary container violation: a VVQF file with bad magic, version,
+    checksum or truncation, or a checkpoint that is not a readable npz, has
+    no meta entry, or whose parameters are unknown, missing or misshapen."""
 
 
 class NumericalError(VivqaError):

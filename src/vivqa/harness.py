@@ -6,7 +6,6 @@ tables; all deterministic given (config, seeds, corpus).
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -14,12 +13,11 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig
-from .data import make_synthetic
 from .errors import ConfigError
 from .metrics import welch_t_test
 from .model import ensure_out_dir
 from .train import run_training
-from .vision import FUSION_OPS, fused_token_count, sparsity_stats
+from .vision import FUSION_OPS, StubExtractorParams, fused_token_count, sparsity_stats
 
 FUSION_LABELS = {
     "multiply": "Element-wise Multiplication",
@@ -123,24 +121,19 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     """Frozen vs unfrozen extractors at identical seed.  Asserts the freeze
     contract (bitwise-constant extractor bytes, strictly fewer trainable
     parameters and backward node visits); wall clock is reported only."""
+    # Byte-identical to every arm's initial extractor.
+    digest_before = StubExtractorParams(cfg.dims.vision, seed=cfg.extractor_seed).byte_digest()
     results = {}
     for frozen in (True, False):
-        arm_cfg = replace(cfg, freeze_extractors=frozen)
-        from .train import build_model, train_model, predict_split
-        from .metrics import report as metrics_report
-        model = build_model(arm_cfg, train_split)
-        digest_before = model.extractor.byte_digest()
-        report = train_model(model, train_split, arm_cfg)
-        digest_after = model.extractor.byte_digest()
-        split = test_split if test_split else train_split
-        acc = metrics_report(predict_split(model, split)).accuracy
+        report, model, acc = _run_arm(replace(cfg, freeze_extractors=frozen),
+                                      train_split, test_split)
         results["frozen" if frozen else "unfrozen"] = {
             "accuracy": acc,
             "epochs": report.epochs_run,
             "training_seconds": report.wall_clock_seconds,
             "trainable_params": report.param_counts["trainable"],
             "backward_node_visits": report.backward_node_visits,
-            "extractor_bytes_unchanged": digest_before == digest_after,
+            "extractor_bytes_unchanged": digest_before == model.extractor.byte_digest(),
         }
     fr, uf = results["frozen"], results["unfrozen"]
     results["contract"] = {

@@ -83,16 +83,3 @@ class AdamW:
             p.data -= lr * update
             if self.weight_decay != 0.0 and name not in self.exempt:
                 p.data -= lr * self.weight_decay * p.data
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in self.params:
-            out[f"m::{name}"] = self.m[name]
-            out[f"v::{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
-        self.t = int(t)
-        for name in self.params:
-            self.m[name] = np.array(arrays[f"m::{name}"])
-            self.v[name] = np.array(arrays[f"v::{name}"])

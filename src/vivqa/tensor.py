@@ -34,18 +34,11 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Additive attention-mask value: exp(x - max) underflows to exactly 0.0.
 MASK_VALUE = -1e30
 
-_debug_checks = False
-
 # False inside `no_grad()`: `_node` then records no parents or closures.
 _grad_enabled = True
 
 # Nodes visited across all backward passes; the freeze ablation compares this.
 _backward_node_visits = 0
-
-
-def set_debug_checks(on: bool) -> None:
-    global _debug_checks
-    _debug_checks = bool(on)
 
 
 @contextlib.contextmanager
@@ -62,16 +55,6 @@ def no_grad():
 
 def backward_node_visits() -> int:
     return _backward_node_visits
-
-
-def reset_backward_node_visits() -> None:
-    global _backward_node_visits
-    _backward_node_visits = 0
-
-
-def _check_finite(arr: np.ndarray) -> None:
-    if _debug_checks and not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite value produced by tensor op")
 
 
 class Tensor:
@@ -127,7 +110,6 @@ class Tensor:
 
 
 def _node(data, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    _check_finite(data)
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True

@@ -27,7 +27,7 @@ from .metrics import MetricsReport, PredictionRecord, report as metrics_report, 
 from .model import VivqaModel, ensure_out_dir, save_checkpoint
 from .optim import AdamW, ScheduleConfig, lr_at
 from .rng import RngStream
-from .text import Vocabulary, build_vocab, tokenize
+from .text import build_vocab, tokenize
 
 
 @dataclass
@@ -52,20 +52,10 @@ class RunReport:
         return out
 
 
-def _n_local_cues(examples) -> int | None:
-    from .data import SyntheticSpec
-    cues = set()
-    for ex in examples:
-        if not ex.image.startswith("synthetic:"):
-            return None
-        cues.add(SyntheticSpec.parse(ex.image).local_cue)
-    return max(cues) + 1 if cues else None
-
-
 def build_model(cfg: RunConfig, train_split) -> VivqaModel:
     vocab = build_vocab([ex.question for ex in train_split])
     answer_vocab = AnswerVocab.from_examples(train_split)
-    return VivqaModel(cfg, vocab, answer_vocab, n_local_cues=_n_local_cues(train_split))
+    return VivqaModel(cfg, vocab, answer_vocab)
 
 
 def _metrics_to_dict(m: MetricsReport) -> dict:

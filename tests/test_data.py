@@ -238,22 +238,22 @@ def test_local_positions_prefix_stable():
 
 
 def test_render_shapes_and_range():
-    img = render_synthetic(SyntheticSpec(1, 2), TINY, 4, noise_seed=9)
+    img = render_synthetic(SyntheticSpec(1, 2), TINY, noise_seed=9)
     assert img.shape == (3, TINY.image_size, TINY.image_size)
     assert img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_render_deterministic_per_noise_seed():
-    a = render_synthetic(SyntheticSpec(0, 1), TINY, 4, noise_seed=1)
-    b = render_synthetic(SyntheticSpec(0, 1), TINY, 4, noise_seed=1)
-    c = render_synthetic(SyntheticSpec(0, 1), TINY, 4, noise_seed=2)
+    a = render_synthetic(SyntheticSpec(0, 1), TINY, noise_seed=1)
+    b = render_synthetic(SyntheticSpec(0, 1), TINY, noise_seed=1)
+    c = render_synthetic(SyntheticSpec(0, 1), TINY, noise_seed=2)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_global_texture_zero_mean_per_block():
-    img_a = render_synthetic(SyntheticSpec(0, 0), TINY, 4, noise_seed=0)
-    img_b = render_synthetic(SyntheticSpec(3, 0), TINY, 4, noise_seed=0)
+    img_a = render_synthetic(SyntheticSpec(0, 0), TINY, noise_seed=0)
+    img_b = render_synthetic(SyntheticSpec(3, 0), TINY, noise_seed=0)
     b, g = TINY.block, TINY.grid
     for bi in range(g):
         for bj in range(g):
@@ -263,8 +263,8 @@ def test_global_texture_zero_mean_per_block():
 
 
 def test_local_cue_shifts_exactly_one_block_mean():
-    img_a = render_synthetic(SyntheticSpec(0, 0), TINY, 4, noise_seed=0)
-    img_b = render_synthetic(SyntheticSpec(0, 2), TINY, 4, noise_seed=0)
+    img_a = render_synthetic(SyntheticSpec(0, 0), TINY, noise_seed=0)
+    img_b = render_synthetic(SyntheticSpec(0, 2), TINY, noise_seed=0)
     b, g = TINY.block, TINY.grid
     changed = []
     for bi in range(g):

@@ -1,5 +1,6 @@
 """Harness and CLI tests: ablation outputs and contracts on miniature runs,
 sweep/significance plumbing, exit codes, and artifact round trips."""
+import dataclasses
 import json
 
 import pytest
@@ -158,6 +159,23 @@ def test_cli_exit_code_data_error(tmp_path):
     data.write_text("{broken\n")
     cfg = write_config(tmp_path, str(data))
     assert main(["train", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("ref", [
+    "synthetic:g=1",            # malformed: no local cue
+    "synthetic:g=1,l=0,x=2",    # malformed: extra field
+    "synthetic:g=15,l=0",       # Walsh index 16 is a constant, not a zero-mean texture
+    "synthetic:g=0,l=-1",       # negative local cue
+    "synthetic:g=0,l=49",       # the tiny preset's 7x7 grid has blocks 0..48
+])
+def test_cli_bad_synthetic_ref_exits_3(tmp_path, capsys, ref):
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, [dataclasses.replace(ex, image=ref)
+                      for ex in make_synthetic(16, 2, 2, seed=1)])
+    assert main(["train", "--config", write_config(tmp_path, str(data))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

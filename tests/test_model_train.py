@@ -10,7 +10,7 @@ import vivqa.tensor as T
 from vivqa.cli import main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl, split_train_test
-from vivqa.errors import ConfigError, NumericalError
+from vivqa.errors import ConfigError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
 from vivqa.rng import RngStream
@@ -270,6 +270,82 @@ def test_checkpoint_version_guard(tmp_path, corpus):
     np.savez(path, **arrays)
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def _rewrite(path, arrays, meta=None):
+    if meta is not None:
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta, ensure_ascii=False, sort_keys=True).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _unknown_param(path, arrays):
+    arrays["param::text.extra.weight"] = np.zeros(3)
+    _rewrite(path, arrays)
+
+
+def _missing_param(path, arrays):
+    del arrays["param::classifier.fc2.bias"]
+    _rewrite(path, arrays)
+
+
+def _misshapen_param(path, arrays):
+    arrays["param::classifier.fc2.bias"] = np.zeros(1)
+    _rewrite(path, arrays)
+
+
+def _no_meta(path, arrays):
+    del arrays["meta"]
+    _rewrite(path, arrays)
+
+
+def _truncated(path, arrays):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+def _not_npz(path, arrays):
+    path.write_bytes(b"not a checkpoint\n")
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_param, _missing_param, _misshapen_param,
+                                     _no_meta, _truncated, _not_npz])
+def test_malformed_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus, corrupt,
+                                                                capsys):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
+    with np.load(path) as z:
+        arrays = dict(z)
+    corrupt(path, arrays)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, corpus)
+    assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_checkpoint_in_previous_layout_loads(tmp_path, corpus):
+    """Files that still carry `n_local_cues` and a null `opt_t` in their meta
+    load and predict exactly like a fresh save."""
+    cfg = tiny_cfg(epochs=1)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    fresh, old = tmp_path / "fresh.npz", tmp_path / "old.npz"
+    save_checkpoint(fresh, model)
+    with np.load(fresh) as z:
+        arrays = dict(z)
+    meta = json.loads(arrays["meta"].tobytes().decode())
+    _rewrite(old, arrays, dict(meta, n_local_cues=2, opt_t=None))
+    a, _ = load_checkpoint(fresh)
+    b, b_meta = load_checkpoint(old)
+    assert b_meta["n_local_cues"] == 2
+    with T.no_grad():
+        np.testing.assert_array_equal(a.forward(_batch(a, corpus)).data,
+                                      b.forward(_batch(b, corpus)).data)
+    assert predict_split(a, corpus) == predict_split(b, corpus)
 
 
 def test_backward_visits_fewer_when_frozen(corpus):

@@ -101,25 +101,6 @@ def test_zero_grad_clears():
     assert p.grad is None
 
 
-def test_state_round_trip():
-    rng = np.random.default_rng(0)
-    p = Tensor(rng.normal(size=3), requires_grad=True)
-    opt = AdamW({"w": p})
-    for _ in range(3):
-        p.grad = rng.normal(size=3)
-        opt.step(1e-3)
-    arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-    p2 = Tensor(p.data.copy(), requires_grad=True)
-    opt2 = AdamW({"w": p2})
-    opt2.load_state_arrays(arrays, opt.t)
-    g = rng.normal(size=3)
-    p.grad = g.copy()
-    p2.grad = g.copy()
-    opt.step(1e-3)
-    opt2.step(1e-3)
-    np.testing.assert_array_equal(p.data, p2.data)
-
-
 # ---------------------------------------------------------------------------
 # Schedule
 
