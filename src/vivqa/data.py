@@ -171,6 +171,7 @@ TEXTURE_AMP = 0.12
 LOCAL_DELTA = (0.30, 0.18, 0.24)
 NOISE_AMP = 0.02
 MAX_GLOBAL_CUES = 15
+MAX_LOCAL_CUES = VisionDims().grid ** 2     # the 7x7 block grid both presets share
 _SYNTHETIC_REF = re.compile(r"synthetic:g=(?P<g>-?[0-9]+),l=(?P<l>-?[0-9]+)")
 
 _QUESTION_TEMPLATES = (
@@ -259,6 +260,8 @@ def make_synthetic(n: int, n_global: int, n_local: int, seed: int,
         raise ValueError("make_synthetic: cue counts must be >= 2")
     if n_global > MAX_GLOBAL_CUES:
         raise ValueError(f"make_synthetic: at most {MAX_GLOBAL_CUES} global texture cues")
+    if n_local > MAX_LOCAL_CUES:
+        raise ValueError(f"make_synthetic: at most {MAX_LOCAL_CUES} local block cues")
     rng = RngStream(seed).split("make-synthetic")
     pairs = [(g, l) for g in range(n_global) for l in range(n_local)]
     out: list[Example] = []
@@ -290,14 +293,10 @@ class BatchItem:
 
 
 def batch_iter(split, batch_size: int, l_max: int, answer_vocab: AnswerVocab,
-               vocab: Vocabulary, seed: int, epoch: int, is_train: bool,
-               item_cache: dict | None = None):
+               vocab: Vocabulary, seed: int, epoch: int, is_train: bool):
     """Seeded per-epoch reshuffle; yields lists of BatchItem, final partial
     batch included.  OOV train answers are a data error; OOV test answers
-    map to a reserved target that can never be predicted correctly.
-
-    `item_cache` (example id -> BatchItem) lets callers skip re-tokenizing
-    across epochs; the shuffle order is unaffected by the cache."""
+    map to a reserved target that can never be predicted correctly."""
     if batch_size < 1:
         raise ValueError("batch_iter: batch_size must be >= 1")
     split = list(split)
@@ -305,16 +304,10 @@ def batch_iter(split, batch_size: int, l_max: int, answer_vocab: AnswerVocab,
     items = []
     for idx in order:
         ex = split[idx]
-        cached = item_cache.get(ex.id) if item_cache is not None else None
-        if cached is None:
-            target = answer_vocab.target_of(ex.answer)
-            if target == OOV_TARGET and is_train:
-                raise DataError(
-                    f"train answer {ex.answer!r} (example {ex.id}) not in vocabulary")
-            cached = BatchItem(example=ex, tokens=tokenize(ex.question, vocab, l_max),
-                               target=target)
-            if item_cache is not None:
-                item_cache[ex.id] = cached
-        items.append(cached)
+        target = answer_vocab.target_of(ex.answer)
+        if target == OOV_TARGET and is_train:
+            raise DataError(f"train answer {ex.answer!r} (example {ex.id}) not in vocabulary")
+        items.append(BatchItem(example=ex, tokens=tokenize(ex.question, vocab, l_max),
+                               target=target))
     for i in range(0, len(items), batch_size):
         yield items[i:i + batch_size]

@@ -1,7 +1,9 @@
 """Experiment harness: fusion-operator comparison, extractor ablation with
 seed-level significance, freeze ablation, heads/layers sweeps, and
 multi-seed significance between two configs.  Emits CSV and Markdown
-tables; all deterministic given (config, seeds, corpus).
+tables; all deterministic given (config, seeds, corpus).  Each entry point
+makes one frozen-feature store and shares it across its arms, so every
+image is rendered and extracted once per experiment.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ def _write_markdown(path, header, rows) -> None:
             fh.write("| " + " | ".join(str(c) for c in row) + " |\n")
 
 
-def _run_arm(cfg: RunConfig, train_split, test_split):
-    report, model = run_training(replace(cfg, out=None), train_split, test_split)
+def _run_arm(cfg: RunConfig, train_split, test_split, store: dict):
+    report, model = run_training(replace(cfg, out=None), train_split, test_split, store)
     acc = report.test_metrics["accuracy"] if report.test_metrics else \
         report.train_metrics["accuracy"]
     return report, model, acc
@@ -52,11 +54,11 @@ def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     """Train the three fusion operators under identical seeds; report
     accuracy per operator plus the per-image fused-feature mean spread
     behind the sparsity boxplots."""
-    results = {}
+    results, store = {}, {}
     for op in FUSION_OPS:
         arm_cfg = replace(cfg, fusion_op=op, vision_mode="both")
-        report, model, acc = _run_arm(arm_cfg, train_split, test_split)
-        means = [float(model.vision_tokens(ex).data.mean()) for ex in train_split]
+        report, model, acc = _run_arm(arm_cfg, train_split, test_split, store)
+        means = model.vision_tokens(train_split).data.mean(axis=(1, 2)).tolist()
         results[op] = {
             "label": FUSION_LABELS[op],
             "fused_dims": f"{fused_token_count(op, model.vision_dims.n_tokens)}"
@@ -91,10 +93,11 @@ def ablate_extractors(cfg: RunConfig, train_split, test_split, seeds,
     """Local-only / global-only / combined runs per seed, with Welch
     t-tests of combined against each single arm."""
     accs: dict[str, list[float]] = {mode: [] for mode, _ in EXTRACTOR_ARMS}
+    store: dict = {}
     for seed in seeds:
         for mode, _ in EXTRACTOR_ARMS:
             arm_cfg = replace(cfg, vision_mode=mode, seed=seed)
-            _, _, acc = _run_arm(arm_cfg, train_split, test_split)
+            _, _, acc = _run_arm(arm_cfg, train_split, test_split, store)
             accs[mode].append(acc)
     results = {"per_seed": accs, "mean": {m: float(np.mean(a)) for m, a in accs.items()},
                "t_tests": {}}
@@ -123,10 +126,10 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     parameters and backward node visits); wall clock is reported only."""
     # Byte-identical to every arm's initial extractor.
     digest_before = StubExtractorParams(cfg.dims.vision, seed=cfg.extractor_seed).byte_digest()
-    results = {}
+    results, store = {}, {}
     for frozen in (True, False):
         report, model, acc = _run_arm(replace(cfg, freeze_extractors=frozen),
-                                      train_split, test_split)
+                                      train_split, test_split, store)
         results["frozen" if frozen else "unfrozen"] = {
             "accuracy": acc,
             "epochs": report.epochs_run,
@@ -160,10 +163,10 @@ def sweep(cfg: RunConfig, axis: str, values, train_split, test_split,
     """One run per value at fixed seed; the other axis stays pinned."""
     if axis not in ("heads", "layers"):
         raise ConfigError(f"sweep axis must be 'heads' or 'layers', got {axis!r}")
-    curve = []
+    curve, store = [], {}
     for value in values:
         arm_cfg = replace(cfg, **{axis: int(value)})
-        _, _, acc = _run_arm(arm_cfg, train_split, test_split)
+        _, _, acc = _run_arm(arm_cfg, train_split, test_split, store)
         curve.append({axis: int(value), "accuracy": acc})
     if out_dir:
         out = ensure_out_dir(out_dir)
@@ -179,9 +182,10 @@ def significance(cfg_a: RunConfig, cfg_b: RunConfig, train_split, test_split,
         raise ConfigError("significance needs at least 2 seeds")
     seeds = list(range(n_seeds))
     accs = {"a": [], "b": []}
+    store: dict = {}
     for seed in seeds:
         for key, base in (("a", cfg_a), ("b", cfg_b)):
-            _, _, acc = _run_arm(replace(base, seed=seed), train_split, test_split)
+            _, _, acc = _run_arm(replace(base, seed=seed), train_split, test_split, store)
             accs[key].append(acc)
     tt = welch_t_test(accs["a"], accs["b"])
     result = {

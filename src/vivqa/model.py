@@ -1,6 +1,10 @@
 """Full pipeline assembly: frozen (or unfrozen) visual stubs, adapter and
 fusion, text encoder and projection, multiway stack, pooler, classifier —
 plus the parameter registry and checkpoint serialization.
+
+Frozen extractor outputs are constants of the image: each image's global and
+adapted local tokens are computed once per feature store, a plain dict that
+the harness shares across the arms of an experiment.
 """
 from __future__ import annotations
 
@@ -35,7 +39,8 @@ CHECKPOINT_VERSION = 1
 
 
 class VivqaModel:
-    def __init__(self, cfg: RunConfig, vocab: Vocabulary, answer_vocab: AnswerVocab):
+    def __init__(self, cfg: RunConfig, vocab: Vocabulary, answer_vocab: AnswerVocab,
+                 store: dict | None = None):
         self.cfg = cfg
         self.vocab = vocab
         self.answer_vocab = answer_vocab
@@ -63,9 +68,10 @@ class VivqaModel:
         self.fusion = FusionStackParams(self.fusion_cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
-        # (example id, image ref) -> frozen vision tokens.  The id fixes the
-        # pixel-noise seed and the ref the image, so together they fix the tokens.
-        self._token_cache: dict[tuple[str, str], np.ndarray] = {}
+        # (vision dims, extractor seed, example id, image ref) -> frozen
+        # (global, adapted local) tokens.  The id fixes the pixel-noise seed
+        # and the ref the image, so the key fixes the tokens for any model.
+        self.store = {} if store is None else store
 
     # -- parameters ---------------------------------------------------------
 
@@ -97,45 +103,40 @@ class VivqaModel:
 
     # -- features -----------------------------------------------------------
 
-    def _raw_image(self, example: Example) -> np.ndarray:
-        return render_synthetic(SyntheticSpec.parse(example.image), self.vision_dims,
-                                noise_seed=example_noise_seed(example.id))
-
     def visual_features(self, example: Example) -> tuple[Tensor, Tensor]:
-        """(global, local) feature tensors.  Frozen extractor outputs stay
-        off the gradient tape."""
+        """Raw (global, local) extractor outputs of one example, rendered
+        from a `synthetic:` ref or read from the ref's VVQF pair."""
         if example.image.startswith("synthetic:"):
-            img = self._raw_image(example)
-            g = extract_global_stub(img, self.extractor)
-            l = extract_local_stub(img, self.extractor)
-        else:
-            g = read_feature_file(example.image + ".global.vvqf")
-            l = read_feature_file(example.image + ".local.vvqf")
-            g = Tensor(g.data.astype(np.float64))
-            l = Tensor(l.data.astype(np.float64))
-        if self.cfg.freeze_extractors:
-            g, l = g.detach(), l.detach()
-        return g, l
+            img = render_synthetic(SyntheticSpec.parse(example.image), self.vision_dims,
+                                   noise_seed=example_noise_seed(example.id))
+            return extract_global_stub(img, self.extractor), extract_local_stub(img, self.extractor)
+        g = read_feature_file(example.image + ".global.vvqf")
+        l = read_feature_file(example.image + ".local.vvqf")
+        return Tensor(g.data.astype(np.float64)), Tensor(l.data.astype(np.float64))
 
-    def vision_tokens(self, example: Example) -> Tensor:
-        """(k, hidden) vision tokens of one example.  The adapter and fusion
-        are parameter-free, so with frozen extractors the whole vision path
-        is a constant per example, computed once."""
-        frozen = self.cfg.freeze_extractors
-        key = (example.id, example.image)
-        if frozen and key in self._token_cache:
-            return Tensor(self._token_cache[key])
-        g, l = self.visual_features(example)
+    def _token_pair(self, example: Example) -> tuple[Tensor, Tensor]:
+        """(global, adapted local) tokens, each (n_tokens, token_dim).  Unfrozen
+        extractors train, so their tokens are never stored."""
+        if not self.cfg.freeze_extractors:
+            g, l = self.visual_features(example)
+            return g, adapt_local(l, self.vision_dims)
+        key = (self.vision_dims, self.cfg.extractor_seed, example.id, example.image)
+        if key not in self.store:
+            g, l = self.visual_features(example)
+            self.store[key] = (g.data, adapt_local(l, self.vision_dims).data)
+        g, l = self.store[key]
+        return Tensor(g), Tensor(l)
+
+    def vision_tokens(self, examples) -> Tensor:
+        """(B, k, hidden) vision tokens of B examples, fused once per batch."""
+        pairs = [self._token_pair(ex) for ex in examples]
         mode = self.cfg.vision_mode
         if mode == "global":
-            out = g
-        else:
-            adapted = adapt_local(l, self.vision_dims)
-            out = adapted if mode == "local" else fuse(g, adapted, self.cfg.fusion_op)
-        if frozen:
-            out = out.detach()
-            self._token_cache[key] = out.data
-        return out
+            return stack([g for g, _ in pairs])
+        local = stack([l for _, l in pairs])
+        if mode == "local":
+            return local
+        return fuse(stack([g for g, _ in pairs]), local, self.cfg.fusion_op)
 
     # -- forward ------------------------------------------------------------
 
@@ -143,7 +144,7 @@ class VivqaModel:
                 training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
         """B (image, question) pairs -> (B, C) logits.  In training, rngs[i]
         is item i's stream for its drop-path draws."""
-        v = stack([self.vision_tokens(ex) for ex, _ in batch])
+        v = self.vision_tokens([ex for ex, _ in batch])
         ids = np.stack([tokens.ids for _, tokens in batch])
         mask = np.stack([tokens.mask for _, tokens in batch])
         q = project(text_encode(ids, self.text_params), self.projection)

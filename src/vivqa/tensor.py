@@ -374,8 +374,8 @@ def gelu(t: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = t.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    slope = cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))
-    return _node(x * cdf, (t,), lambda g: (g * slope,))
+    return _node(x * cdf, (t,),
+                 lambda g: (g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))),))
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -52,10 +52,10 @@ class RunReport:
         return out
 
 
-def build_model(cfg: RunConfig, train_split) -> VivqaModel:
+def build_model(cfg: RunConfig, train_split, store: dict | None = None) -> VivqaModel:
     vocab = build_vocab([ex.question for ex in train_split])
     answer_vocab = AnswerVocab.from_examples(train_split)
-    return VivqaModel(cfg, vocab, answer_vocab)
+    return VivqaModel(cfg, vocab, answer_vocab, store)
 
 
 def _metrics_to_dict(m: MetricsReport) -> dict:
@@ -93,7 +93,6 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     visits_before = T.backward_node_visits()
     started = time.perf_counter()
     step = 0
-    item_cache: dict = {}
     for epoch in range(cfg.epochs):
         epoch_rng = run_rng.split(f"epoch-{epoch}")
         loss_sum = 0.0
@@ -101,8 +100,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         total = 0
         for batch in batch_iter(train_split, cfg.batch_size, cfg.l_max,
                                 model.answer_vocab, model.vocab,
-                                cfg.seed, epoch, is_train=True,
-                                item_cache=item_cache):
+                                cfg.seed, epoch, is_train=True):
             optimizer.zero_grad()
             rngs = [epoch_rng.split(f"item-{item.example.id}") for item in batch]
             logits = model.forward([(item.example, item.tokens) for item in batch],
@@ -130,9 +128,11 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     return report
 
 
-def run_training(cfg: RunConfig, train_split=None, test_split=None) -> tuple[RunReport, VivqaModel]:
+def run_training(cfg: RunConfig, train_split=None, test_split=None,
+                 store: dict | None = None) -> tuple[RunReport, VivqaModel]:
     """Full train entry: load corpus if needed, train, evaluate both splits,
-    write report/checkpoint when cfg.out is set."""
+    write report/checkpoint when cfg.out is set.  `store` is the frozen
+    feature store to share (see `VivqaModel`)."""
     if train_split is None:
         if cfg.data is None:
             raise ConfigError("no training data: set cfg.data or pass a split")
@@ -145,7 +145,7 @@ def run_training(cfg: RunConfig, train_split=None, test_split=None) -> tuple[Run
         else:
             train_split, test_split = split_train_test(
                 examples, cfg.split_ratio, cfg.split_seed)
-    model = build_model(cfg, train_split)
+    model = build_model(cfg, train_split, store)
     report = train_model(model, train_split, cfg)
 
     train_records = predict_split(model, train_split)

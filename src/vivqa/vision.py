@@ -15,8 +15,8 @@ grid at paper scale):
   the local stub.  This exact complementarity is what the synthetic
   ablation corpus relies on.
 
-Both stubs are linear in the pixels, deterministic per seed, and detached
-from the gradient tape when frozen.
+Both stubs are linear in the pixels and deterministic per seed; frozen
+weights record no gradient tape.
 """
 from __future__ import annotations
 
@@ -165,8 +165,9 @@ def adapt_local(v: Tensor, dims: VisionDims) -> Tensor:
 
 
 def fuse(g: Tensor, l_adapted: Tensor, op: str) -> Tensor:
-    """Combine global and adapted local features.  multiply/add keep the
-    token count; concatenate stacks global rows first, doubling it."""
+    """Combine global and adapted local features, (..., n_tokens, token_dim)
+    each.  multiply/add keep the token count; concatenate stacks global rows
+    first, doubling it."""
     if op not in FUSION_OPS:
         raise ValueError(f"unknown fusion op {op!r}; expected one of {FUSION_OPS}")
     if g.shape != l_adapted.shape:
@@ -175,7 +176,7 @@ def fuse(g: Tensor, l_adapted: Tensor, op: str) -> Tensor:
         return mul(g, l_adapted)
     if op == "add":
         return add(g, l_adapted)
-    return concat([g, l_adapted], axis=0)
+    return concat([g, l_adapted], axis=-2)
 
 
 def fused_token_count(op: str, n_tokens: int) -> int:

@@ -19,8 +19,8 @@ import pytest
 import vivqa.tensor as T
 from vivqa.config import RunConfig
 from vivqa.data import (
-    AnswerVocab, Example, batch_iter, corpus_stats, kfold, load_jsonl,
-    make_synthetic, split_train_test,
+    AnswerVocab, Example, SyntheticSpec, batch_iter, corpus_stats, example_noise_seed,
+    kfold, load_jsonl, make_synthetic, render_synthetic, split_train_test,
 )
 from vivqa.harness import ablate_extractors, ablate_freeze
 from vivqa.metrics import (
@@ -60,7 +60,8 @@ def test_c1_shape_chain_paper_preset():
     dims = model.vision_dims
     ex = corpus[0]
 
-    img = model._raw_image(ex)
+    img = render_synthetic(SyntheticSpec.parse(ex.image), dims,
+                           noise_seed=example_noise_seed(ex.id))
     assert img.shape == (3, 224, 224)
 
     g = extract_global_stub(img, model.extractor)
@@ -181,7 +182,7 @@ def test_c2_gradient_audit_ops_and_composed_model():
     batch = corpus[:2]
     tokens = [tokenize(ex.question, model.vocab, cfg.l_max) for ex in batch]
     mask = np.stack([tq.mask for tq in tokens])
-    v0 = T.stack([model.vision_tokens(ex) for ex in batch]).detach()
+    v0 = model.vision_tokens(batch).detach()
     q0 = project(text_encode(np.stack([tq.ids for tq in tokens]), model.text_params),
                  model.projection).detach()
     targets = [model.answer_vocab.index[ex.answer] for ex in batch]

@@ -312,21 +312,6 @@ def test_batch_iter_epoch_reshuffles_deterministically():
     assert order(0) != order(1)
 
 
-def test_batch_iter_item_cache_preserves_order_and_content():
-    examples = make_synthetic(20, 2, 2, seed=0)
-    av, v = _vocabs(examples)
-    cache = {}
-    plain = list(batch_iter(examples, 5, 6, av, v, 3, 1, True))
-    cached0 = list(batch_iter(examples, 5, 6, av, v, 3, 1, True, item_cache=cache))
-    cached1 = list(batch_iter(examples, 5, 6, av, v, 3, 1, True, item_cache=cache))
-    for a, b, c in zip(plain, cached0, cached1):
-        assert [i.example.id for i in a] == [i.example.id for i in b] \
-            == [i.example.id for i in c]
-        for x, y in zip(a, b):
-            assert x.target == y.target
-            np.testing.assert_array_equal(x.tokens.ids, y.tokens.ids)
-
-
 def test_batch_iter_oov_train_answer_raises():
     examples = make_synthetic(8, 2, 2, seed=0)
     av, v = _vocabs(examples[:4])

@@ -9,7 +9,7 @@ from vivqa.cli import main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl
 from vivqa.errors import ConfigError
-from vivqa.harness import ablate_freeze, ablate_fusion, significance, sweep
+from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
 
 
 def mini_cfg(**kw):
@@ -42,6 +42,24 @@ def test_ablate_fusion_outputs(tmp_path, splits):
     assert (tmp_path / "fusion_ablation.csv").exists()
     assert (tmp_path / "fusion_ablation.md").exists()
     assert (tmp_path / "fusion_boxplot_data.csv").exists()
+
+
+def test_ablate_extractors_extracts_each_image_once(splits, monkeypatch):
+    """The arms of one call share a frozen-feature store: 2 seeds x 3 arms
+    render and extract each distinct image once, not six times."""
+    import vivqa.model as model_mod
+
+    train, test = splits
+    calls = []
+    extract = model_mod.extract_global_stub
+
+    def counting(img, params):
+        calls.append(1)
+        return extract(img, params)
+
+    monkeypatch.setattr(model_mod, "extract_global_stub", counting)
+    ablate_extractors(mini_cfg(), train, test, seeds=[0, 1])
+    assert len(calls) == len({(ex.id, ex.image) for ex in train + test})
 
 
 def test_ablate_freeze_contract(tmp_path, splits):
@@ -176,6 +194,17 @@ def test_cli_bad_synthetic_ref_exits_3(tmp_path, capsys, ref):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cues", [("16", "2"), ("2", "60")])
+def test_cli_synth_too_many_cues_exits_4(tmp_path, capsys, cues):
+    """15 Walsh textures and the 7x7 block grid bound the cue counts."""
+    out = tmp_path / "synth"
+    assert main(["synth", "--n", "8", "--global", cues[0], "--local", cues[1],
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "corpus.jsonl").exists()
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

@@ -1,6 +1,6 @@
 """Pipeline-level tests: forward shapes, a batch against its items one by
-one, feature caching, freeze contract, checkpoint round trip, training
-determinism, non-finite losses, and report artifacts."""
+one, the frozen-feature store, freeze contract, checkpoint round trip,
+training determinism, non-finite losses, and report artifacts."""
 import json
 
 import numpy as np
@@ -72,17 +72,17 @@ def test_vision_mode_row_counts(corpus):
         cfg = tiny_cfg(vision_mode=mode, fusion_op=op)
         model = build_model(cfg, corpus)
         assert model.vision_rows == want
-        assert model.vision_tokens(corpus[0]).shape == (want, 24)
+        assert model.vision_tokens(corpus[:2]).shape == (2, want, 24)
 
 
 def test_frozen_features_cached_and_detached(corpus):
     model = build_model(tiny_cfg(), corpus)
     ex = corpus[0]
-    a = model.vision_tokens(ex)
+    a = model.vision_tokens([ex])
     assert not a.requires_grad
-    b = model.vision_tokens(ex)
+    b = model.vision_tokens([ex])
     np.testing.assert_array_equal(a.data, b.data)
-    assert (ex.id, ex.image) in model._token_cache
+    assert (model.vision_dims, model.cfg.extractor_seed, ex.id, ex.image) in model.store
 
 
 def test_reused_example_id_with_new_image_gets_new_tokens():
@@ -91,22 +91,55 @@ def test_reused_example_id_with_new_image_gets_new_tokens():
     first = make_synthetic(8, 4, 4, seed=0)
     second = make_synthetic(8, 4, 4, seed=1)
     model = build_model(tiny_cfg(), first)
-    for ex in first:
-        model.vision_tokens(ex)
+    model.vision_tokens(first)
     changed = [(a, b) for a, b in zip(first, second) if a.id == b.id and a.image != b.image]
     assert changed
     for old, new in changed:
-        fresh = build_model(tiny_cfg(), first).vision_tokens(new).data
-        np.testing.assert_array_equal(model.vision_tokens(new).data, fresh)
-        assert np.abs(fresh - model.vision_tokens(old).data).max() > 1e-6
+        fresh = build_model(tiny_cfg(), first).vision_tokens([new]).data
+        np.testing.assert_array_equal(model.vision_tokens([new]).data, fresh)
+        assert np.abs(fresh - model.vision_tokens([old]).data).max() > 1e-6
 
 
 def test_unfrozen_features_not_cached(corpus):
-    model = build_model(tiny_cfg(freeze_extractors=False), corpus)
-    ex = corpus[0]
-    out = model.vision_tokens(ex)
+    store = {}
+    model = build_model(tiny_cfg(freeze_extractors=False), corpus, store)
+    out = model.vision_tokens(corpus[:2])
     assert out.requires_grad
-    assert not model._token_cache
+    assert not store
+
+
+def test_store_shared_across_extractor_seeds_matches_fresh_stores(corpus):
+    """Configs that differ only in extractor_seed share one store and still
+    each get the tokens a fresh store gives them."""
+    cfgs = [tiny_cfg(extractor_seed=s, fusion_op=op)
+            for s, op in ((777, "concatenate"), (778, "add"))]
+    store = {}
+    shared = [build_model(cfg, corpus, store).vision_tokens(corpus[:4]).data for cfg in cfgs]
+    fresh = [build_model(cfg, corpus).vision_tokens(corpus[:4]).data for cfg in cfgs]
+    for a, b in zip(shared, fresh):
+        np.testing.assert_array_equal(a, b)
+    assert len(store) == 2 * 4
+
+
+def test_train_model_feeds_every_split_position_once_per_epoch():
+    """Two default-prefix corpora reuse ids for other images; every position
+    of the split, not the first example seen per id, reaches the model."""
+    split = make_synthetic(8, 4, 4, seed=0) + make_synthetic(8, 4, 4, seed=1)
+    assert len({(ex.id, ex.image) for ex in split}) < len(split)
+    cfg = tiny_cfg(epochs=2, batch_size=4)
+    model = build_model(cfg, split)
+    seen = []
+    forward = model.forward
+
+    def recording_forward(batch, **kw):
+        seen.extend(ex for ex, _ in batch)
+        return forward(batch, **kw)
+
+    model.forward = recording_forward
+    train_model(model, split, cfg)
+    for epoch in range(cfg.epochs):
+        fed = seen[epoch * len(split):(epoch + 1) * len(split)]
+        assert sorted(map(id, fed)) == sorted(map(id, split))
 
 
 def test_vvqf_image_path(tmp_path, corpus):
@@ -193,8 +226,8 @@ def test_nan_loss_fails_fast_naming_epoch_and_step(corpus):
 def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
     import vivqa.train as train_mod
 
-    def poisoned(cfg, split):
-        model = build_model(cfg, split)
+    def poisoned(cfg, split, store=None):
+        model = build_model(cfg, split, store)
         model.classifier.fc2_w.data[:] = np.nan
         return model
 

@@ -1,0 +1,34 @@
+"""The benchmark instruments the program from the outside, by module and
+attribute name (perfbench/probes.py).  A rename must fail here, not only in
+a benchmark run.  probes.py is loaded read-only: no bytecode is written."""
+import importlib.util
+import sys
+from pathlib import Path
+
+from vivqa.model import VivqaModel
+
+PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
+
+
+def _load_probes():
+    spec = importlib.util.spec_from_file_location("perfbench_probes", PROBES)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    probes = _load_probes()
+    targets = list(probes.TRACED.values())
+    targets += [target for target, _ in probes.Probe().wrappers()]
+    for module, attr in targets:
+        owner, name = probes._resolve(module, attr)
+        assert callable(getattr(owner, name, None)), f"{module}.{attr}"
+    assert set(probes.SETUP_LAYERS) <= set(probes.TRACED)
+    # the tiny-eval set-up writes its VVQF files from the raw extractor outputs
+    assert callable(VivqaModel.visual_features)
