@@ -46,7 +46,7 @@ def _splits_for(cfg: RunConfig):
 
 def cmd_train(args) -> None:
     cfg = _load_config(args)
-    report, _ = run_training(cfg)
+    report, _ = run_training(cfg, *_splits_for(cfg))
     print(json.dumps(report.deterministic_dict()["train_metrics"], indent=2))
 
 

@@ -10,13 +10,15 @@ stochastic regularizer.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 from .errors import ConfigError
 from .vision import FUSION_OPS, VisionDims
 
 PRESETS = ("paper", "tiny")
 VISION_MODES = ("both", "global", "local")
+_FIELD_TYPES = dict(int=Integral, float=Real, bool=bool, str=str, tuple=(tuple, list))
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,11 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (value is None and optional or isinstance(value, _FIELD_TYPES[kind])):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
         if self.fusion_op not in FUSION_OPS:
@@ -82,15 +89,19 @@ class RunConfig:
         if self.vision_mode not in VISION_MODES:
             raise ConfigError(f"unknown vision mode {self.vision_mode!r}")
         dims = preset_dims(self.preset)
-        if dims.hidden % self.heads != 0:
-            raise ConfigError(
-                f"heads {self.heads} does not divide hidden {dims.hidden}")
-        if not 0.0 <= self.drop_path < 1.0:
-            raise ConfigError(f"drop_path must be in [0, 1), got {self.drop_path}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.l_max is None:
             self.l_max = dims.default_l_max
+        for name, ok, want in (
+                ("heads", self.heads >= 1, ">= 1"), ("layers", self.layers >= 1, ">= 1"),
+                ("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
+                ("l_max", self.l_max >= 1, ">= 1"), ("lr", self.lr > 0, "> 0"),
+                ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
+                ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
+                ("drop_path", 0 <= self.drop_path < 1, "in [0, 1)")):
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        if dims.hidden % self.heads != 0:
+            raise ConfigError(f"heads {self.heads} does not divide hidden {dims.hidden}")
         self.adam_betas = tuple(self.adam_betas)
 
     @property

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DataError, ParseError
 from .metrics import canonicalize
 from .rng import RngStream
-from .text import TokenizedQuestion, Vocabulary, tokenize
 from .vision import MID_GRAY, VisionDims
 
 OOV_TARGET = -1
@@ -285,29 +284,20 @@ def example_noise_seed(example_id: str) -> int:
 # Batching
 
 
-@dataclass(frozen=True)
-class BatchItem:
-    example: Example
-    tokens: TokenizedQuestion
-    target: int
-
-
-def batch_iter(split, batch_size: int, l_max: int, answer_vocab: AnswerVocab,
-               vocab: Vocabulary, seed: int, epoch: int, is_train: bool):
-    """Seeded per-epoch reshuffle; yields lists of BatchItem, final partial
-    batch included.  OOV train answers are a data error; OOV test answers
-    map to a reserved target that can never be predicted correctly."""
+def batch_iter(split, batch_size: int, answer_vocab: AnswerVocab, seed: int, epoch: int,
+               is_train: bool):
+    """Seeded per-epoch reshuffle; yields (examples, targets) per batch, a
+    list and an int array, final partial batch included.  OOV train answers
+    are a data error; OOV test answers map to a reserved target that can
+    never be predicted correctly."""
     if batch_size < 1:
         raise ValueError("batch_iter: batch_size must be >= 1")
     split = list(split)
     order = RngStream(seed).split(f"batch-epoch-{epoch}").permutation(len(split))
-    items = []
-    for idx in order:
-        ex = split[idx]
-        target = answer_vocab.target_of(ex.answer)
+    examples = [split[idx] for idx in order]
+    targets = np.array([answer_vocab.target_of(ex.answer) for ex in examples], dtype=np.int64)
+    for ex, target in zip(examples, targets):
         if target == OOV_TARGET and is_train:
             raise DataError(f"train answer {ex.answer!r} (example {ex.id}) not in vocabulary")
-        items.append(BatchItem(example=ex, tokens=tokenize(ex.question, vocab, l_max),
-                               target=target))
-    for i in range(0, len(items), batch_size):
-        yield items[i:i + batch_size]
+    for i in range(0, len(examples), batch_size):
+        yield examples[i:i + batch_size], targets[i:i + batch_size]

@@ -1,6 +1,6 @@
-"""Full pipeline assembly: frozen (or unfrozen) visual stubs, adapter and
-fusion, text encoder and projection, multiway stack, pooler, classifier —
-plus the parameter registry and checkpoint serialization.
+"""The VQA model behind one `VivqaModel.forward(examples, rngs=None)`: visual
+stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
+stack, pooler and classifier; plus the parameter registry and checkpoints.
 
 Frozen extractor outputs are constants of the image: each image's global and
 adapted local tokens are computed once per feature store, a plain dict that
@@ -19,15 +19,14 @@ import numpy as np
 from .classifier import ClassifierParams, classify
 from .config import RunConfig
 from .data import AnswerVocab, Example, SyntheticSpec, example_noise_seed, render_synthetic
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 from .multiway import (
     FusionConfig, FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
 )
 from .rng import RngStream
 from .tensor import Tensor, stack
 from .text import (
-    ProjectionParams, TextEncoderParams, TokenizedQuestion, Vocabulary,
-    encode as text_encode, project,
+    ProjectionParams, TextEncoderParams, Vocabulary, encode as text_encode, project, tokenize,
 )
 from .vision import (
     StubExtractorParams, adapt_local, extract_global_stub, extract_local_stub, fuse,
@@ -105,14 +104,21 @@ class VivqaModel:
 
     def visual_features(self, example: Example) -> tuple[Tensor, Tensor]:
         """Raw (global, local) extractor outputs of one example, rendered
-        from a `synthetic:` ref or read from the ref's VVQF pair."""
+        from a `synthetic:` ref or read from the ref's VVQF pair, whose
+        shapes must be the preset's extractor output shapes."""
+        d = self.vision_dims
         if example.image.startswith("synthetic:"):
-            img = render_synthetic(SyntheticSpec.parse(example.image), self.vision_dims,
+            img = render_synthetic(SyntheticSpec.parse(example.image), d,
                                    noise_seed=example_noise_seed(example.id))
             return extract_global_stub(img, self.extractor), extract_local_stub(img, self.extractor)
-        g = read_feature_file(example.image + ".global.vvqf")
-        l = read_feature_file(example.image + ".local.vvqf")
-        return Tensor(g.data.astype(np.float64)), Tensor(l.data.astype(np.float64))
+        pair = []
+        for suffix, want in ((".global.vvqf", (d.n_tokens, d.token_dim)),
+                             (".local.vvqf", (d.local_channels, d.grid, d.grid))):
+            t = read_feature_file(example.image + suffix)
+            if t.shape != want:
+                raise DataError(f"{example.image}{suffix}: shape {t.shape}, expected {want}")
+            pair.append(Tensor(t.data.astype(np.float64)))
+        return tuple(pair)
 
     def _token_pair(self, example: Example) -> tuple[Tensor, Tensor]:
         """(global, adapted local) tokens, each (n_tokens, token_dim).  Unfrozen
@@ -140,16 +146,15 @@ class VivqaModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, batch: list[tuple[Example, TokenizedQuestion]],
-                training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
-        """B (image, question) pairs -> (B, C) logits.  In training, rngs[i]
-        is item i's stream for its drop-path draws."""
-        v = self.vision_tokens([ex for ex, _ in batch])
-        ids = np.stack([tokens.ids for _, tokens in batch])
-        mask = np.stack([tokens.mask for _, tokens in batch])
-        q = project(text_encode(ids, self.text_params), self.projection)
-        fused = concat_modalities(v, q, mask, self.fusion)
-        fused = fusion_encode(fused, self.fusion, training, rngs)
+    def forward(self, examples: list[Example], rngs: list[RngStream] | None = None) -> Tensor:
+        """B examples -> (B, C) logits.  Drop path runs only with `rngs`,
+        rngs[i] being item i's stream for its drop-path draws."""
+        tokens = [tokenize(ex.question, self.vocab, self.cfg.l_max) for ex in examples]
+        v = self.vision_tokens(examples)
+        q = project(text_encode(np.stack([t.ids for t in tokens]), self.text_params),
+                    self.projection)
+        fused = concat_modalities(v, q, np.stack([t.mask for t in tokens]), self.fusion)
+        fused = fusion_encode(fused, self.fusion, rngs)
         pooled = pool_cls(fused, self.fusion)
         return classify(pooled, self.classifier)
 

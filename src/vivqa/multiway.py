@@ -126,15 +126,14 @@ def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams) -> Tensor:
 
 
 def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
-                   training: bool,
                    rngs: list[RngStream] | None = None) -> FusedSequence:
-    """One block; in training, rngs[i] draws item i's drop-path keeps,
+    """One block; with `rngs`, rngs[i] draws item i's drop-path keeps,
     attention branch first, then the expert branch."""
     x = f.x
     attn = shared_attention(x, f.mask, p, p.cfg)
-    x = add(x, drop_path(attn, drop_rate, training, rngs))
+    x = add(x, drop_path(attn, drop_rate, rngs))
     experts = expert_sublayer(x, f.boundary, p)
-    x = add(x, drop_path(experts, drop_rate, training, rngs))
+    x = add(x, drop_path(experts, drop_rate, rngs))
     return FusedSequence(x=x, boundary=f.boundary, mask=f.mask)
 
 
@@ -197,14 +196,14 @@ def block_drop_rates(cfg: FusionConfig) -> list[float]:
     return [cfg.drop_path_rate * i / (cfg.layers - 1) for i in range(cfg.layers)]
 
 
-def encode(f: FusedSequence, stack: FusionStackParams, training: bool,
+def encode(f: FusedSequence, stack: FusionStackParams,
            rngs: list[RngStream] | None = None) -> FusedSequence:
-    """All blocks.  In training, rngs holds one stream per item; block i
-    draws from each item's `layer<i>` child stream."""
+    """All blocks.  Drop path runs only when `rngs` is given, one stream per
+    item; block i draws from each item's `layer<i>` child stream."""
     rates = block_drop_rates(stack.cfg)
     for i, (bp, rate) in enumerate(zip(stack.blocks, rates)):
         layer_rngs = [r.split(f"layer{i}") for r in rngs] if rngs is not None else None
-        f = multiway_block(f, bp, rate, training, layer_rngs)
+        f = multiway_block(f, bp, rate, layer_rngs)
     return f
 
 

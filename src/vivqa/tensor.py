@@ -204,6 +204,9 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: empty part list")
     ref = parts[0].shape
+    if not -len(ref) <= axis < len(ref):
+        raise ShapeError(f"concat: axis {axis} outside a {len(ref)}-d shape")
+    axis %= len(ref)
     for p in parts[1:]:
         if len(p.shape) != len(ref) or any(
             p.shape[i] != ref[i] for i in range(len(ref)) if i != axis
@@ -512,17 +515,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return _node(np.asarray(loss), (logits,), bwd)
 
 
-def drop_path(x: Tensor, rate: float, training: bool,
-              rngs: Sequence[RngStream] | None = None) -> Tensor:
+def drop_path(x: Tensor, rate: float, rngs: Sequence[RngStream] | None = None) -> Tensor:
     """Stochastic depth on one residual branch, per sample: item i of the
     leading batch axis keeps its whole branch, rescaled by 1/(1-rate) so the
-    expectation is preserved, or loses it, by one draw from rngs[i]."""
+    expectation is preserved, or loses it, by one draw from rngs[i].
+    Without `rngs` (evaluation) or at rate 0, `x` itself comes back."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rngs is None or rate == 0.0:
         return x
-    if rngs is None:
-        raise UsageError("drop_path: training mode needs one RngStream per item")
     if len(rngs) != x.shape[0]:
         raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
     kept = 1.0 / (1.0 - rate)

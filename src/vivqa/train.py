@@ -1,7 +1,8 @@
 """Training protocol and evaluation: cross-entropy over the answer classes,
 AdamW with the cosine-warmup schedule, deterministic batching per seed.
-Each minibatch is one forward graph, one backward and one optimizer step;
-evaluation runs batch_size chunks without recording a graph.
+Each minibatch is one forward graph, fed one drop-path stream per example,
+one backward and one optimizer step; evaluation runs batch_size chunks with
+no streams and without recording a graph.
 
 Reports are split into a deterministic part (report.json — a pure function
 of config, seed, corpus) and a timing file that is allowed to vary between
@@ -20,14 +21,14 @@ import numpy as np
 from . import tensor as T
 from .classifier import predict
 from .config import RunConfig
-from .data import AnswerVocab, batch_iter, load_jsonl, split_train_test
-from .errors import ConfigError, DataError, NumericalError
+from .data import AnswerVocab, batch_iter
+from .errors import NumericalError
 from .metrics import MetricsReport, PredictionRecord, report as metrics_report, \
     write_predictions
 from .model import VivqaModel, ensure_out_dir, save_checkpoint
 from .optim import AdamW, ScheduleConfig, lr_at
 from .rng import RngStream
-from .text import build_vocab, tokenize
+from .text import build_vocab
 
 
 @dataclass
@@ -71,9 +72,7 @@ def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
     with T.no_grad():
         for start in range(0, len(split), size):
             chunk = split[start:start + size]
-            batch = [(ex, tokenize(ex.question, model.vocab, model.cfg.l_max))
-                     for ex in chunk]
-            dists = predict(model.forward(batch), model.answer_vocab.answers)
+            dists = predict(model.forward(chunk), model.answer_vocab.answers)
             records += [PredictionRecord(id=ex.id, prediction=dist.answer,
                                          ground_truth=ex.answer)
                         for ex, dist in zip(chunk, dists)]
@@ -98,22 +97,19 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         loss_sum = 0.0
         hits = 0
         total = 0
-        for batch in batch_iter(train_split, cfg.batch_size, cfg.l_max,
-                                model.answer_vocab, model.vocab,
-                                cfg.seed, epoch, is_train=True):
+        for examples, targets in batch_iter(train_split, cfg.batch_size, model.answer_vocab,
+                                            cfg.seed, epoch, is_train=True):
             optimizer.zero_grad()
-            rngs = [epoch_rng.split(f"item-{item.example.id}") for item in batch]
-            logits = model.forward([(item.example, item.tokens) for item in batch],
-                                   training=True, rngs=rngs)
-            targets = np.array([item.target for item in batch])
+            rngs = [epoch_rng.split(f"item-{ex.id}") for ex in examples]
+            logits = model.forward(examples, rngs)
             loss = T.cross_entropy(logits, targets)
             value = float(loss.data)
             if not math.isfinite(value):
                 raise NumericalError(
                     f"training loss is {value} at epoch {epoch}, step {step}")
-            loss_sum += value * len(batch)
+            loss_sum += value * len(examples)
             hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
-            total += len(batch)
+            total += len(examples)
             T.backward(loss)
             optimizer.step(lr_at(step, schedule))
             step += 1
@@ -128,23 +124,11 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     return report
 
 
-def run_training(cfg: RunConfig, train_split=None, test_split=None,
+def run_training(cfg: RunConfig, train_split, test_split,
                  store: dict | None = None) -> tuple[RunReport, VivqaModel]:
-    """Full train entry: load corpus if needed, train, evaluate both splits,
-    write report/checkpoint when cfg.out is set.  `store` is the frozen
-    feature store to share (see `VivqaModel`)."""
-    if train_split is None:
-        if cfg.data is None:
-            raise ConfigError("no training data: set cfg.data or pass a split")
-        examples = load_jsonl(cfg.data)
-        if not examples:
-            raise DataError(f"{cfg.data}: empty corpus")
-        if cfg.eval_data is not None:
-            train_split = examples
-            test_split = load_jsonl(cfg.eval_data)
-        else:
-            train_split, test_split = split_train_test(
-                examples, cfg.split_ratio, cfg.split_seed)
+    """Full train entry: train, evaluate both splits, write report and
+    checkpoint when cfg.out is set.  `store` is the frozen feature store to
+    share (see `VivqaModel`)."""
     model = build_model(cfg, train_split, store)
     report = train_model(model, train_split, cfg)
 

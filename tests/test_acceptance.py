@@ -31,7 +31,7 @@ from vivqa.multiway import concat_modalities, encode, pool_cls
 from vivqa.optim import ScheduleConfig, lr_at
 from vivqa.rng import RngStream
 from vivqa.tensor import Tensor, grad_check
-from vivqa.text import build_vocab, encode as text_encode, project, tokenize
+from vivqa.text import encode as text_encode, project, tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
 from vivqa.vision import (
     adapt_local, extract_global_stub, extract_local_stub, fuse,
@@ -94,7 +94,7 @@ def test_c1_shape_chain_paper_preset():
     seq = concat_modalities(batch_v, q, tokens.mask[None], model.fusion)
     rows = 64 + cfg.l_max + 2
     assert seq.x.shape == (1, rows, 768)
-    seq = encode(seq, model.fusion, training=False)
+    seq = encode(seq, model.fusion)
     assert seq.x.shape == (1, rows, 768)
     pooled = pool_cls(seq, model.fusion)
     assert pooled.shape == (1, 768)
@@ -189,7 +189,7 @@ def test_c2_gradient_audit_ops_and_composed_model():
 
     def composed(v, q):
         seq = concat_modalities(v, q, mask, model.fusion)
-        seq = encode(seq, model.fusion, training=False)
+        seq = encode(seq, model.fusion)
         return T.cross_entropy(classify(pool_cls(seq, model.fusion), model.classifier),
                                targets)
 
@@ -361,14 +361,11 @@ def test_c9_protocol_determinism(tmp_path):
         seen.extend(val_pos)
     assert sorted(seen) == list(range(len(corpus)))
 
-    vocab = build_vocab([e.question for e in corpus])
     answers = AnswerVocab.from_examples(corpus)
-    order1 = [i.example.id
-              for batch in batch_iter(corpus, 8, 6, answers, vocab, 0, 0, True)
-              for i in batch]
-    order2 = [i.example.id
-              for batch in batch_iter(corpus, 8, 6, answers, vocab, 0, 0, True)
-              for i in batch]
+    order1 = [ex.id for examples, _ in batch_iter(corpus, 8, answers, 0, 0, True)
+              for ex in examples]
+    order2 = [ex.id for examples, _ in batch_iter(corpus, 8, answers, 0, 0, True)
+              for ex in examples]
     assert order1 == order2
 
     cfg = tiny_cfg(epochs=2, layers=1, drop_path=0.2)

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from vivqa.config import preset_dims
 from vivqa.data import (
-    AnswerVocab, BatchItem, Example, FoldPlan, OOV_TARGET, SyntheticSpec,
+    AnswerVocab, Example, FoldPlan, OOV_TARGET, SyntheticSpec,
     batch_iter, corpus_stats, example_noise_seed, kfold, load_jsonl,
     make_synthetic, render_synthetic, save_jsonl, split_train_test,
     synthetic_answer, _local_positions,
 )
 from vivqa.errors import DataError, ParseError
-from vivqa.text import build_vocab
 
 TINY = preset_dims("tiny").vision
 
@@ -285,28 +284,22 @@ def test_example_noise_seed_stable():
 # Batching
 
 
-def _vocabs(examples):
-    return AnswerVocab.from_examples(examples), build_vocab(
-        [e.question for e in examples])
-
-
 def test_batch_iter_covers_split_once():
     examples = make_synthetic(20, 2, 2, seed=0)
-    av, v = _vocabs(examples)
-    batches = list(batch_iter(examples, 6, 6, av, v, seed=0, epoch=0, is_train=True))
-    assert [len(b) for b in batches] == [6, 6, 6, 2]
-    ids = [item.example.id for b in batches for item in b]
+    av = AnswerVocab.from_examples(examples)
+    batches = list(batch_iter(examples, 6, av, seed=0, epoch=0, is_train=True))
+    assert [len(b) for b, _ in batches] == [6, 6, 6, 2]
+    assert all(list(t) == [av.target_of(ex.answer) for ex in b] for b, t in batches)
+    ids = [ex.id for b, _ in batches for ex in b]
     assert sorted(ids) == sorted(e.id for e in examples)
 
 
 def test_batch_iter_epoch_reshuffles_deterministically():
     examples = make_synthetic(20, 2, 2, seed=0)
-    av, v = _vocabs(examples)
+    av = AnswerVocab.from_examples(examples)
 
     def order(epoch):
-        return [item.example.id
-                for b in batch_iter(examples, 5, 6, av, v, 3, epoch, True)
-                for item in b]
+        return [ex.id for b, _ in batch_iter(examples, 5, av, 3, epoch, True) for ex in b]
 
     assert order(0) == order(0)
     assert order(0) != order(1)
@@ -314,35 +307,32 @@ def test_batch_iter_epoch_reshuffles_deterministically():
 
 def test_batch_iter_oov_train_answer_raises():
     examples = make_synthetic(8, 2, 2, seed=0)
-    av, v = _vocabs(examples[:4])
     av_small = AnswerVocab(["g0 l0"])
     with pytest.raises(DataError):
-        list(batch_iter(examples, 4, 6, av_small, v, 0, 0, is_train=True))
+        list(batch_iter(examples, 4, av_small, 0, 0, is_train=True))
 
 
 def test_batch_iter_oov_test_answer_gets_sentinel():
     examples = make_synthetic(8, 2, 2, seed=0)
-    _, v = _vocabs(examples)
     av_small = AnswerVocab(["g0 l0"])
-    items = [i for b in batch_iter(examples, 4, 6, av_small, v, 0, 0, False)
-             for i in b]
-    targets = {i.target for i in items}
+    targets = {int(t) for _, batch_targets in batch_iter(examples, 4, av_small, 0, 0, False)
+               for t in batch_targets}
     assert OOV_TARGET in targets
 
 
 def test_batch_iter_batch_size_guard():
     examples = make_synthetic(4, 2, 2, seed=0)
-    av, v = _vocabs(examples)
+    av = AnswerVocab.from_examples(examples)
     with pytest.raises(ValueError):
-        list(batch_iter(examples, 0, 6, av, v, 0, 0, True))
+        list(batch_iter(examples, 0, av, 0, 0, True))
 
 
 @given(st.integers(1, 30), st.integers(1, 10), st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
 def test_batch_sizes_property(n, bs, seed):
     examples = make_synthetic(n, 2, 2, seed=0)
-    av, v = _vocabs(examples)
-    batches = list(batch_iter(examples, bs, 6, av, v, seed, 0, True))
+    av = AnswerVocab.from_examples(examples)
+    batches = [b for b, _ in batch_iter(examples, bs, av, seed, 0, True)]
     assert sum(len(b) for b in batches) == n
     assert all(len(b) == bs for b in batches[:-1])
     assert 1 <= len(batches[-1]) <= bs

@@ -172,6 +172,18 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["train", "--config", str(ok)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("heads", 0), ("batch_size", 2.5), ("epochs", 1.5), ("early_stop_train_acc", "x"),
+    ("layers", -1), ("split_ratio", 2.0), ("lr", -1), ("warmup_ratio", 1.5), ("l_max", 0),
+])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, write_corpus(tmp_path), **{field: value})
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert field in err and "Traceback" not in err
+
+
 def test_cli_exit_code_data_error(tmp_path):
     data = tmp_path / "broken.jsonl"
     data.write_text("{broken\n")

@@ -1,6 +1,7 @@
 """Pipeline-level tests: forward shapes, a batch against its items one by
 one, the frozen-feature store, freeze contract, checkpoint round trip,
 training determinism, non-finite losses, and report artifacts."""
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,6 @@ from vivqa.errors import ConfigError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
 from vivqa.rng import RngStream
-from vivqa.text import tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
 from vivqa.vvqf import write_feature_file
 
@@ -31,14 +31,10 @@ def corpus():
     return make_synthetic(24, 2, 2, seed=1)
 
 
-def _batch(model, examples):
-    return [(ex, tokenize(ex.question, model.vocab, model.cfg.l_max)) for ex in examples]
-
-
 def test_forward_logit_shape(corpus):
     cfg = tiny_cfg()
     model = build_model(cfg, corpus)
-    logits = model.forward(_batch(model, corpus[:3]))
+    logits = model.forward(corpus[:3])
     assert logits.shape == (3, len(model.answer_vocab))
 
 
@@ -48,13 +44,13 @@ def test_batch_forward_equals_single_item_forwards(corpus, training):
     training, each item's drop-path keeps come from its own stream."""
     cfg = tiny_cfg(layers=3, drop_path=0.5, vision_mode="both", freeze_extractors=False)
     model = build_model(cfg, corpus)
-    batch = _batch(model, corpus[:6])
+    batch = corpus[:6]
 
     def forward(items, rngs):
-        return model.forward(items, training=training, rngs=rngs if training else None).data
+        return model.forward(items, rngs if training else None).data
 
     def streams():
-        return [RngStream(5).split(f"item-{ex.id}") for ex, _ in batch]
+        return [RngStream(5).split(f"item-{ex.id}") for ex in batch]
 
     together = forward(batch, streams())
     alone = [forward([item], [rng]) for item, rng in zip(batch, streams())]
@@ -131,9 +127,9 @@ def test_train_model_feeds_every_split_position_once_per_epoch():
     seen = []
     forward = model.forward
 
-    def recording_forward(batch, **kw):
-        seen.extend(ex for ex, _ in batch)
-        return forward(batch, **kw)
+    def recording_forward(examples, rngs=None):
+        seen.extend(examples)
+        return forward(examples, rngs)
 
     model.forward = recording_forward
     train_model(model, split, cfg)
@@ -155,8 +151,28 @@ def test_vvqf_image_path(tmp_path, corpus):
                                                dims.grid))))
     from vivqa.data import Example
     ex = Example(id="v1", image=str(base), question="màu gì", answer=corpus[0].answer)
-    logits = model.forward(_batch(model, [ex, corpus[0]]))
+    logits = model.forward([ex, corpus[0]])
     assert logits.shape == (2, len(model.answer_vocab))
+
+
+@pytest.mark.parametrize("kind, shape", [("global", (3, 5)), ("local", (16, 6, 6))])
+def test_cli_eval_misshapen_vvqf_exits_3(tmp_path, corpus, capsys, kind, shape):
+    """Feature files must have the preset's extractor output shapes."""
+    model = build_model(tiny_cfg(), corpus)
+    ckpt = tmp_path / "checkpoint.npz"
+    save_checkpoint(ckpt, model)
+    dims = model.vision_dims
+    want = {"global": (dims.n_tokens, dims.token_dim),
+            "local": (dims.local_channels, dims.grid, dims.grid)}
+    base = str(tmp_path / "img0")
+    for k, good in want.items():
+        write_feature_file(f"{base}.{k}.vvqf", T.Tensor(np.zeros(shape if k == kind else good)))
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, [dataclasses.replace(corpus[0], image=base)])
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"{base}.{kind}.vvqf" in err and str(want[kind]) in err
 
 
 def test_param_counts_freeze_contract(corpus):
@@ -376,8 +392,7 @@ def test_checkpoint_in_previous_layout_loads(tmp_path, corpus):
     b, b_meta = load_checkpoint(old)
     assert b_meta["n_local_cues"] == 2
     with T.no_grad():
-        np.testing.assert_array_equal(a.forward(_batch(a, corpus)).data,
-                                      b.forward(_batch(b, corpus)).data)
+        np.testing.assert_array_equal(a.forward(corpus).data, b.forward(corpus).data)
     assert predict_split(a, corpus) == predict_split(b, corpus)
 
 

@@ -51,7 +51,7 @@ def test_block_preserves_shape():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(0))
     f = make_seq(cfg)
-    out = multiway_block(f, p, drop_rate=0.0, training=False)
+    out = multiway_block(f, p, drop_rate=0.0)
     assert out.x.shape == f.x.shape
     assert out.boundary == f.boundary
 
@@ -124,12 +124,11 @@ def test_permutation_equivariance_within_modality():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(5))
     f = make_seq(cfg, k=4, t=3, seed=7)
-    out = multiway_block(f, p, 0.0, training=False).x.data
+    out = multiway_block(f, p, 0.0).x.data
     perm = [2, 0, 3, 1]
     x2 = f.x.data.copy()
     x2[:, :4] = x2[:, perm]
-    out2 = multiway_block(FusedSequence(Tensor(x2), 4, f.mask), p, 0.0,
-                          training=False).x.data
+    out2 = multiway_block(FusedSequence(Tensor(x2), 4, f.mask), p, 0.0).x.data
     np.testing.assert_allclose(out2[:, :4], out[:, perm], atol=1e-10)
     np.testing.assert_allclose(out2[:, 4:], out[:, 4:], atol=1e-10)
 
@@ -186,8 +185,8 @@ def test_encode_runs_all_layers_and_is_deterministic_in_eval():
     cfg = small_cfg(layers=3)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(3))
     f = make_seq(cfg, k=3, t=4)
-    a = encode(f, stack, training=False).x.data
-    b = encode(make_seq(cfg, k=3, t=4), stack, training=False).x.data
+    a = encode(f, stack).x.data
+    b = encode(make_seq(cfg, k=3, t=4), stack).x.data
     np.testing.assert_array_equal(a, b)
     assert a.shape == (2, 7, 8)
 
@@ -195,10 +194,8 @@ def test_encode_runs_all_layers_and_is_deterministic_in_eval():
 def test_encode_training_drop_path_reproducible_per_seed():
     cfg = small_cfg(layers=3, drop_path_rate=0.5)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(4))
-    a = encode(make_seq(cfg), stack, training=True,
-               rngs=[RngStream(9), RngStream(10)]).x.data
-    b = encode(make_seq(cfg), stack, training=True,
-               rngs=[RngStream(9), RngStream(10)]).x.data
+    a = encode(make_seq(cfg), stack, rngs=[RngStream(9), RngStream(10)]).x.data
+    b = encode(make_seq(cfg), stack, rngs=[RngStream(9), RngStream(10)]).x.data
     np.testing.assert_array_equal(a, b)
 
 
@@ -230,7 +227,7 @@ def test_block_gradient_check(seed):
 
     def f(x):
         seq = FusedSequence(x=x, boundary=3, mask=mask)
-        out = multiway_block(seq, p, 0.0, training=False)
+        out = multiway_block(seq, p, 0.0)
         return sum_all(mul(out.x, Tensor(proj)))
 
     assert grad_check(f, Tensor(r.normal(size=(2, 6, 8)))) < 1e-4
@@ -240,7 +237,7 @@ def test_block_param_gradients_flow():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(6))
     f = make_seq(cfg)
-    out = multiway_block(f, p, 0.0, training=False)
+    out = multiway_block(f, p, 0.0)
     backward(sum_all(out.x))
     for name, t in p.params.items():
         assert t.grad is not None, name

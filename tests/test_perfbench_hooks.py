@@ -2,9 +2,11 @@
 attribute name (perfbench/probes.py).  A rename must fail here, not only in
 a benchmark run.  probes.py is loaded read-only: no bytecode is written."""
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+from vivqa import tensor, train
 from vivqa.model import VivqaModel
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
@@ -32,3 +34,12 @@ def test_benchmark_hooks_resolve():
     assert set(probes.SETUP_LAYERS) <= set(probes.TRACED)
     # the tiny-eval set-up writes its VVQF files from the raw extractor outputs
     assert callable(VivqaModel.visual_features)
+
+
+def test_benchmark_direct_calls_resolve():
+    """perfbench/run.py reads tensor.backward_node_visits() outside TRACED,
+    and the probes wrap train_model(model, split, cfg) and
+    predict_split(model, split), passing every argument positionally."""
+    assert isinstance(tensor.backward_node_visits(), int)
+    inspect.signature(train.train_model).bind("model", "split", "cfg")
+    inspect.signature(train.predict_split).bind("model", "split")

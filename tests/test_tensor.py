@@ -157,9 +157,24 @@ def test_concat_forward_and_backward():
     np.testing.assert_array_equal(b.grad, np.ones((1, 3)))
 
 
+@pytest.mark.parametrize("axis", [0, -2])
+def test_concat_unequal_parts_on_negative_axis(axis):
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.full((1, 3), 2.0), requires_grad=True)
+    out = T.concat([a, b], axis=axis)
+    np.testing.assert_array_equal(out.data, [[1, 1, 1], [1, 1, 1], [2, 2, 2]])
+    backward(T.sum_all(T.mul(out, Tensor(np.arange(9.0).reshape(3, 3)))))
+    np.testing.assert_array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(b.grad, [[6.0, 7.0, 8.0]])
+
+
 def test_concat_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=0)
+    with pytest.raises(ShapeError):
+        T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4)))], axis=-2)
+    with pytest.raises(ShapeError):
+        T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))], axis=2)
     with pytest.raises(ShapeError):
         T.concat([], axis=0)
 
@@ -502,30 +517,28 @@ def test_multi_head_attention_rejects_bad_shapes(rng):
 
 def test_drop_path_eval_is_identity(rng):
     x = Tensor(rng.normal(size=(2, 3)))
-    assert T.drop_path(x, 0.5, training=False) is x
-    assert T.drop_path(x, 0.0, training=True, rngs=[RngStream(0), RngStream(1)]) is x
+    assert T.drop_path(x, 0.5) is x
+    assert T.drop_path(x, 0.0, rngs=[RngStream(0), RngStream(1)]) is x
 
 
-def test_drop_path_needs_rng_in_training():
-    with pytest.raises(UsageError):
-        T.drop_path(Tensor(np.ones((2, 1))), 0.5, training=True, rngs=None)
+def test_drop_path_rejects_bad_rate_and_stream_count():
     with pytest.raises(ValueError):
-        T.drop_path(Tensor(np.ones((1, 2))), 1.0, training=True, rngs=[RngStream(0)])
+        T.drop_path(Tensor(np.ones((1, 2))), 1.0, rngs=[RngStream(0)])
     with pytest.raises(ShapeError):
-        T.drop_path(Tensor(np.ones((2, 1))), 0.5, training=True, rngs=[RngStream(0)])
+        T.drop_path(Tensor(np.ones((2, 1))), 0.5, rngs=[RngStream(0)])
 
 
 def test_drop_path_preserves_expectation():
     streams = [RngStream(7), RngStream(8)]
     n = 50_000
-    total = sum(T.drop_path(Tensor(np.ones((2, 1))), 0.3, True, streams).data.sum()
+    total = sum(T.drop_path(Tensor(np.ones((2, 1))), 0.3, streams).data.sum()
                 for _ in range(n))
     assert abs(total / (2 * n) - 1.0) < 0.02
 
 
 def test_drop_path_outputs_are_zero_or_rescaled():
     stream = RngStream(11)
-    seen = {float(T.drop_path(Tensor([[1.0]]), 0.25, True, [stream]).data[0, 0])
+    seen = {float(T.drop_path(Tensor([[1.0]]), 0.25, [stream]).data[0, 0])
             for _ in range(200)}
     assert seen == {0.0, 1.0 / 0.75}
 
@@ -535,7 +548,7 @@ def test_drop_path_mask_is_per_item_in_stream_order(rng):
     x = rng.normal(size=(4, 3, 2))
     streams = [RngStream(s) for s in range(4)]
     twins = [RngStream(s) for s in range(4)]
-    out = T.drop_path(Tensor(x), 0.5, True, streams).data
+    out = T.drop_path(Tensor(x), 0.5, streams).data
     for i, twin in enumerate(twins):
         want = x[i] / 0.5 if twin.bernoulli(0.5) else np.zeros_like(x[i])
         np.testing.assert_array_equal(out[i], want)
@@ -548,7 +561,7 @@ def test_grad_batched_drop_path(seed):
 
     def f(t):
         streams = [RngStream(seed * 10 + i) for i in range(4)]   # same mask each call
-        return T.sum_all(T.mul(T.drop_path(t, 0.4, True, streams), Tensor(proj)))
+        return T.sum_all(T.mul(T.drop_path(t, 0.4, streams), Tensor(proj)))
 
     assert grad_check(f, Tensor(r.normal(size=(4, 2, 3)))) < GRAD_TOL
 
