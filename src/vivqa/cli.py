@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig
+from .config import RunConfig, read_config_file
 from .data import load_jsonl, make_synthetic, save_jsonl, corpus_stats, split_train_test
 from .errors import ConfigError, DataError, FormatError, VivqaError
 from .harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
@@ -18,13 +18,7 @@ from .train import evaluate_model, run_training
 
 
 def _load_config(args, **overrides) -> RunConfig:
-    obj = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+    obj = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in ("seed", "preset", "data", "out"):
         value = getattr(args, key, None)
         if value is not None:

@@ -91,18 +91,21 @@ class RunConfig:
         dims = preset_dims(self.preset)
         if self.l_max is None:
             self.l_max = dims.default_l_max
+        self.adam_betas = tuple(self.adam_betas)
         for name, ok, want in (
                 ("heads", self.heads >= 1, ">= 1"), ("layers", self.layers >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
                 ("l_max", self.l_max >= 1, ">= 1"), ("lr", self.lr > 0, "> 0"),
                 ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
                 ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
-                ("drop_path", 0 <= self.drop_path < 1, "in [0, 1)")):
+                ("drop_path", 0 <= self.drop_path < 1, "in [0, 1)"),
+                ("adam_betas", len(self.adam_betas) == 2 and all(
+                    isinstance(b, Real) and 0 <= b < 1 for b in self.adam_betas),
+                 "two numbers in [0, 1)")):
             if not ok:
                 raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
         if dims.hidden % self.heads != 0:
             raise ConfigError(f"heads {self.heads} does not divide hidden {dims.hidden}")
-        self.adam_betas = tuple(self.adam_betas)
 
     @property
     def dims(self) -> PresetDims:
@@ -124,9 +127,16 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_config_file(path))
+
+
+def read_config_file(path) -> dict:
+    """The JSON object a config file holds; anything else is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj

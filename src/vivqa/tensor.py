@@ -85,9 +85,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -574,8 +571,10 @@ def backward(loss: Tensor) -> None:
                 grads[id(p)] = pg if acc is None else acc + pg
             node._backward_fn = None
             node._parents = ()
+        elif node.grad is None:     # a leaf owns its grad buffer: `g` may be shared
+            node.grad = g.copy()
         else:
-            node.grad = g if node.grad is None else node.grad + g
+            node.grad += g
     loss._backward_done = True
 
 

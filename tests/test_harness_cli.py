@@ -175,6 +175,11 @@ def test_cli_exit_code_config_error(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("heads", 0), ("batch_size", 2.5), ("epochs", 1.5), ("early_stop_train_acc", "x"),
     ("layers", -1), ("split_ratio", 2.0), ("lr", -1), ("warmup_ratio", 1.5), ("l_max", 0),
+    pytest.param("adam_betas", [0.9], id="adam_betas-one"),
+    pytest.param("adam_betas", [0.9, 0.999, 0.5], id="adam_betas-three"),
+    pytest.param("adam_betas", [0.9, 1.0], id="adam_betas-one_is_1"),
+    pytest.param("adam_betas", [-0.1, 0.999], id="adam_betas-negative"),
+    pytest.param("adam_betas", [0.9, "x"], id="adam_betas-string"),
 ])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, write_corpus(tmp_path), **{field: value})
@@ -182,6 +187,18 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["[1]", "3", '"tiny"', "null"])
+def test_config_file_not_an_object_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "list.json"
+    path.write_text(content)
+    assert main(["train", "--config", str(path), "--data", write_corpus(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "JSON object" in err and "Traceback" not in err
+    with pytest.raises(ConfigError, match="JSON object"):
+        RunConfig.from_file(path)
 
 
 def test_cli_exit_code_data_error(tmp_path):

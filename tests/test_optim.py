@@ -94,11 +94,100 @@ def test_negative_lr_rejected():
 
 
 def test_zero_grad_clears():
+    """zero_grad zeroes the grad arena and binds every grad back to its view,
+    also one the caller rebound."""
     p = Tensor(np.zeros(2), requires_grad=True)
-    opt = AdamW({"w": p})
+    q = Tensor(np.zeros((2, 3)), requires_grad=True)
+    opt = AdamW({"w": p, "u": q})
+    opt.zero_grad()
+    q.grad += 1.0
     p.grad = np.ones(2)
     opt.zero_grad()
-    assert p.grad is None
+    assert np.array_equal(opt.grad, np.zeros(8))
+    for t in (p, q):
+        assert np.array_equal(t.grad, np.zeros(t.shape))
+        assert np.shares_memory(t.grad, opt.grad)
+        assert np.shares_memory(t.data, opt.data)
+
+
+# ---------------------------------------------------------------------------
+# The flat arena against the per-parameter update it replaced
+
+
+def per_parameter_adamw(params, grads, state, lr, betas, eps, wd, exempt):
+    """The per-parameter AdamW loop the arena replaced, verbatim in its order
+    of operations: the bitwise oracle for the chunked arena update."""
+    b1, b2 = betas
+    state["t"] += 1
+    bc1 = 1.0 - b1 ** state["t"]
+    bc2 = 1.0 - b2 ** state["t"]
+    for name, p in params.items():
+        g = grads[name]
+        if g is None:
+            g = np.zeros_like(p)
+        m = state["m"].setdefault(name, np.zeros_like(p))
+        v = state["v"].setdefault(name, np.zeros_like(p))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p -= lr * update
+        if wd != 0.0 and name not in exempt:
+            p -= lr * wd * p
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 14])
+def test_arena_matches_per_parameter_update_bitwise(monkeypatch, chunk):
+    """Mixed shapes, exempt and decayed names interleaved in dict order, one
+    parameter left without a gradient, one whose gradient the caller binds
+    to an array of its own; a small odd chunk makes parameters straddle
+    chunks, and the exempt ones sit behind the decay slice's end."""
+    monkeypatch.setattr("vivqa.optim._CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    shapes = {"a.weight": (3, 5), "a.bias": (5,), "b.gamma": (4,), "b.weight": (2, 3, 4),
+              "c.beta": (1,), "c.weight": (9,), "d.bias": (2, 2), "e.weight": (13,)}
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    exempt = {name for name in shapes if name.endswith((".bias", ".gamma", ".beta"))}
+    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in init.items()}
+    opt = AdamW(params, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.05, exempt=exempt)
+    ref = {name: arr.copy() for name, arr in init.items()}
+    state = {"t": 0, "m": {}, "v": {}}
+    for step in range(25):
+        lr = 1e-2 * (1 + step % 3)
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads["c.weight"] = None
+        opt.zero_grad()
+        for name, p in params.items():
+            if name == "b.gamma":
+                p.grad = grads[name].copy()       # bound to the caller's array
+            elif grads[name] is None:
+                p.grad = None
+            else:
+                p.grad += grads[name]              # lands in the arena
+        opt.step(lr)
+        per_parameter_adamw(ref, grads, state, lr, (0.8, 0.95), 1e-6, 0.05, exempt)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, ref[name], err_msg=f"{name} at step {step}")
+    # the arena layout: decayed parameters first, each group in dict order
+    order = sorted(shapes, key=lambda name: name in exempt)
+    for arena, want in ((opt.data, ref), (opt.m, state["m"]), (opt.v, state["v"])):
+        np.testing.assert_array_equal(arena, np.concatenate([want[n].reshape(-1) for n in order]))
+    assert opt.n_decay == sum(ref[n].size for n in shapes if n not in exempt)
+
+
+def test_arena_views_stay_bound_through_backward():
+    """Backward adds a leaf's gradient into its arena view in place."""
+    from vivqa.tensor import backward, mul, sum_all
+
+    w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    opt = AdamW({"w": w})
+    opt.zero_grad()
+    view = w.grad
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    backward(sum_all(mul(w, Tensor(x))))
+    assert w.grad is view
+    np.testing.assert_array_equal(opt.grad, x.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

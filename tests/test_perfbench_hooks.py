@@ -6,8 +6,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from vivqa import tensor, train
 from vivqa.model import VivqaModel
+from vivqa.optim import AdamW
+from vivqa.tensor import Tensor
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
@@ -43,3 +47,15 @@ def test_benchmark_direct_calls_resolve():
     assert isinstance(tensor.backward_node_visits(), int)
     inspect.signature(train.train_model).bind("model", "split", "cfg")
     inspect.signature(train.predict_split).bind("model", "split")
+
+
+def test_benchmark_optimizer_hooks_bind():
+    """The probes wrap AdamW.zero_grad(opt) and AdamW.step(opt, lr), and the
+    tracer counts `optim.step.param_elems` as the sum of p.size over
+    opt.params.values(): that sum is the length of the optimizer's arena."""
+    inspect.signature(AdamW.zero_grad).bind("opt")
+    inspect.signature(AdamW.step).bind("opt", 1e-3)
+    params = {"w.weight": Tensor(np.ones((3, 4)), requires_grad=True),
+              "w.bias": Tensor(np.ones(4), requires_grad=True)}
+    opt = AdamW(params, exempt={"w.bias"})
+    assert sum(p.size for p in opt.params.values()) == len(opt.data) == len(opt.grad) == 16

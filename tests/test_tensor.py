@@ -598,6 +598,28 @@ def test_diamond_graph_accumulates_once_per_path(rng):
     np.testing.assert_allclose(x.grad, [24.0], atol=1e-12)
 
 
+def test_leaf_grads_accumulate_exactly_and_never_alias(rng):
+    """A leaf owns its gradient buffer: `add` hands the same upstream array to
+    both parents, and later backward calls add into the buffer in place."""
+    w1, w2 = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(2, 3)))
+    x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    backward(T.sum_all(T.mul(T.add(x, x), w1)))
+    np.testing.assert_array_equal(x.grad, w1.data + w1.data)
+
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    backward(T.sum_all(T.mul(T.add(a, b), w1)))
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, w1.data)
+    np.testing.assert_array_equal(b.grad, w1.data)
+    # a second backward without zeroing: a accumulates, b is left alone
+    buffer = a.grad
+    backward(T.sum_all(T.mul(a, w2)))
+    assert a.grad is buffer
+    np.testing.assert_array_equal(a.grad, w1.data + w2.data)
+    np.testing.assert_array_equal(b.grad, w1.data)
+
+
 def test_backward_node_visit_counter_increases(rng):
     before = T.backward_node_visits()
     x = Tensor(rng.normal(size=3), requires_grad=True)
