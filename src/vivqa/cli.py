@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .config import RunConfig, read_config_file
 from .data import load_jsonl, make_synthetic, save_jsonl, corpus_stats, split_train_test
@@ -27,12 +28,17 @@ def _load_config(args, **overrides) -> RunConfig:
     return RunConfig.from_dict(obj)
 
 
+def _load_corpus(path):
+    examples = load_jsonl(path)
+    if not examples:
+        raise DataError(f"{path}: empty corpus")
+    return examples
+
+
 def _splits_for(cfg: RunConfig):
     if cfg.data is None:
         raise ConfigError("--data (or config field 'data') is required")
-    examples = load_jsonl(cfg.data)
-    if not examples:
-        raise DataError(f"{cfg.data}: empty corpus")
+    examples = _load_corpus(cfg.data)
     if cfg.eval_data:
         return examples, load_jsonl(cfg.eval_data)
     return split_train_test(examples, cfg.split_ratio, cfg.split_seed)
@@ -46,12 +52,8 @@ def cmd_train(args) -> None:
 
 def cmd_eval(args) -> None:
     model, _ = load_checkpoint(args.ckpt)
-    corpus = load_jsonl(args.data)
-    if not corpus:
-        raise DataError(f"{args.data}: empty corpus")
-    rep, _ = evaluate_model(model, corpus, out_dir=args.out)
-    print(json.dumps({"accuracy": rep.accuracy, "precision": rep.precision,
-                      "recall": rep.recall, "f1": rep.f1, "n": rep.n}, indent=2))
+    rep, _ = evaluate_model(model, _load_corpus(args.data), out_dir=args.out)
+    print(json.dumps(asdict(rep), indent=2))
 
 
 def cmd_ablate(args) -> None:
@@ -62,8 +64,8 @@ def cmd_ablate(args) -> None:
         summary = {op: {"accuracy": r["accuracy"], "fused_dims": r["fused_dims"]}
                    for op, r in results.items()}
     elif args.what == "extractors":
-        seeds = list(range(args.seeds))
-        results = ablate_extractors(cfg, train_split, test_split, seeds, out_dir=cfg.out)
+        results = ablate_extractors(cfg, train_split, test_split, range(args.seeds),
+                                    out_dir=cfg.out)
         summary = {"mean": results["mean"], "t_tests": results["t_tests"]}
     else:
         results = ablate_freeze(cfg, train_split, test_split, out_dir=cfg.out)
@@ -89,7 +91,7 @@ def cmd_significance(args) -> None:
 
 
 def cmd_stats(args) -> None:
-    stats = corpus_stats(load_jsonl(args.data))
+    stats = corpus_stats(_load_corpus(args.data))
     print(f"No. Samples             {stats['count']}")
     print(f"Longest Question Length {stats['longest_question']}")
     print(f"Longest Answer Length   {stats['longest_answer']}")
@@ -110,9 +112,7 @@ def cmd_score(args) -> None:
     records = read_predictions(args.pred)
     if not records:
         raise DataError(f"{args.pred}: no prediction records")
-    rep = metrics_report(records)
-    print(json.dumps({"accuracy": rep.accuracy, "precision": rep.precision,
-                      "recall": rep.recall, "f1": rep.f1, "n": rep.n}, indent=2))
+    print(json.dumps(asdict(metrics_report(records)), indent=2))
 
 
 def build_parser() -> argparse.ArgumentParser:

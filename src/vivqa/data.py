@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DataError, ParseError
-from .metrics import canonicalize
+from .metrics import canonicalize, read_json_lines
 from .rng import RngStream
 from .vision import MID_GRAY, VisionDims
 
@@ -38,25 +38,15 @@ class Example:
 def load_jsonl(path) -> list[Example]:
     out: list[Example] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            missing = [k for k in ("id", "image", "question", "answer") if k not in obj]
-            if missing:
-                raise ParseError(f"{path}:{lineno}: missing fields {missing}")
-            ex = Example(id=str(obj["id"]), image=str(obj["image"]),
-                         question=str(obj["question"]), answer=str(obj["answer"]))
-            if not ex.answer:
-                raise ParseError(f"{path}:{lineno}: empty answer")
-            if ex.id in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
-            seen.add(ex.id)
-            out.append(ex)
+    keys = ("id", "image", "question", "answer")
+    for lineno, obj in read_json_lines(path, keys):
+        ex = Example(*(str(obj[k]) for k in keys))
+        if not ex.answer:
+            raise ParseError(f"{path}:{lineno}: empty answer")
+        if ex.id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {ex.id!r}")
+        seen.add(ex.id)
+        out.append(ex)
     return out
 
 
@@ -92,11 +82,6 @@ class AnswerVocab:
     def target_of(self, answer: str) -> int:
         """Class index, or OOV_TARGET for answers outside the training set."""
         return self.index.get(canonicalize(answer), OOV_TARGET)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for a in self.answers:
-                fh.write(a + "\n")
 
     @classmethod
     def from_examples(cls, examples) -> "AnswerVocab":

@@ -92,6 +92,9 @@ def ablate_extractors(cfg: RunConfig, train_split, test_split, seeds,
                       out_dir=None) -> dict:
     """Local-only / global-only / combined runs per seed, with Welch
     t-tests of combined against each single arm."""
+    seeds = list(seeds)
+    if len(seeds) < 2:
+        raise ConfigError("the extractor ablation needs at least 2 seeds")
     accs: dict[str, list[float]] = {mode: [] for mode, _ in EXTRACTOR_ARMS}
     store: dict = {}
     for seed in seeds:

@@ -4,15 +4,17 @@ Accuracy is exact string match after canonicalization; precision/recall/F1
 work on whitespace token sets per question and are averaged over questions.
 The significance test is Welch's unequal-variance t-test with a two-sided
 p-value from the regularized incomplete beta function (evaluated by Lentz's
-continued fraction, tolerance 1e-10).
+continued fraction, tolerance 1e-10).  The JSON Lines reader lives here
+too, so corpus loading in `data` (which imports this module) can share it.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import DataError, StatisticsError
+from .errors import DataError, ParseError, StatisticsError
 
 
 @dataclass(frozen=True)
@@ -45,23 +47,8 @@ def canonicalize(answer: str) -> str:
     return " ".join(answer.split()).casefold()
 
 
-def _tokens(answer: str, multiset: bool):
-    toks = canonicalize(answer).split()
-    return toks if multiset else set(toks)
-
-
-def _overlap(pred, gt, multiset: bool) -> int:
-    if not multiset:
-        return len(pred & gt)
-    gt_counts: dict[str, int] = {}
-    for t in gt:
-        gt_counts[t] = gt_counts.get(t, 0) + 1
-    hit = 0
-    for t in pred:
-        if gt_counts.get(t, 0) > 0:
-            gt_counts[t] -= 1
-            hit += 1
-    return hit
+def _tokens(answer: str) -> set[str]:
+    return set(canonicalize(answer).split())
 
 
 def _require_nonempty(records) -> list:
@@ -77,51 +64,71 @@ def accuracy(records) -> float:
     return hits / len(records)
 
 
-def _per_question_pr(r: PredictionRecord, multiset: bool) -> tuple[float, float]:
-    pred = _tokens(r.prediction, multiset)
-    gt = _tokens(r.ground_truth, multiset)
+def _per_question_pr(r: PredictionRecord) -> tuple[float, float]:
+    pred = _tokens(r.prediction)
+    gt = _tokens(r.ground_truth)
     if not gt:
         raise DataError(f"record {r.id!r} has empty ground truth after tokenization")
-    inter = _overlap(pred, gt, multiset)
+    inter = len(pred & gt)
     p = inter / len(pred) if pred else 0.0  # empty prediction -> precision 0
     rec = inter / len(gt)
     return p, rec
 
 
-def precision(records, multiset: bool = False) -> float:
+def precision(records) -> float:
     records = _require_nonempty(records)
-    return sum(_per_question_pr(r, multiset)[0] for r in records) / len(records)
+    return sum(_per_question_pr(r)[0] for r in records) / len(records)
 
 
-def recall(records, multiset: bool = False) -> float:
+def recall(records) -> float:
     records = _require_nonempty(records)
-    return sum(_per_question_pr(r, multiset)[1] for r in records) / len(records)
+    return sum(_per_question_pr(r)[1] for r in records) / len(records)
 
 
-def f1(records, multiset: bool = False) -> float:
+def f1(records) -> float:
     records = _require_nonempty(records)
     total = 0.0
     for r in records:
-        p, rec = _per_question_pr(r, multiset)
+        p, rec = _per_question_pr(r)
         if p == 0.0 and rec == 0.0:
             continue
         total += 2.0 * p * rec / (p + rec)
     return total / len(records)
 
 
-def report(records, multiset: bool = False) -> MetricsReport:
+def report(records) -> MetricsReport:
     records = _require_nonempty(records)
     return MetricsReport(
         accuracy=accuracy(records),
-        precision=precision(records, multiset),
-        recall=recall(records, multiset),
-        f1=f1(records, multiset),
+        precision=precision(records),
+        recall=recall(records),
+        f1=f1(records),
         n=len(records),
     )
 
 
 # ---------------------------------------------------------------------------
-# Prediction-file round trip (JSON Lines, UTF-8)
+# JSON Lines (UTF-8): the one line reader behind corpus and prediction files
+
+
+def read_json_lines(path, required) -> Iterator[tuple[int, dict]]:
+    """(line number, object) per non-blank line.  A line that is not a JSON
+    object holding every `required` key is a ParseError naming the line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object, "
+                                 f"got {type(obj).__name__}")
+            missing = [k for k in required if k not in obj]
+            if missing:
+                raise ParseError(f"{path}:{lineno}: missing fields {missing}")
+            yield lineno, obj
 
 
 def write_predictions(path, records) -> None:
@@ -133,21 +140,9 @@ def write_predictions(path, records) -> None:
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(PredictionRecord(
-                    id=str(obj["id"]),
-                    prediction=str(obj["prediction"]),
-                    ground_truth=str(obj["ground_truth"]),
-                ))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"bad prediction record at line {lineno}: {exc}") from exc
-    return out
+    keys = ("id", "prediction", "ground_truth")
+    return [PredictionRecord(*(str(obj[k]) for k in keys))
+            for _, obj in read_json_lines(path, keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +208,7 @@ def student_t_sf2(t: float, df: float) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
 
-def welch_t_test(a, b, pooled: bool = False) -> TTestResult:
+def welch_t_test(a, b) -> TTestResult:
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     na, nb = len(a), len(b)
@@ -225,17 +220,10 @@ def welch_t_test(a, b, pooled: bool = False) -> TTestResult:
     vb = sum((v - mb) ** 2 for v in b) / (nb - 1)
     if va == 0.0 and vb == 0.0:
         raise StatisticsError("degenerate samples: both variances are zero")
-    if pooled:
-        df = float(na + nb - 2)
-        sp2 = ((na - 1) * va + (nb - 1) * vb) / df
-        se = math.sqrt(sp2 * (1.0 / na + 1.0 / nb))
-    else:
-        sea2 = va / na
-        seb2 = vb / nb
-        se = math.sqrt(sea2 + seb2)
-        df = (sea2 + seb2) ** 2 / (
-            sea2 ** 2 / (na - 1) + seb2 ** 2 / (nb - 1)
-        )
+    sea2 = va / na
+    seb2 = vb / nb
+    se = math.sqrt(sea2 + seb2)
+    df = (sea2 + seb2) ** 2 / (sea2 ** 2 / (na - 1) + seb2 ** 2 / (nb - 1))
     t = (ma - mb) / se
     p = student_t_sf2(t, df)
     return TTestResult(t=t, df=df, p=p, significant=p < 0.05)

@@ -45,6 +45,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, seq):
-        return seq[int(self._gen.integers(0, len(seq)))]

@@ -30,39 +30,21 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.id_of.get(token, UNK)
 
-    def token_of(self, idx: int) -> str:
-        if idx < len(RESERVED):
-            return RESERVED[idx]
-        return self.tokens[idx - len(RESERVED)]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])
-
-
-def build_vocab(corpus: list[str], min_count: int = 1) -> Vocabulary:
+def build_vocab(corpus: list[str]) -> Vocabulary:
     if not corpus:
         raise ValueError("build_vocab: empty corpus")
     counts: dict[str, int] = {}
     for q in corpus:
         for tok in q.split():
             counts[tok] = counts.get(tok, 0) + 1
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
+    return Vocabulary(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 @dataclass
 class TokenizedQuestion:
     ids: np.ndarray        # (l_max + 2,) int64, [CLS] w1..wL [SEP] then PAD
     mask: np.ndarray       # (l_max + 2,) 1.0 at the L+2 real positions
-    length: int            # L, content tokens after truncation
 
 
 def tokenize(question: str, vocab: Vocabulary, l_max: int) -> TokenizedQuestion:
@@ -74,12 +56,7 @@ def tokenize(question: str, vocab: Vocabulary, l_max: int) -> TokenizedQuestion:
     mask = np.zeros(total)
     mask[: len(ids)] = 1.0
     ids = ids + [PAD] * (total - len(ids))
-    return TokenizedQuestion(ids=np.asarray(ids, dtype=np.int64), mask=mask, length=len(words))
-
-
-def detokenize(tq: TokenizedQuestion, vocab: Vocabulary) -> str:
-    content = tq.ids[1 : 1 + tq.length]
-    return " ".join(vocab.token_of(int(i)) for i in content)
+    return TokenizedQuestion(ids=np.asarray(ids, dtype=np.int64), mask=mask)
 
 
 class TextEncoderParams:

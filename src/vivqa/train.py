@@ -24,8 +24,7 @@ from .classifier import predict
 from .config import RunConfig
 from .data import AnswerVocab, batch_iter
 from .errors import NumericalError
-from .metrics import MetricsReport, PredictionRecord, report as metrics_report, \
-    write_predictions
+from .metrics import PredictionRecord, report as metrics_report, write_predictions
 from .model import VivqaModel, ensure_out_dir, save_checkpoint
 from .optim import AdamW, ScheduleConfig, lr_at
 from .rng import RngStream
@@ -58,11 +57,6 @@ def build_model(cfg: RunConfig, train_split, store: dict | None = None) -> Vivqa
     vocab = build_vocab([ex.question for ex in train_split])
     answer_vocab = AnswerVocab.from_examples(train_split)
     return VivqaModel(cfg, vocab, answer_vocab, store)
-
-
-def _metrics_to_dict(m: MetricsReport) -> dict:
-    return {"accuracy": m.accuracy, "precision": m.precision, "recall": m.recall,
-            "f1": m.f1, "n": m.n}
 
 
 def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
@@ -145,11 +139,11 @@ def run_training(cfg: RunConfig, train_split, test_split,
     report = train_model(model, train_split, cfg)
 
     train_records = predict_split(model, train_split)
-    report.train_metrics = _metrics_to_dict(metrics_report(train_records))
+    report.train_metrics = asdict(metrics_report(train_records))
     test_records = None
     if test_split:
         test_records = predict_split(model, test_split)
-        report.test_metrics = _metrics_to_dict(metrics_report(test_records))
+        report.test_metrics = asdict(metrics_report(test_records))
 
     if cfg.out:
         out = ensure_out_dir(cfg.out)
@@ -175,5 +169,5 @@ def evaluate_model(model: VivqaModel, corpus, out_dir=None):
         ensure_out_dir(out_dir)
         write_predictions(os.path.join(out_dir, "predictions.jsonl"), records)
         with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(_metrics_to_dict(rep), fh, indent=2, sort_keys=True)
+            json.dump(asdict(rep), fh, indent=2, sort_keys=True)
     return rep, records

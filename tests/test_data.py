@@ -98,13 +98,6 @@ def test_answer_vocab_empty_rejected():
         AnswerVocab([])
 
 
-def test_answer_vocab_save(tmp_path):
-    v = AnswerVocab(["đỏ", "xanh", "đỏ"])
-    path = tmp_path / "answers.txt"
-    v.save(path)
-    assert path.read_text(encoding="utf-8").splitlines() == ["đỏ", "xanh"]
-
-
 # ---------------------------------------------------------------------------
 # Splits and folds
 

@@ -2,10 +2,13 @@
 sweep/significance plumbing, exit codes, and artifact round trips."""
 import dataclasses
 import json
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from vivqa.cli import main
+from vivqa.cli import build_parser, main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl
 from vivqa.errors import ConfigError
@@ -152,6 +155,14 @@ def test_cli_stats_fixture(tmp_path, capsys):
     assert "Average Answer Length   2.33" in out
 
 
+def test_cli_stats_empty_corpus_exits_3(tmp_path, capsys):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    assert main(["stats", "--data", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}: empty corpus\n"
+
+
 def test_cli_synth_writes_corpus(tmp_path):
     out = tmp_path / "synth"
     assert main(["synth", "--n", "8", "--global", "2", "--local", "2",
@@ -208,6 +219,25 @@ def test_cli_exit_code_data_error(tmp_path):
     assert main(["train", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("line", ["3", "null", "[1, 2]", '"id"'],
+                         ids=["number", "null", "list", "string"])
+@pytest.mark.parametrize("command", ["train", "stats", "score"])
+def test_cli_json_line_not_an_object_exits_3(tmp_path, capsys, command, line):
+    """Corpus files (train, stats) and prediction files (score) share one
+    line reader: valid JSON that is not an object is a data error."""
+    path = tmp_path / "lines.jsonl"
+    first = {"id": "a", "image": "synthetic:g=0,l=0", "question": "q", "answer": "x",
+             "prediction": "x", "ground_truth": "x"}
+    path.write_text(json.dumps(first) + "\n" + line + "\n")
+    argv = {"train": ["train", "--preset", "tiny", "--data", str(path)],
+            "stats": ["stats", "--data", str(path)],
+            "score": ["score", "--pred", str(path)]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:2: expected a JSON object")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("ref", [
     "synthetic:g=1",            # malformed: no local cue
     "synthetic:g=1,l=0,x=2",    # malformed: extra field
@@ -250,6 +280,20 @@ def test_cli_ablate_freeze(tmp_path, capsys):
     assert contract["frozen_bytes_unchanged"] is True
 
 
+@pytest.mark.parametrize("seeds", ["0", "1"])
+def test_cli_ablate_extractors_needs_two_seeds(tmp_path, capsys, monkeypatch, seeds):
+    """Welch's test needs two accuracies per arm: refuse before any arm trains."""
+    import vivqa.harness as harness_mod
+
+    calls = []
+    monkeypatch.setattr(harness_mod, "run_training", lambda *a, **k: calls.append(a))
+    cfg = write_config(tmp_path, write_corpus(tmp_path))
+    assert main(["ablate", "extractors", "--seeds", seeds, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "at least 2 seeds" in err
+    assert calls == []
+
+
 def test_cli_sweep(tmp_path, capsys):
     data = write_corpus(tmp_path)
     cfg = write_config(tmp_path, data)
@@ -264,3 +308,31 @@ def test_cli_unknown_config_field_rejected(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"preset": "tiny", "data": data, "learning_rate": 1}))
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Experiment recipes
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_experiment_configs_run_through_readme_commands():
+    """Each experiments/*.json is a valid RunConfig, and the README runs it
+    with one parseable `vivqa` line on corpora that its `vivqa synth` lines
+    write."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    commands = [shlex.split(line.split("#")[0])[1:]
+                for line in readme if line.startswith("vivqa ")]
+    parser = build_parser()
+    synth_dirs = {os.path.normpath(parser.parse_args(argv).out)
+                  for argv in commands if argv[0] == "synth"}
+    configs = sorted((ROOT / "experiments").glob("*.json"))
+    assert configs
+    for path in configs:
+        cfg = RunConfig.from_file(path)
+        name = f"experiments/{path.name}"
+        runs = [argv for argv in commands if name in argv]
+        assert len(runs) == 1, f"README has {len(runs)} commands for {name}"
+        assert parser.parse_args(runs[0]).config == name
+        for corpus in filter(None, (cfg.data, cfg.eval_data)):
+            assert os.path.dirname(corpus) in synth_dirs, (name, corpus)

@@ -76,10 +76,8 @@ def test_empty_record_list_rejected():
 
 def test_set_vs_multiset_semantics():
     r = rec("a a b", "a b")
-    # set semantics: pred {a,b}, overlap 2/2
+    # set semantics: pred {a,b}, overlap 2/2 (a multiset count would give 2/3)
     assert precision([r]) == 1.0
-    # multiset: pred [a,a,b] only one 'a' matches -> 2/3
-    assert precision([r], multiset=True) == pytest.approx(2.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +189,6 @@ def test_welch_matches_scipy(seed):
     want = sstats.ttest_ind(a, b, equal_var=False)
     assert got.t == pytest.approx(want.statistic, abs=1e-6)
     assert got.p == pytest.approx(want.pvalue, abs=1e-3)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_pooled_matches_scipy(seed):
-    r = np.random.default_rng(100 + seed)
-    a = r.normal(size=6)
-    b = r.normal(size=9)
-    got = welch_t_test(a, b, pooled=True)
-    want = sstats.ttest_ind(a, b, equal_var=True)
-    assert got.t == pytest.approx(want.statistic, abs=1e-6)
-    assert got.p == pytest.approx(want.pvalue, abs=1e-3)
-    assert got.df == len(a) + len(b) - 2
 
 
 def test_welch_antisymmetric():

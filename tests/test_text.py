@@ -1,4 +1,4 @@
-"""Text pipeline tests: vocabulary construction and persistence, tokenizer
+"""Text pipeline tests: vocabulary construction, tokenizer
 framing/truncation/padding, embedding encode, and the projection."""
 import numpy as np
 import pytest
@@ -9,16 +9,19 @@ from vivqa.rng import RngStream
 from vivqa.tensor import Tensor, backward, grad_check, mul, sum_all
 from vivqa.text import (
     CLS, PAD, RESERVED, SEP, UNK, ProjectionParams, TextEncoderParams,
-    Vocabulary, build_vocab, detokenize, encode, project, tokenize,
+    build_vocab, encode, project, tokenize,
 )
 
 
 def test_reserved_ids():
     assert (PAD, CLS, SEP, UNK) == (0, 1, 2, 3)
+    assert RESERVED == ["[PAD]", "[CLS]", "[SEP]", "[UNK]"]
     v = build_vocab(["xanh"])
-    assert v.token_of(0) == "[PAD]"
-    assert v.token_of(3) == "[UNK]"
+    assert len(v) == 5
     assert v.lookup("xanh") == 4
+    tq = tokenize("xanh tím", v, l_max=3)
+    assert tq.ids.tolist() == [CLS, 4, UNK, SEP, PAD]
+    assert tq.mask.tolist() == [1, 1, 1, 1, 0]
 
 
 def test_build_vocab_frequency_then_lexicographic():
@@ -29,24 +32,9 @@ def test_build_vocab_frequency_then_lexicographic():
     assert v.lookup("b") == 5
 
 
-def test_build_vocab_min_count():
-    v = build_vocab(["a a b"], min_count=2)
-    assert v.tokens == ["a"]
-    assert v.lookup("b") == UNK
-
-
 def test_build_vocab_empty_rejected():
     with pytest.raises(ValueError):
         build_vocab([])
-
-
-def test_vocab_save_load_round_trip(tmp_path):
-    v = build_vocab(["màu gì đây", "màu đỏ"])
-    path = tmp_path / "vocab.txt"
-    v.save(path)
-    back = Vocabulary.load(path)
-    assert back.tokens == v.tokens
-    assert back.id_of == v.id_of
 
 
 def test_tokenize_framing():
@@ -54,15 +42,13 @@ def test_tokenize_framing():
     tq = tokenize("con mèo", v, l_max=4)
     assert tq.ids.tolist() == [CLS, v.lookup("con"), v.lookup("mèo"), SEP, PAD, PAD]
     assert tq.mask.tolist() == [1, 1, 1, 1, 0, 0]
-    assert tq.length == 2
 
 
 def test_tokenize_truncates_to_l_max():
     v = build_vocab(["a b c d e"])
     tq = tokenize("a b c d e", v, l_max=3)
-    assert tq.length == 3
-    assert tq.ids.tolist()[:5] == [CLS, v.lookup("a"), v.lookup("b"), v.lookup("c"), SEP]
-    assert len(tq.ids) == 5
+    assert tq.ids.tolist() == [CLS, v.lookup("a"), v.lookup("b"), v.lookup("c"), SEP]
+    assert tq.mask.tolist() == [1, 1, 1, 1, 1]
 
 
 def test_tokenize_unknown_words_map_to_unk():
@@ -76,18 +62,12 @@ def test_tokenize_empty_question():
     v = build_vocab(["a"])
     tq = tokenize("", v, l_max=3)
     assert tq.ids.tolist() == [CLS, SEP, PAD, PAD, PAD]
-    assert tq.length == 0
+    assert tq.mask.tolist() == [1, 1, 0, 0, 0]
 
 
 def test_tokenize_rejects_bad_l_max():
     with pytest.raises(ValueError):
         tokenize("a", build_vocab(["a"]), l_max=0)
-
-
-def test_detokenize_round_trip():
-    v = build_vocab(["màu gì là đây"])
-    q = "màu gì đây"
-    assert detokenize(tokenize(q, v, 6), v) == q
 
 
 @given(st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12))
