@@ -40,7 +40,7 @@ def _splits_for(cfg: RunConfig):
         raise ConfigError("--data (or config field 'data') is required")
     examples = _load_corpus(cfg.data)
     if cfg.eval_data:
-        return examples, load_jsonl(cfg.eval_data)
+        return examples, _load_corpus(cfg.eval_data)
     return split_train_test(examples, cfg.split_ratio, cfg.split_seed)
 
 

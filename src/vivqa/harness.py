@@ -149,12 +149,12 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     }
     if out_dir:
         out = ensure_out_dir(out_dir)
-        header = ["Visual Extractor", "Freeze", "Accuracy", "Epoch", "Training Time (s)"]
+        header = ["Visual Extractor", "Freeze", "Accuracy", "Epoch", "Training Time (s)",
+                  "Trainable Params", "Backward Node Visits"]
         rows = [
-            ["stub extractors", "yes", f"{fr['accuracy']:.4f}", fr["epochs"],
-             f"{fr['training_seconds']:.1f}"],
-            ["stub extractors", "no", f"{uf['accuracy']:.4f}", uf["epochs"],
-             f"{uf['training_seconds']:.1f}"],
+            ["stub extractors", freeze, f"{r['accuracy']:.4f}", r["epochs"],
+             f"{r['training_seconds']:.1f}", r["trainable_params"], r["backward_node_visits"]]
+            for freeze, r in (("yes", fr), ("no", uf))
         ]
         _write_csv(os.path.join(out, "freeze_ablation.csv"), header, rows)
         _write_markdown(os.path.join(out, "freeze_ablation.md"), header, rows)

@@ -2,9 +2,9 @@
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
 stack, pooler and classifier; plus the parameter registry and checkpoints.
 
-Frozen extractor outputs are constants of the image: each image's global and
-adapted local tokens are computed once per feature store, a plain dict that
-the harness shares across the arms of an experiment.
+Frozen extractor outputs are constants of the image, kept in a feature store
+(a plain dict the harness shares across an experiment's arms): a minibatch
+extracts only the images the store lacks, and adapts them in one pass.
 """
 from __future__ import annotations
 
@@ -37,18 +37,33 @@ from .vvqf import read_feature_file
 CHECKPOINT_VERSION = 1
 
 
+class _Undrawn:
+    """Stands in for the init streams of a model whose checkpoint fills
+    every parameter: each draw is an uninitialised array of its shape."""
+
+    def split(self, label: str) -> "_Undrawn":
+        return self
+
+    def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
+        return np.empty(shape)
+
+
 class VivqaModel:
     def __init__(self, cfg: RunConfig, vocab: Vocabulary, answer_vocab: AnswerVocab,
-                 store: dict | None = None):
+                 store: dict | None = None, drawn: bool = True):
+        """With `drawn=False` no parameter is drawn from its init stream;
+        `load_checkpoint` then fills them all."""
         self.cfg = cfg
         self.vocab = vocab
         self.answer_vocab = answer_vocab
         dims = cfg.dims
         self.vision_dims = dims.vision
-        init_rng = RngStream(cfg.seed).split("model-init")
+        undrawn = None if drawn else _Undrawn()
+        init_rng = undrawn or RngStream(cfg.seed).split("model-init")
 
         self.extractor = StubExtractorParams(
-            dims.vision, seed=cfg.extractor_seed, trainable=not cfg.freeze_extractors)
+            dims.vision, seed=cfg.extractor_seed, trainable=not cfg.freeze_extractors,
+            rng=undrawn)
         self.text_params = TextEncoderParams(
             len(vocab), dims.text_width, cfg.l_max, init_rng.split("text"))
         self.projection = ProjectionParams(dims.text_width, dims.hidden,
@@ -120,29 +135,26 @@ class VivqaModel:
             pair.append(Tensor(t.data.astype(np.float64)))
         return tuple(pair)
 
-    def _token_pair(self, example: Example) -> tuple[Tensor, Tensor]:
-        """(global, adapted local) tokens, each (n_tokens, token_dim).  Unfrozen
-        extractors train, so their tokens are never stored."""
-        if not self.cfg.freeze_extractors:
-            g, l = self.visual_features(example)
-            return g, adapt_local(l, self.vision_dims)
-        key = (self.vision_dims, self.cfg.extractor_seed, example.id, example.image)
-        if key not in self.store:
-            g, l = self.visual_features(example)
-            self.store[key] = (g.data, adapt_local(l, self.vision_dims).data)
-        g, l = self.store[key]
-        return Tensor(g), Tensor(l)
-
     def vision_tokens(self, examples) -> Tensor:
-        """(B, k, hidden) vision tokens of B examples, fused once per batch."""
-        pairs = [self._token_pair(ex) for ex in examples]
-        mode = self.cfg.vision_mode
-        if mode == "global":
-            return stack([g for g, _ in pairs])
-        local = stack([l for _, l in pairs])
-        if mode == "local":
-            return local
-        return fuse(stack([g for g, _ in pairs]), local, self.cfg.fusion_op)
+        """(B, k, hidden) tokens of B examples, adapted and fused once per batch.
+        The store extracts and adapts only the distinct keys it lacks; tokens
+        of unfrozen extractors, which train, are never stored."""
+        if not self.cfg.freeze_extractors:
+            feats = [self.visual_features(ex) for ex in examples]
+            glob = stack([g for g, _ in feats])
+            local = adapt_local(stack([l for _, l in feats]), self.vision_dims)
+        else:
+            keys = [(self.vision_dims, self.cfg.extractor_seed, ex.id, ex.image) for ex in examples]
+            misses = {k: ex for k, ex in zip(keys, examples) if k not in self.store}
+            if misses:
+                feats = [self.visual_features(ex) for ex in misses.values()]
+                rows = adapt_local(Tensor(np.stack([l.data for _, l in feats])), self.vision_dims)
+                self.store.update(zip(misses, zip([g.data for g, _ in feats], rows.data)))
+            glob = Tensor(np.stack([self.store[k][0] for k in keys]))
+            local = Tensor(np.stack([self.store[k][1] for k in keys]))
+        if self.cfg.vision_mode != "both":
+            return glob if self.cfg.vision_mode == "global" else local
+        return fuse(glob, local, self.cfg.fusion_op)
 
     # -- forward ------------------------------------------------------------
 
@@ -195,7 +207,8 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 def load_checkpoint(path) -> tuple[VivqaModel, dict]:
     """(model, meta) from a checkpoint whose `param::` entries match the
-    rebuilt model's parameters exactly, by name and shape."""
+    rebuilt model's parameters exactly, by name and shape.  The model is
+    built undrawn, so its parameters hold only the checkpoint's arrays."""
     arrays = _read_npz(path)
     try:
         meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
@@ -210,7 +223,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint meta has no {exc} field") from exc
     model = VivqaModel(RunConfig.from_dict(config), Vocabulary(list(tokens)),
-                       AnswerVocab(list(answers), ranked=True))
+                       AnswerVocab(list(answers), ranked=True), drawn=False)
     params = {f"param::{name}": p for name, p in model.all_params().items()}
     mismatched = sorted(set(arrays) ^ set(params))
     if mismatched:

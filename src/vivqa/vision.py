@@ -20,6 +20,7 @@ weights record no gradient tape.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
-    Tensor, adaptive_avg_pool, add, concat, flatten, linear, mul, permute, reshape,
+    Tensor, adaptive_avg_pool, add, concat, linear, mul, permute, reshape,
 )
 
 FUSION_OPS = ("multiply", "add", "concatenate")
@@ -61,16 +62,13 @@ class StubExtractorParams:
     """Seeded projection weights for both stubs.  Never optimizer-registered
     unless explicitly unfrozen for the freeze ablation."""
 
-    def __init__(self, dims: VisionDims, seed: int, trainable: bool = False):
+    def __init__(self, dims: VisionDims, seed: int, trainable: bool = False,
+                 rng: RngStream | None = None):
+        """`rng` replaces the seed's stream for the four parameters only."""
         self.dims = dims
         self.seed = seed
-        rng = RngStream(seed).split("stub-extractors")
+        rng = RngStream(seed).split("stub-extractors") if rng is None else rng
         d = dims
-        # texture projector is fixed preprocessing even in the unfrozen arm
-        self.patch_proj = rng.split("patch-proj").normal(
-            (d.texture_dim, d.block * d.block * d.channels),
-            scale=1.0 / np.sqrt(d.block * d.block * d.channels),
-        )
         g = rng.split("global")
         self.global_weight = Tensor(
             g.normal((d.summary_dim, d.n_tokens * d.token_dim),
@@ -84,6 +82,16 @@ class StubExtractorParams:
             requires_grad=trainable)
         self.local_bias = Tensor(
             l.normal((d.local_channels,), scale=0.02), requires_grad=trainable)
+
+    @functools.cached_property
+    def patch_proj(self) -> np.ndarray:
+        """The texture projector: fixed preprocessing even in the unfrozen
+        arm, drawn from the seed when the global stub first needs it."""
+        d = self.dims
+        return RngStream(self.seed).split("stub-extractors").split("patch-proj").normal(
+            (d.texture_dim, d.block * d.block * d.channels),
+            scale=1.0 / np.sqrt(d.block * d.block * d.channels),
+        )
 
     def named_params(self) -> dict[str, Tensor]:
         return {
@@ -151,17 +159,18 @@ def extract_local_stub(img: np.ndarray, p: StubExtractorParams) -> Tensor:
 
 
 def adapt_local(v: Tensor, dims: VisionDims) -> Tensor:
-    """Local-to-global adapter: pool -> permute -> pool -> flatten.
+    """Local-to-global adapter over leading batch axes: pool -> permute -> pool -> flatten.
 
     At paper scale: 2560x7x7 -> 2560x1x32 -> 32x1x2560 -> 32x1x768 -> 32x768.
     """
     want = (dims.local_channels, dims.grid, dims.grid)
-    if v.shape != want:
-        raise ShapeError(f"adapt_local: input shape {v.shape} != expected {want}")
+    if v.shape[-3:] != want:
+        raise ShapeError(f"adapt_local: input shape {v.shape} does not end in {want}")
+    k = v.data.ndim - 3
     v = adaptive_avg_pool(v, (1, dims.n_tokens))
-    v = permute(v, (2, 1, 0))
+    v = permute(v, (*range(k), k + 2, k + 1, k))
     v = adaptive_avg_pool(v, (dims.token_dim,))
-    return flatten(v, keep_axis=0)
+    return reshape(v, v.shape[:k] + (dims.n_tokens, dims.token_dim))
 
 
 def fuse(g: Tensor, l_adapted: Tensor, op: str) -> Tensor:

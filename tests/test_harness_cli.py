@@ -1,5 +1,6 @@
 """Harness and CLI tests: ablation outputs and contracts on miniature runs,
 sweep/significance plumbing, exit codes, and artifact round trips."""
+import csv
 import dataclasses
 import json
 import os
@@ -73,8 +74,14 @@ def test_ablate_freeze_contract(tmp_path, splits):
     assert contract["fewer_trainable_params"]
     assert contract["fewer_backward_visits"]
     assert not results["unfrozen"]["extractor_bytes_unchanged"]
-    table = (tmp_path / "freeze_ablation.csv").read_text()
-    assert "Training Time (s)" in table
+    with open(tmp_path / "freeze_ablation.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-3:] == ["Training Time (s)", "Trainable Params", "Backward Node Visits"]
+    for row, arm in zip(rows, ("frozen", "unfrozen")):
+        assert row[-2:] == [str(results[arm]["trainable_params"]),
+                            str(results[arm]["backward_node_visits"])]
+    markdown = (tmp_path / "freeze_ablation.md").read_text()
+    assert "| Trainable Params | Backward Node Visits |" in markdown
 
 
 def test_sweep_axis(tmp_path, splits):
@@ -264,6 +271,24 @@ def test_cli_synth_too_many_cues_exits_4(tmp_path, capsys, cues):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (out / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [["train"], ["sweep", "--axis", "heads", "--values", "1"],
+                                  ["ablate", "freeze"]], ids=["train", "sweep", "ablate"])
+def test_cli_empty_eval_data_exits_3(tmp_path, capsys, argv):
+    """An empty eval corpus is a data error, not a run scored on train accuracy."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    cfg = write_config(tmp_path, write_corpus(tmp_path), eval_data=str(empty))
+    assert main(argv + ["--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == f"data error: {empty}: empty corpus\n"
+
+
+def test_cli_train_without_test_split_runs(tmp_path):
+    """split_ratio 1.0 leaves the test split empty on purpose (overfit)."""
+    cfg = write_config(tmp_path, write_corpus(tmp_path), split_ratio=1.0)
+    assert main(["train", "--config", cfg]) == 0
 
 
 def test_cli_exit_code_runtime_error(tmp_path):

@@ -120,6 +120,48 @@ def test_store_shared_across_extractor_seeds_matches_fresh_stores(corpus):
     assert len(store) == 2 * 4
 
 
+def test_vision_tokens_adapt_store_misses_once_per_batch(corpus, monkeypatch):
+    """A batch of store hits, misses and a repeated example extracts each
+    distinct missing image once, runs one adapter pass, and gives every
+    item the tokens it gets alone."""
+    import vivqa.model as model_mod
+
+    cfg = tiny_cfg(vision_mode="both", fusion_op="concatenate")
+    model = build_model(cfg, corpus)
+    model.vision_tokens(corpus[:3])
+    batch = [corpus[0], corpus[3], corpus[1], corpus[4], corpus[3]]
+    adapts, extracted = [], []
+    adapt, features = model_mod.adapt_local, model.visual_features
+
+    def counting_adapt(v, dims):
+        adapts.append(v.shape)
+        return adapt(v, dims)
+
+    def counting_features(ex):
+        extracted.append(ex.id)
+        return features(ex)
+
+    monkeypatch.setattr(model_mod, "adapt_local", counting_adapt)
+    monkeypatch.setattr(model, "visual_features", counting_features)
+    out = model.vision_tokens(batch).data
+    assert len(adapts) == 1 and adapts[0][0] == 2
+    assert sorted(extracted) == sorted([corpus[3].id, corpus[4].id])
+    monkeypatch.undo()
+    fresh = build_model(cfg, corpus)
+    alone = np.concatenate([fresh.vision_tokens([ex]).data for ex in batch])
+    np.testing.assert_array_equal(out, alone)
+
+
+def test_tiny_train_backward_node_visits():
+    """The benchmark's tiny-train run: 48 steps of a 2-layer model, one
+    graph per minibatch with its vision tokens served from the store."""
+    cfg = RunConfig(preset="tiny", layers=2, heads=2, batch_size=16, lr=1e-3,
+                    drop_path=0.1, epochs=6, seed=0)
+    corpus = make_synthetic(128, 4, 4, seed=0)
+    report = train_model(build_model(cfg, corpus), corpus, cfg)
+    assert report.backward_node_visits == 5712
+
+
 def test_train_model_feeds_every_split_position_once_per_epoch():
     """Two default-prefix corpora reuse ids for other images; every position
     of the split, not the first example seen per id, reaches the model."""
@@ -308,6 +350,26 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     a = predict_split(model, corpus)
     b = predict_split(model2, corpus)
     assert a == b
+
+
+def test_checkpoint_load_draws_no_init_values(tmp_path, corpus, monkeypatch):
+    """The checkpoint fills every parameter, so loading draws nothing from
+    the init streams, and the round trip stays bitwise."""
+    cfg = tiny_cfg(epochs=1)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from an init stream")
+
+    with monkeypatch.context() as m:
+        m.setattr(RngStream, "normal", refuse)
+        loaded, _ = load_checkpoint(path)
+    for name, p in model.all_params().items():
+        np.testing.assert_array_equal(p.data, loaded.all_params()[name].data)
+    assert predict_split(loaded, corpus) == predict_split(model, corpus)
 
 
 def test_checkpoint_version_guard(tmp_path, corpus):

@@ -198,6 +198,27 @@ def test_adapter_gradient(seed):
     assert grad_check(f, v) < 1e-4
 
 
+@pytest.mark.parametrize("dims,lead", [(TINY, (3,)), (TINY, (2, 3)), (PAPER, (8,))],
+                         ids=["tiny-batch", "tiny-two-axes", "paper-batch"])
+def test_adapter_batch_equals_per_item_calls(dims, lead):
+    """Leading batch axes change nothing but the loop: every item's tokens
+    are bitwise those of its own call."""
+    v = np.random.default_rng(2).normal(size=lead + (dims.local_channels, dims.grid, dims.grid))
+    out = adapt_local(Tensor(v), dims).data
+    assert out.shape == lead + (dims.n_tokens, dims.token_dim)
+    for idx in np.ndindex(*lead):
+        np.testing.assert_array_equal(out[idx], adapt_local(Tensor(v[idx]), dims).data)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adapter_batched_gradient(seed):
+    r = np.random.default_rng(seed)
+    proj = r.normal(size=(2, TINY.n_tokens, TINY.token_dim))
+    v = Tensor(r.normal(size=(2, TINY.local_channels, TINY.grid, TINY.grid)))
+    f = lambda x: sum_all(mul(adapt_local(x, TINY), Tensor(proj)))
+    assert grad_check(f, v) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # Fusion
 
