@@ -41,7 +41,7 @@ def _splits_for(cfg: RunConfig):
     examples = _load_corpus(cfg.data)
     if cfg.eval_data:
         return examples, _load_corpus(cfg.eval_data)
-    return split_train_test(examples, cfg.split_ratio, cfg.split_seed)
+    return split_train_test(examples, cfg.split_ratio)
 
 
 def cmd_train(args) -> None:
@@ -74,9 +74,13 @@ def cmd_ablate(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--values must be comma-separated integers, "
+                          f"got {args.values!r}") from None
     cfg = _load_config(args)
     train_split, test_split = _splits_for(cfg)
-    values = [int(v) for v in args.values.split(",")]
     curve = sweep(cfg, args.axis, values, train_split, test_split, out_dir=cfg.out)
     print(json.dumps(curve, indent=2))
 
@@ -101,7 +105,10 @@ def cmd_stats(args) -> None:
 
 def cmd_synth(args) -> None:
     import os
-    examples = make_synthetic(args.n, getattr(args, "global"), args.local, args.seed)
+    try:
+        examples = make_synthetic(args.n, getattr(args, "global"), args.local, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = ensure_out_dir(args.out)
     path = os.path.join(out, "corpus.jsonl")
     save_jsonl(path, examples)

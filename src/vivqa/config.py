@@ -19,6 +19,10 @@ from .vision import FUSION_OPS, VisionDims
 PRESETS = ("paper", "tiny")
 VISION_MODES = ("both", "global", "local")
 _FIELD_TYPES = dict(int=Integral, float=Real, bool=bool, str=str, tuple=(tuple, list))
+# Fields older config files and checkpoints carry, each at the one value
+# every run used; RunConfig.from_dict accepts them at that value and drops them.
+RETIRED_FIELDS = {"use_position_embeddings": True, "use_modality_type_embeddings": True,
+                  "cls_row": "first", "split_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,7 @@ class RunConfig:
     seed: int = 0
     extractor_seed: int = 777
     l_max: int | None = None
-    use_position_embeddings: bool = True
-    use_modality_type_embeddings: bool = True
-    cls_row: str = "first"
     split_ratio: float = 0.8
-    split_seed: int = 0
     early_stop_train_acc: float | None = None
     data: str | None = None
     eval_data: str | None = None
@@ -80,7 +80,9 @@ class RunConfig:
         for f in fields(self):
             kind, _, optional = f.type.partition(" | ")
             value = getattr(self, f.name)
-            if not (value is None and optional or isinstance(value, _FIELD_TYPES[kind])):
+            # bool is an Integral, but a JSON true is no layer count.
+            if not (value is None and optional or isinstance(value, _FIELD_TYPES[kind])
+                    and (kind == "bool" or not isinstance(value, bool))):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
@@ -96,11 +98,17 @@ class RunConfig:
                 ("heads", self.heads >= 1, ">= 1"), ("layers", self.layers >= 1, ">= 1"),
                 ("batch_size", self.batch_size >= 1, ">= 1"), ("epochs", self.epochs >= 0, ">= 0"),
                 ("l_max", self.l_max >= 1, ">= 1"), ("lr", self.lr > 0, "> 0"),
+                ("floor_lr", 0 <= self.floor_lr <= self.lr, "in [0, lr]"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("adam_eps", self.adam_eps > 0, "> 0"),
                 ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
                 ("split_ratio", 0 < self.split_ratio <= 1, "in (0, 1]"),
                 ("drop_path", 0 <= self.drop_path < 1, "in [0, 1)"),
+                ("early_stop_train_acc", self.early_stop_train_acc is None
+                 or 0 < self.early_stop_train_acc <= 1, "in (0, 1]"),
                 ("adam_betas", len(self.adam_betas) == 2 and all(
-                    isinstance(b, Real) and 0 <= b < 1 for b in self.adam_betas),
+                    isinstance(b, Real) and not isinstance(b, bool) and 0 <= b < 1
+                    for b in self.adam_betas),
                  "two numbers in [0, 1)")):
             if not ok:
                 raise ConfigError(f"{name} must be {want}, got {getattr(self, name)!r}")
@@ -116,8 +124,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        for name, value in RETIRED_FIELDS.items():
+            if name in obj and (type(obj[name]), obj[name]) != (type(value), value):
+                raise ConfigError(f"retired field {name} must be {value!r}, got {obj[name]!r}")
+        obj = {k: v for k, v in obj.items() if k not in RETIRED_FIELDS}
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:

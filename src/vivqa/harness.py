@@ -35,8 +35,10 @@ def _write_csv(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _write_markdown(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_table(out, stem, header, rows) -> None:
+    """One table as `<stem>.csv` and `<stem>.md` in `out`."""
+    _write_csv(os.path.join(out, f"{stem}.csv"), header, rows)
+    with open(os.path.join(out, f"{stem}.md"), "w", encoding="utf-8") as fh:
         fh.write("| " + " | ".join(header) + " |\n")
         fh.write("|" + "|".join("---" for _ in header) + "|\n")
         for row in rows:
@@ -72,8 +74,7 @@ def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
         header = ["Operation", "Fused dims", "Accuracy"]
         rows = [[r["label"], r["fused_dims"], f"{r['accuracy']:.4f}"]
                 for r in results.values()]
-        _write_csv(os.path.join(out, "fusion_ablation.csv"), header, rows)
-        _write_markdown(os.path.join(out, "fusion_ablation.md"), header, rows)
+        _write_table(out, "fusion_ablation", header, rows)
         _write_csv(os.path.join(out, "fusion_boxplot_data.csv"),
                    ["operation", "example_index", "feature_mean"],
                    [(op, i, m) for op, r in results.items()
@@ -116,8 +117,7 @@ def ablate_extractors(cfg: RunConfig, train_split, test_split, seeds,
             p = ("-" if mode == "both"
                  else f"{results['t_tests'][f'both_vs_{mode}']['p']:.4g}")
             rows.append([label, f"{results['mean'][mode]:.4f}", p])
-        _write_csv(os.path.join(out, "extractor_ablation.csv"), header, rows)
-        _write_markdown(os.path.join(out, "extractor_ablation.md"), header, rows)
+        _write_table(out, "extractor_ablation", header, rows)
         with open(os.path.join(out, "extractor_ablation.json"), "w") as fh:
             json.dump(results, fh, indent=2, sort_keys=True)
     return results
@@ -156,8 +156,7 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
              f"{r['training_seconds']:.1f}", r["trainable_params"], r["backward_node_visits"]]
             for freeze, r in (("yes", fr), ("no", uf))
         ]
-        _write_csv(os.path.join(out, "freeze_ablation.csv"), header, rows)
-        _write_markdown(os.path.join(out, "freeze_ablation.md"), header, rows)
+        _write_table(out, "freeze_ablation", header, rows)
     return results
 
 

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .data import AnswerVocab, Example, SyntheticSpec, example_noise_seed, render_synthetic
 from .errors import ConfigError, DataError, FormatError
 from .multiway import (
-    FusionConfig, FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
+    FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
 )
 from .rng import RngStream
 from .tensor import Tensor, stack
@@ -68,18 +68,12 @@ class VivqaModel:
             len(vocab), dims.text_width, cfg.l_max, init_rng.split("text"))
         self.projection = ProjectionParams(dims.text_width, dims.hidden,
                                            init_rng.split("proj"))
-        self.fusion_cfg = FusionConfig(
-            layers=cfg.layers, heads=cfg.heads, hidden=dims.hidden,
-            expert_ffn_width=dims.expert_ffn_width, drop_path_rate=cfg.drop_path,
-            use_position_embeddings=cfg.use_position_embeddings,
-            use_modality_type_embeddings=cfg.use_modality_type_embeddings,
-            cls_row=cfg.cls_row)
         k = dims.vision.n_tokens
         if cfg.vision_mode == "both":
             k = fused_token_count(cfg.fusion_op, k)
         self.vision_rows = k
         max_rows = k + cfg.l_max + 2
-        self.fusion = FusionStackParams(self.fusion_cfg, max_rows, init_rng.split("fusion"))
+        self.fusion = FusionStackParams(cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
         # (vision dims, extractor seed, example id, image ref) -> frozen
@@ -222,17 +216,24 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
     except KeyError as exc:
         raise FormatError(f"{path}: checkpoint meta has no {exc} field") from exc
-    model = VivqaModel(RunConfig.from_dict(config), Vocabulary(list(tokens)),
-                       AnswerVocab(list(answers), ranked=True), drawn=False)
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: checkpoint config is not an object")
+    for name, strings in (("vocab", tokens), ("answers", answers)):
+        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+            raise FormatError(f"{path}: checkpoint {name} is not a list of strings")
+    if not answers:
+        raise FormatError(f"{path}: checkpoint has no answers")
+    model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
+                       AnswerVocab(answers, ranked=True), drawn=False)
     params = {f"param::{name}": p for name, p in model.all_params().items()}
     mismatched = sorted(set(arrays) ^ set(params))
     if mismatched:
         kind = "unknown" if mismatched[0] in arrays else "missing"
         raise FormatError(f"{path}: {kind} checkpoint entry {mismatched[0]!r}")
     for key, p in params.items():
-        if arrays[key].shape != p.shape:
-            raise FormatError(f"{path}: {key!r} has shape {arrays[key].shape}, "
-                              f"the model expects {p.shape}")
+        if arrays[key].shape != p.shape or arrays[key].dtype != np.float64:
+            raise FormatError(f"{path}: {key!r} is {arrays[key].dtype} {arrays[key].shape}, "
+                              f"the model expects float64 {p.shape}")
         # A copy, not the array np.load returned: forwards over the latter
         # ran tiny-eval's predict steps about 15 % slower.
         p.data = np.array(arrays[key])

@@ -16,34 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .config import RunConfig
+from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
     MASK_VALUE, Tensor, add, concat, drop_path, embedding_lookup, gelu, layer_norm,
     linear, multi_head_attention, narrow, reshape, tanh,
 )
-
-
-@dataclass
-class FusionConfig:
-    layers: int = 6
-    heads: int = 6
-    hidden: int = 768
-    expert_ffn_width: int = 3072
-    drop_path_rate: float = 0.3
-    use_position_embeddings: bool = True
-    use_modality_type_embeddings: bool = True
-    cls_row: str = "first"    # "first" = row 0 (a visual token); "text" = row k ([CLS])
-
-    def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.cls_row not in ("first", "text"):
-            raise ConfigError(f"cls_row must be 'first' or 'text', got {self.cls_row!r}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
 
 
 @dataclass
@@ -73,9 +52,10 @@ class MultiwayBlockParams:
     """One block: shared Q/K/V/output projections, a vision-expert FFN and a
     language-expert FFN with disjoint weights, pre-norms for each path."""
 
-    def __init__(self, cfg: FusionConfig, rng: RngStream, prefix: str = "block"):
+    def __init__(self, cfg: RunConfig, rng: RngStream, prefix: str = "block"):
         self.cfg = cfg
-        h, w = cfg.hidden, cfg.expert_ffn_width
+        dims = cfg.dims
+        h, w = dims.hidden, dims.expert_ffn_width
         p: dict[str, Tensor] = {}
         _norm_params(h, f"{prefix}.attn_norm", p)
         for proj in ("q", "k", "v", "o"):
@@ -100,7 +80,7 @@ def _mask_bias(mask: np.ndarray) -> np.ndarray:
 
 
 def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
-                     cfg: FusionConfig, weights_sink: list | None = None) -> Tensor:
+                     cfg: RunConfig, weights_sink: list | None = None) -> Tensor:
     """Pre-norm multi-head self-attention over the whole fused sequence."""
     xn = layer_norm(x, p["attn_norm.gamma"], p["attn_norm.beta"])
     q = _linear(xn, p, "attn.q")
@@ -138,24 +118,21 @@ def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
 
 
 class FusionStackParams:
-    """All fusion-module parameters: per-block weights, optional learned
-    position and modality-type embeddings, and the pooler."""
+    """All fusion-module parameters: per-block weights, learned position and
+    modality-type embeddings, and the pooler."""
 
-    def __init__(self, cfg: FusionConfig, max_rows: int, rng: RngStream):
+    def __init__(self, cfg: RunConfig, max_rows: int, rng: RngStream):
         self.cfg = cfg
+        self.hidden = h = cfg.dims.hidden
         self.blocks = []
         for i in range(cfg.layers):
             self.blocks.append(
                 MultiwayBlockParams(cfg, rng.split(f"block{i}"), prefix=f"fusion.block{i}"))
-        extra: dict[str, Tensor] = {}
-        if cfg.use_position_embeddings:
-            extra["fusion.position"] = Tensor(
-                rng.split("pos").normal((max_rows, cfg.hidden), scale=0.02), requires_grad=True)
-        if cfg.use_modality_type_embeddings:
-            extra["fusion.type"] = Tensor(
-                rng.split("type").normal((2, cfg.hidden), scale=0.02), requires_grad=True)
-        _norm_params(cfg.hidden, "fusion.pooler_norm", extra)
-        _linear_params(rng.split("pooler"), cfg.hidden, cfg.hidden, "fusion.pooler", extra)
+        extra = {"fusion.position": rng.split("pos").normal((max_rows, h), scale=0.02),
+                 "fusion.type": rng.split("type").normal((2, h), scale=0.02)}
+        extra = {name: Tensor(v, requires_grad=True) for name, v in extra.items()}
+        _norm_params(h, "fusion.pooler_norm", extra)
+        _linear_params(rng.split("pooler"), h, h, "fusion.pooler", extra)
         self.extra = extra
 
     def named_params(self) -> dict[str, Tensor]:
@@ -170,30 +147,28 @@ def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
                       stack: FusionStackParams) -> FusedSequence:
     """(B, k, hidden) vision rows first, (B, L, hidden) text rows after,
     with the (B, L) text mask; add learned position and modality-type
-    embeddings when enabled."""
-    cfg = stack.cfg
+    embeddings."""
+    h = stack.hidden
     if v.data.ndim != 3 or q.data.ndim != 3 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"concat_modalities: batches {v.shape} / {q.shape}")
-    if v.shape[-1] != cfg.hidden or q.shape[-1] != cfg.hidden:
-        raise ShapeError(f"concat_modalities: widths {v.shape} / {q.shape} != {cfg.hidden}")
+    if v.shape[-1] != h or q.shape[-1] != h:
+        raise ShapeError(f"concat_modalities: widths {v.shape} / {q.shape} != {h}")
     batch, k = v.shape[:2]
     x = concat([v, q], axis=1)
     rows = x.shape[1]
-    if cfg.use_position_embeddings:
-        positions = np.broadcast_to(np.arange(rows), (batch, rows))
-        x = add(x, embedding_lookup(stack.extra["fusion.position"], positions))
-    if cfg.use_modality_type_embeddings:
-        types = np.broadcast_to(np.arange(rows) >= k, (batch, rows))
-        x = add(x, embedding_lookup(stack.extra["fusion.type"], types))
+    positions = np.broadcast_to(np.arange(rows), (batch, rows))
+    x = add(x, embedding_lookup(stack.extra["fusion.position"], positions))
+    types = np.broadcast_to(np.arange(rows) >= k, (batch, rows))
+    x = add(x, embedding_lookup(stack.extra["fusion.type"], types))
     mask = np.concatenate([np.ones((batch, k)), q_mask], axis=1)
     return FusedSequence(x=x, boundary=k, mask=mask)
 
 
-def block_drop_rates(cfg: FusionConfig) -> list[float]:
+def block_drop_rates(cfg: RunConfig) -> list[float]:
     """Linear stochastic-depth ramp from 0 to the configured rate."""
     if cfg.layers <= 1:
-        return [cfg.drop_path_rate] * cfg.layers
-    return [cfg.drop_path_rate * i / (cfg.layers - 1) for i in range(cfg.layers)]
+        return [cfg.drop_path] * cfg.layers
+    return [cfg.drop_path * i / (cfg.layers - 1) for i in range(cfg.layers)]
 
 
 def encode(f: FusedSequence, stack: FusionStackParams,
@@ -208,11 +183,9 @@ def encode(f: FusedSequence, stack: FusionStackParams,
 
 
 def pool_cls(f: FusedSequence, stack: FusionStackParams) -> Tensor:
-    """Classification vectors: each item's chosen row -> norm -> affine ->
-    tanh, (B, hidden)."""
-    cfg = stack.cfg
-    row_idx = 0 if cfg.cls_row == "first" else f.boundary
-    row = reshape(narrow(f.x, 1, row_idx, 1), (f.x.shape[0], cfg.hidden))
+    """Classification vectors: each item's row 0 (its first visual token) ->
+    norm -> affine -> tanh, (B, hidden)."""
+    row = reshape(narrow(f.x, 1, 0, 1), (f.x.shape[0], stack.hidden))
     row = layer_norm(row, stack.extra["fusion.pooler_norm.gamma"],
                      stack.extra["fusion.pooler_norm.beta"])
     row = linear(row, stack.extra["fusion.pooler.weight"], stack.extra["fusion.pooler.bias"])

@@ -198,6 +198,13 @@ def test_cli_exit_code_config_error(tmp_path):
     pytest.param("adam_betas", [0.9, 1.0], id="adam_betas-one_is_1"),
     pytest.param("adam_betas", [-0.1, 0.999], id="adam_betas-negative"),
     pytest.param("adam_betas", [0.9, "x"], id="adam_betas-string"),
+    pytest.param("adam_betas", [False, 0.999], id="adam_betas-bool"),
+    ("heads", 5), ("layers", True), ("drop_path", False), ("weight_decay", -0.01),
+    ("adam_eps", 0), ("floor_lr", -1e-6), ("floor_lr", 0.01),
+    ("early_stop_train_acc", 0), ("early_stop_train_acc", 1.5),
+    # retired fields, accepted only at the one value every run used
+    ("cls_row", "text"), ("use_position_embeddings", False),
+    ("use_modality_type_embeddings", False), ("split_seed", 3),
 ])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, write_corpus(tmp_path), **{field: value})
@@ -262,15 +269,28 @@ def test_cli_bad_synthetic_ref_exits_3(tmp_path, capsys, ref):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("cues", [("16", "2"), ("2", "60")])
-def test_cli_synth_too_many_cues_exits_4(tmp_path, capsys, cues):
-    """15 Walsh textures and the 7x7 block grid bound the cue counts."""
-    out = tmp_path / "synth"
-    assert main(["synth", "--n", "8", "--global", cues[0], "--local", cues[1],
-                 "--out", str(out)]) == 4
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["synth", "--n", "0", "--global", "2", "--local", "2"], "n must be",
+                 id="synth-n-0"),
+    pytest.param(["synth", "--n", "8", "--global", "1", "--local", "2"], "cue counts",
+                 id="synth-global-1"),
+    # 15 Walsh textures and the 7x7 block grid bound the cue counts.
+    pytest.param(["synth", "--n", "8", "--global", "16", "--local", "2"], "global",
+                 id="synth-global-16"),
+    pytest.param(["synth", "--n", "8", "--global", "2", "--local", "50"], "local",
+                 id="synth-local-50"),
+    pytest.param(["sweep", "--axis", "heads", "--values", "2,x"], "--values",
+                 id="sweep-values"),
+])
+def test_cli_bad_value_exits_2(tmp_path, capsys, argv, named):
+    if argv[0] == "sweep":      # a real corpus, so that only --values is wrong
+        argv = argv + ["--data", write_corpus(tmp_path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "corpus.jsonl").exists()
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["train"], ["sweep", "--axis", "heads", "--values", "1"],

@@ -303,7 +303,9 @@ def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
 
 
 def test_early_stop(corpus):
-    cfg = tiny_cfg(epochs=50, early_stop_train_acc=0.0)
+    """The first epoch gets some train examples right (0.01 is under one of
+    its 24), so the run stops after it."""
+    cfg = tiny_cfg(epochs=50, early_stop_train_acc=0.01)
     model = build_model(cfg, corpus)
     rep = train_model(model, corpus, cfg)
     assert rep.epochs_run == 1
@@ -423,8 +425,36 @@ def _not_npz(path, arrays):
     path.write_bytes(b"not a checkpoint\n")
 
 
-@pytest.mark.parametrize("corrupt", [_unknown_param, _missing_param, _misshapen_param,
-                                     _no_meta, _truncated, _not_npz])
+def _int64_param(path, arrays):
+    arrays["param::text.embedding"] = arrays["param::text.embedding"].astype(np.int64)
+    _rewrite(path, arrays)
+
+
+def _meta(arrays):
+    return json.loads(arrays["meta"].tobytes().decode())
+
+
+def _config_number(path, arrays):
+    _rewrite(path, arrays, dict(_meta(arrays), config=3))
+
+
+def _vocab_number(path, arrays):
+    _rewrite(path, arrays, dict(_meta(arrays), vocab=3))
+
+
+def _answers_not_strings(path, arrays):
+    """As many answers as the classifier has classes, the last a number."""
+    meta = _meta(arrays)
+    _rewrite(path, arrays, dict(meta, answers=meta["answers"][:-1] + [1]))
+
+
+def _answers_empty(path, arrays):
+    _rewrite(path, arrays, dict(_meta(arrays), answers=[]))
+
+
+@pytest.mark.parametrize("corrupt", [
+    _unknown_param, _missing_param, _misshapen_param, _no_meta, _truncated, _not_npz,
+    _int64_param, _config_number, _vocab_number, _answers_not_strings, _answers_empty])
 def test_malformed_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus, corrupt,
                                                                 capsys):
     path = tmp_path / "ckpt.npz"
@@ -441,9 +471,14 @@ def test_malformed_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus,
     assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+RETIRED_AT_THEIR_VALUE = dict(use_position_embeddings=True, use_modality_type_embeddings=True,
+                              cls_row="first", split_seed=0)
+
+
 def test_checkpoint_in_previous_layout_loads(tmp_path, corpus):
-    """Files that still carry `n_local_cues` and a null `opt_t` in their meta
-    load and predict exactly like a fresh save."""
+    """Files that still carry `n_local_cues` and a null `opt_t` in their meta,
+    and the retired config fields at their one value, load and predict
+    exactly like a fresh save."""
     cfg = tiny_cfg(epochs=1)
     model = build_model(cfg, corpus)
     train_model(model, corpus, cfg)
@@ -452,13 +487,31 @@ def test_checkpoint_in_previous_layout_loads(tmp_path, corpus):
     with np.load(fresh) as z:
         arrays = dict(z)
     meta = json.loads(arrays["meta"].tobytes().decode())
-    _rewrite(old, arrays, dict(meta, n_local_cues=2, opt_t=None))
+    _rewrite(old, arrays, dict(meta, n_local_cues=2, opt_t=None,
+                               config=dict(meta["config"], **RETIRED_AT_THEIR_VALUE)))
     a, _ = load_checkpoint(fresh)
     b, b_meta = load_checkpoint(old)
     assert b_meta["n_local_cues"] == 2
     with T.no_grad():
         np.testing.assert_array_equal(a.forward(corpus).data, b.forward(corpus).data)
     assert predict_split(a, corpus) == predict_split(b, corpus)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cls_row", "text"), ("use_position_embeddings", False),
+    ("use_modality_type_embeddings", False), ("split_seed", 3)])
+def test_checkpoint_with_retired_field_value_exits_2(tmp_path, corpus, capsys, field, value):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
+    with np.load(path) as z:
+        arrays = dict(z)
+    meta = _meta(arrays)
+    _rewrite(path, arrays, dict(meta, config=dict(meta["config"], **{field: value})))
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, corpus)
+    assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and field in err
 
 
 def test_backward_visits_fewer_when_frozen(corpus):

@@ -1,13 +1,14 @@
-"""Multiway fusion stack tests: configuration guards, shape preservation,
-expert routing, masking, embeddings, drop-path ramp, pooling, and a
-composed gradient check of one block.  Sequences carry a leading batch
-axis: (B, rows, hidden) with a (B, rows) mask."""
+"""Multiway fusion stack tests on the tiny preset (hidden 24, expert width
+96): shape preservation, expert routing, masking, embeddings, drop-path
+ramp, pooling, and a composed gradient check of one block.  Sequences carry
+a leading batch axis: (B, rows, hidden) with a (B, rows) mask."""
 import numpy as np
 import pytest
 
-from vivqa.errors import ConfigError, ShapeError
+from vivqa.config import RunConfig
+from vivqa.errors import ShapeError
 from vivqa.multiway import (
-    FusedSequence, FusionConfig, FusionStackParams, MultiwayBlockParams,
+    FusedSequence, FusionStackParams, MultiwayBlockParams,
     block_drop_rates, concat_modalities, encode, expert_sublayer, multiway_block,
     pool_cls, shared_attention,
 )
@@ -15,29 +16,20 @@ from vivqa.rng import RngStream
 from vivqa.tensor import Tensor, backward, grad_check, mul, sum_all
 
 
+H = 24   # the tiny preset's hidden width
+
+
 def small_cfg(**kw):
-    base = dict(layers=2, heads=2, hidden=8, expert_ffn_width=16,
-                drop_path_rate=0.0)
-    base.update(kw)
-    return FusionConfig(**base)
+    return RunConfig(**dict(dict(preset="tiny", layers=2, heads=2, drop_path=0.0), **kw))
 
 
-def make_seq(cfg, k=3, t=4, seed=0, masked=(), batch=2):
+def make_seq(k=3, t=4, seed=0, masked=(), batch=2):
     r = np.random.default_rng(seed)
-    x = Tensor(r.normal(size=(batch, k + t, cfg.hidden)))
+    x = Tensor(r.normal(size=(batch, k + t, H)))
     mask = np.ones((batch, k + t))
     for i in masked:
         mask[:, i] = 0.0
     return FusedSequence(x=x, boundary=k, mask=mask)
-
-
-def test_config_guards():
-    with pytest.raises(ConfigError):
-        FusionConfig(layers=2, heads=3, hidden=8, expert_ffn_width=16)
-    with pytest.raises(ConfigError):
-        FusionConfig(layers=2, heads=2, hidden=8, expert_ffn_width=16,
-                     cls_row="middle")
-    assert small_cfg().head_dim == 4
 
 
 def test_fused_sequence_boundary_guard():
@@ -50,7 +42,7 @@ def test_fused_sequence_boundary_guard():
 def test_block_preserves_shape():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(0))
-    f = make_seq(cfg)
+    f = make_seq()
     out = multiway_block(f, p, drop_rate=0.0)
     assert out.x.shape == f.x.shape
     assert out.boundary == f.boundary
@@ -61,7 +53,7 @@ def test_expert_routing_disjoint():
     expert sublayer output, and symmetrically for the language expert."""
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(1))
-    f = make_seq(cfg, k=3, t=4)
+    f = make_seq(k=3, t=4)
     base = expert_sublayer(f.x, f.boundary, p).data.copy()
 
     saved = p["vision.fc2.weight"].data.copy()
@@ -84,9 +76,9 @@ def test_attention_is_shared_across_modalities():
     must not change shared_attention output."""
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(2))
-    f = make_seq(cfg, k=3, t=4)
+    f = make_seq(k=3, t=4)
     a = shared_attention(f.x, f.mask, p, cfg).data
-    g = make_seq(cfg, k=3, t=4)  # same seed data, boundary irrelevant to attention
+    g = make_seq(k=3, t=4)  # same seed data, boundary irrelevant to attention
     b = shared_attention(g.x, g.mask, p, cfg).data
     np.testing.assert_array_equal(a, b)
 
@@ -94,7 +86,7 @@ def test_attention_is_shared_across_modalities():
 def test_masked_positions_have_zero_attention_weight():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(3))
-    f = make_seq(cfg, k=3, t=4, masked=(5, 6))
+    f = make_seq(k=3, t=4, masked=(5, 6))
     f.mask[1, 4] = 0.0                      # item 1 has one more padded key
     sink = []
     shared_attention(f.x, f.mask, p, cfg, weights_sink=sink)
@@ -110,7 +102,7 @@ def test_masked_key_value_cannot_leak():
     output unchanged."""
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(4))
-    f = make_seq(cfg, k=3, t=4, masked=(6,))
+    f = make_seq(k=3, t=4, masked=(6,))
     base = shared_attention(f.x, f.mask, p, cfg).data
     x2 = f.x.data.copy()
     x2[:, 6] += 3.0
@@ -119,11 +111,11 @@ def test_masked_key_value_cannot_leak():
 
 
 def test_permutation_equivariance_within_modality():
-    """With position/type embeddings off and a full mask, permuting vision
-    rows permutes the block output the same way."""
+    """A block adds no position information: with a full mask, permuting
+    vision rows permutes the block output the same way."""
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(5))
-    f = make_seq(cfg, k=4, t=3, seed=7)
+    f = make_seq(k=4, t=3, seed=7)
     out = multiway_block(f, p, 0.0).x.data
     perm = [2, 0, 3, 1]
     x2 = f.x.data.copy()
@@ -134,18 +126,21 @@ def test_permutation_equivariance_within_modality():
 
 
 def test_drop_rates_linear_ramp():
-    cfg = small_cfg(layers=4, drop_path_rate=0.3)
+    cfg = small_cfg(layers=4, drop_path=0.3)
     np.testing.assert_allclose(block_drop_rates(cfg), [0.0, 0.1, 0.2, 0.3],
                                atol=1e-12)
-    assert block_drop_rates(small_cfg(layers=1, drop_path_rate=0.3)) == [0.3]
+    assert block_drop_rates(small_cfg(layers=1, drop_path=0.3)) == [0.3]
 
 
 def test_concat_modalities_layout():
-    cfg = small_cfg(use_position_embeddings=False, use_modality_type_embeddings=False)
-    stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(0))
+    """With both embedding tables zeroed, the sequence is the vision rows
+    followed by the text rows."""
+    stack = FusionStackParams(small_cfg(), max_rows=10, rng=RngStream(0))
+    for name in ("fusion.position", "fusion.type"):
+        stack.extra[name].data[:] = 0.0
     r = np.random.default_rng(0)
-    v = Tensor(r.normal(size=(2, 3, 8)))
-    q = Tensor(r.normal(size=(2, 5, 8)))
+    v = Tensor(r.normal(size=(2, 3, H)))
+    q = Tensor(r.normal(size=(2, 5, H)))
     q_mask = np.array([[1.0, 1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0]])
     f = concat_modalities(v, q, q_mask, stack)
     assert f.boundary == 3
@@ -159,8 +154,8 @@ def test_concat_modalities_adds_position_and_type():
     cfg = small_cfg()
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(1))
     r = np.random.default_rng(1)
-    v = Tensor(r.normal(size=(2, 3, 8)))
-    q = Tensor(r.normal(size=(2, 4, 8)))
+    v = Tensor(r.normal(size=(2, 3, H)))
+    q = Tensor(r.normal(size=(2, 4, H)))
     f = concat_modalities(v, q, np.ones((2, 4)), stack)
     pos = stack.extra["fusion.position"].data
     typ = stack.extra["fusion.type"].data
@@ -174,47 +169,46 @@ def test_concat_modalities_rejects_wrong_width():
     cfg = small_cfg()
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(2))
     with pytest.raises(ShapeError):
-        concat_modalities(Tensor(np.zeros((1, 3, 9))), Tensor(np.zeros((1, 4, 8))),
+        concat_modalities(Tensor(np.zeros((1, 3, H + 1))), Tensor(np.zeros((1, 4, H))),
                           np.ones((1, 4)), stack)
     with pytest.raises(ShapeError):
-        concat_modalities(Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros((1, 4, 8))),
+        concat_modalities(Tensor(np.zeros((2, 3, H))), Tensor(np.zeros((1, 4, H))),
                           np.ones((1, 4)), stack)
 
 
 def test_encode_runs_all_layers_and_is_deterministic_in_eval():
     cfg = small_cfg(layers=3)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(3))
-    f = make_seq(cfg, k=3, t=4)
+    f = make_seq(k=3, t=4)
     a = encode(f, stack).x.data
-    b = encode(make_seq(cfg, k=3, t=4), stack).x.data
+    b = encode(make_seq(k=3, t=4), stack).x.data
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (2, 7, 8)
+    assert a.shape == (2, 7, H)
 
 
 def test_encode_training_drop_path_reproducible_per_seed():
-    cfg = small_cfg(layers=3, drop_path_rate=0.5)
+    cfg = small_cfg(layers=3, drop_path=0.5)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(4))
-    a = encode(make_seq(cfg), stack, rngs=[RngStream(9), RngStream(10)]).x.data
-    b = encode(make_seq(cfg), stack, rngs=[RngStream(9), RngStream(10)]).x.data
+    a = encode(make_seq(), stack, rngs=[RngStream(9), RngStream(10)]).x.data
+    b = encode(make_seq(), stack, rngs=[RngStream(9), RngStream(10)]).x.data
     np.testing.assert_array_equal(a, b)
 
 
 def test_pool_cls_rows():
-    cfg = small_cfg()
-    stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(5))
-    f = make_seq(cfg, k=3, t=4, seed=11)
-    out = pool_cls(f, stack)
-    assert out.shape == (2, cfg.hidden)
-    assert np.all(np.abs(out.data) < 1.0)  # tanh range
+    """The pooler reads row 0 only: perturbing every later row leaves its
+    output bitwise unchanged, and perturbing row 0 changes it."""
+    stack = FusionStackParams(small_cfg(), max_rows=10, rng=RngStream(5))
+    f = make_seq(k=3, t=4, seed=11)
+    out = pool_cls(f, stack).data
+    assert out.shape == (2, H)
+    assert np.all(np.abs(out) < 1.0)  # tanh range
 
-    cfg_t = small_cfg(cls_row="text")
-    stack_t = FusionStackParams(cfg_t, max_rows=10, rng=RngStream(5))
-    out_first = pool_cls(f, stack_t).data
-    # "text" pools the boundary row instead of row 0
     x2 = f.x.data.copy()
-    x2[:, 0] += 1.0  # perturb row 0: must not affect "text" pooling
-    out_pert = pool_cls(FusedSequence(Tensor(x2), 3, f.mask), stack_t).data
-    np.testing.assert_array_equal(out_first, out_pert)
+    x2[:, 1:] += np.linspace(-1.0, 1.0, H)   # not a uniform shift, which the norm removes
+    np.testing.assert_array_equal(pool_cls(FusedSequence(Tensor(x2), 3, f.mask), stack).data,
+                                  out)
+    x2[:, 0] += np.linspace(-1.0, 1.0, H)
+    assert np.abs(pool_cls(FusedSequence(Tensor(x2), 3, f.mask), stack).data - out).max() > 1e-6
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -223,20 +217,20 @@ def test_block_gradient_check(seed):
     p = MultiwayBlockParams(cfg, RngStream(100 + seed))
     r = np.random.default_rng(seed)
     mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
-    proj = r.normal(size=(2, 6, 8))
+    proj = r.normal(size=(2, 6, H))
 
     def f(x):
         seq = FusedSequence(x=x, boundary=3, mask=mask)
         out = multiway_block(seq, p, 0.0)
         return sum_all(mul(out.x, Tensor(proj)))
 
-    assert grad_check(f, Tensor(r.normal(size=(2, 6, 8)))) < 1e-4
+    assert grad_check(f, Tensor(r.normal(size=(2, 6, H)))) < 1e-4
 
 
 def test_block_param_gradients_flow():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(6))
-    f = make_seq(cfg)
+    f = make_seq()
     out = multiway_block(f, p, 0.0)
     backward(sum_all(out.x))
     for name, t in p.params.items():
