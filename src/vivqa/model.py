@@ -152,15 +152,18 @@ class VivqaModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, examples: list[Example], rngs: list[RngStream] | None = None) -> Tensor:
+    def forward(self, examples: list[Example], rngs: list[RngStream] | None = None,
+                weights_sink: list | None = None) -> Tensor:
         """B examples -> (B, C) logits.  Drop path runs only with `rngs`,
-        rngs[i] being item i's stream for its drop-path draws."""
+        rngs[i] being item i's stream for its drop-path draws.  The last block
+        computes only row 0, which `pool_cls` reads: `weights_sink` gets its
+        (B, heads, 1, rows) weights after each inner block's (B, heads, rows, rows)."""
         tokens = [tokenize(ex.question, self.vocab, self.cfg.l_max) for ex in examples]
         v = self.vision_tokens(examples)
         q = project(text_encode(np.stack([t.ids for t in tokens]), self.text_params),
                     self.projection)
         fused = concat_modalities(v, q, np.stack([t.mask for t in tokens]), self.fusion)
-        fused = fusion_encode(fused, self.fusion, rngs)
+        fused = fusion_encode(fused, self.fusion, rngs, keep=1, weights_sink=weights_sink)
         pooled = pool_cls(fused, self.fusion)
         return classify(pooled, self.classifier)
 

@@ -8,7 +8,8 @@ pre-norm residual:
     x <- x + drop_path(Expert_modality(norm_modality(x)))   # rows routed by k
 Expert routing slices axis 1 at the vision row count k, which is fixed per
 config.  Padded text keys get an additive mask of MASK_VALUE so their
-attention weight is exactly zero.
+attention weight is exactly zero.  The pooler reads row 0 only, so the model
+computes only row 0 in the last block once its keys and values are projected.
 """
 from __future__ import annotations
 
@@ -27,14 +28,14 @@ from .tensor import (
 
 @dataclass
 class FusedSequence:
-    x: Tensor                 # (B, k + l_max + 2, hidden)
+    x: Tensor                 # (B, rows, hidden), or the leading rows a last block kept
     boundary: int             # k: first text row
-    mask: np.ndarray          # (B, rows) 1.0 = real token, 0.0 = PAD
+    mask: np.ndarray          # (B, rows) 1.0 = real token, 0.0 = PAD; rows = k + l_max + 2
 
     def __post_init__(self):
-        if not 0 < self.boundary < self.x.shape[1]:
+        if not 0 < self.boundary < self.mask.shape[1]:
             raise ValueError(
-                f"boundary {self.boundary} outside sequence of {self.x.shape[1]} rows")
+                f"boundary {self.boundary} outside sequence of {self.mask.shape[1]} rows")
 
 
 def _linear_params(rng: RngStream, d_in: int, d_out: int, name: str, out: dict):
@@ -80,10 +81,12 @@ def _mask_bias(mask: np.ndarray) -> np.ndarray:
 
 
 def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
-                     cfg: RunConfig, weights_sink: list | None = None) -> Tensor:
-    """Pre-norm multi-head self-attention over the whole fused sequence."""
+                     cfg: RunConfig, weights_sink: list | None = None,
+                     keep: int | None = None) -> Tensor:
+    """Pre-norm multi-head self-attention over the whole fused sequence;
+    with `keep`, only the leading `keep` rows query, and only theirs return."""
     xn = layer_norm(x, p["attn_norm.gamma"], p["attn_norm.beta"])
-    q = _linear(xn, p, "attn.q")
+    q = _linear(xn if keep is None else narrow(xn, 1, 0, keep), p, "attn.q")
     k = _linear(xn, p, "attn.k")
     v = _linear(xn, p, "attn.v")
     merged = multi_head_attention(q, k, v, _mask_bias(mask), cfg.heads,
@@ -98,19 +101,27 @@ def _expert_ffn(x: Tensor, p: MultiwayBlockParams, expert: str) -> Tensor:
 
 def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams) -> Tensor:
     """Pre-residual expert output: rows [0,k) of every item through the
-    vision expert, rows [k,end) through the language expert."""
+    vision expert, rows [k,end) through the language expert, which does not
+    run when `x` holds vision rows only."""
     rows = x.shape[1]
+    if rows <= boundary:
+        return _expert_ffn(x, p, "vision")
     xv = narrow(x, 1, 0, boundary)
     xt = narrow(x, 1, boundary, rows - boundary)
     return concat([_expert_ffn(xv, p, "vision"), _expert_ffn(xt, p, "language")], axis=1)
 
 
 def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
-                   rngs: list[RngStream] | None = None) -> FusedSequence:
+                   rngs: list[RngStream] | None = None, keep: int | None = None,
+                   weights_sink: list | None = None) -> FusedSequence:
     """One block; with `rngs`, rngs[i] draws item i's drop-path keeps,
-    attention branch first, then the expert branch."""
+    attention branch first, then the expert branch.  With `keep`, past the
+    key/value projections only the leading `keep` rows are computed and
+    returned; `weights_sink` gets their (B, heads, keep, rows) weights."""
     x = f.x
-    attn = shared_attention(x, f.mask, p, p.cfg)
+    attn = shared_attention(x, f.mask, p, p.cfg, weights_sink, keep)
+    if keep is not None:
+        x = narrow(x, 1, 0, keep)
     x = add(x, drop_path(attn, drop_rate, rngs))
     experts = expert_sublayer(x, f.boundary, p)
     x = add(x, drop_path(experts, drop_rate, rngs))
@@ -172,13 +183,17 @@ def block_drop_rates(cfg: RunConfig) -> list[float]:
 
 
 def encode(f: FusedSequence, stack: FusionStackParams,
-           rngs: list[RngStream] | None = None) -> FusedSequence:
-    """All blocks.  Drop path runs only when `rngs` is given, one stream per
-    item; block i draws from each item's `layer<i>` child stream."""
+           rngs: list[RngStream] | None = None, keep: int | None = None,
+           weights_sink: list | None = None) -> FusedSequence:
+    """All blocks, the last computing only its leading `keep` rows (default
+    all), with one `weights_sink` array per block.  Drop path runs only when
+    `rngs` is given, one stream per item; a block with a rate above 0 draws
+    from each item's `layer<i>` child stream."""
     rates = block_drop_rates(stack.cfg)
+    last = len(stack.blocks) - 1
     for i, (bp, rate) in enumerate(zip(stack.blocks, rates)):
-        layer_rngs = [r.split(f"layer{i}") for r in rngs] if rngs is not None else None
-        f = multiway_block(f, bp, rate, layer_rngs)
+        layer_rngs = [r.split(f"layer{i}") for r in rngs] if rngs and rate > 0 else None
+        f = multiway_block(f, bp, rate, layer_rngs, keep if i == last else None, weights_sink)
     return f
 
 

@@ -404,15 +404,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
                          heads: int, weights_sink: list | None = None) -> Tensor:
     """Scaled dot-product attention over all heads and items in one node.
 
-    q, k, v are (B, rows, heads*head_dim); columns are laid out head-major,
-    so head h owns columns [h*head_dim, (h+1)*head_dim).  `key_bias` (B, rows)
-    is added to every score row of its item before the softmax; a large
+    q is (B, n, heads*head_dim) and k, v are (B, rows, heads*head_dim): n
+    query rows attend to all rows.  Columns are laid out head-major, so head
+    h owns columns [h*head_dim, (h+1)*head_dim).  `key_bias` (B, rows) is
+    added to every score row of its item before the softmax; a large
     negative bias drives a key's weight to exactly zero.  `weights_sink`,
-    when given, receives the (B, heads, rows, rows) attention-weight array.
+    when given, receives the (B, heads, n, rows) attention-weight array.
     """
-    if q.data.ndim != 3 or q.shape != k.shape or q.shape != v.shape:
+    if q.data.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
         raise ShapeError(f"multi_head_attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape}")
-    batch, rows, width = q.shape
+    batch, rows, width = k.shape
     if width % heads != 0:
         raise ShapeError(f"multi_head_attention: width {width} not divisible by {heads} heads")
     d = width // heads
@@ -422,16 +423,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
     inv_sqrt_d = 1.0 / np.sqrt(d)
 
     def split_heads(arr):
-        return arr.reshape(batch, rows, heads, d).transpose(0, 2, 1, 3)   # (B, H, S, d)
+        return arr.reshape(batch, -1, heads, d).transpose(0, 2, 1, 3)     # (B, H, S, d)
 
     def merge_heads(arr):
-        return arr.transpose(0, 2, 1, 3).reshape(batch, rows, width)
+        return arr.transpose(0, 2, 1, 3).reshape(batch, -1, width)
 
     qd, kd, vd = split_heads(q.data), split_heads(k.data), split_heads(v.data)
     scores = qd @ kd.transpose(0, 1, 3, 2) * inv_sqrt_d + bias[:, None, None, :]
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    w = e / e.sum(axis=-1, keepdims=True)                       # (B, H, S, S)
+    w = e / e.sum(axis=-1, keepdims=True)                       # (B, H, n, S)
     if weights_sink is not None:
         weights_sink.append(w.copy())
 

@@ -106,7 +106,8 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         for examples, targets in batch_iter(train_split, cfg.batch_size, model.answer_vocab,
                                             cfg.seed, epoch, is_train=True):
             optimizer.zero_grad()
-            rngs = [epoch_rng.split(f"item-{ex.id}") for ex in examples]
+            rngs = ([epoch_rng.split(f"item-{ex.id}") for ex in examples]
+                    if cfg.drop_path > 0 else None)
             logits = model.forward(examples, rngs)
             loss = T.cross_entropy(logits, targets)
             value = float(loss.data)

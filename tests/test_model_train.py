@@ -9,16 +9,23 @@ import os
 import numpy as np
 import pytest
 
+import vivqa.model as model_mod
+import vivqa.multiway as multiway_mod
 import vivqa.tensor as T
+from vivqa.classifier import classify
 from vivqa.cli import main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl, split_train_test
 from vivqa.errors import ConfigError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
+from vivqa.multiway import concat_modalities, encode, pool_cls
 from vivqa.optim import AdamW
 from vivqa.rng import RngStream
+from vivqa.tensor import Tensor
+from vivqa.text import encode as text_encode, project, tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
+from vivqa.vision import FUSION_OPS
 from vivqa.vvqf import write_feature_file
 
 
@@ -159,7 +166,153 @@ def test_tiny_train_backward_node_visits():
                     drop_path=0.1, epochs=6, seed=0)
     corpus = make_synthetic(128, 4, 4, seed=0)
     report = train_model(build_model(cfg, corpus), corpus, cfg)
-    assert report.backward_node_visits == 5712
+    # The last block computes row 0 alone: its language expert (4 ops and 6
+    # parameter leaves), routing narrows and concat are not on the graph.
+    assert report.backward_node_visits == 5184
+
+
+@pytest.mark.parametrize("drop_path", [0.0, 0.5])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("vision_mode, fusion_op", [
+    ("global", "concatenate"), ("local", "concatenate"),
+    *[("both", op) for op in FUSION_OPS]])
+def test_row0_forward_matches_all_rows_oracle(corpus, monkeypatch, vision_mode, fusion_op,
+                                              layers, drop_path):
+    """Logits and every parameter gradient equal those of pooling the last
+    block's full output, to 1e-12; the last block's language expert, which
+    the loss never reached, gets an exactly zero gradient in the oracle."""
+    cfg = tiny_cfg(layers=layers, drop_path=drop_path, vision_mode=vision_mode,
+                   fusion_op=fusion_op, freeze_extractors=False)
+    model = build_model(cfg, corpus)
+    batch = corpus[:5]
+    targets = [model.answer_vocab.index[ex.answer] for ex in batch]
+    params = model.trainable_params()
+
+    def logits_and_grads():
+        for p in params.values():
+            p.grad = None
+        logits = model.forward(batch, [RngStream(7).split(f"item-{ex.id}") for ex in batch])
+        T.backward(T.cross_entropy(logits, targets))
+        return logits.data, {name: np.zeros(p.shape) if p.grad is None else p.grad.copy()
+                             for name, p in params.items()}
+
+    logits, grads = logits_and_grads()
+    full = model_mod.fusion_encode          # the oracle: all rows, then pool row 0
+    monkeypatch.setattr(model_mod, "fusion_encode",
+                        lambda f, stack, rngs=None, keep=None, weights_sink=None:
+                        full(f, stack, rngs))
+    want_logits, want_grads = logits_and_grads()
+    np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12, err_msg=name)
+        if name.startswith(f"fusion.block{layers - 1}.language"):
+            assert not want.any(), name
+
+
+def test_last_block_language_expert_never_runs(corpus, monkeypatch):
+    """Only weight decay moves the last block's language expert: it is never
+    called and its arena gradient stays exactly 0."""
+    cfg = tiny_cfg(layers=2, drop_path=0.5)
+    model = build_model(cfg, corpus)
+    calls = []
+    ffn = multiway_mod._expert_ffn
+
+    def recording_ffn(x, p, expert):
+        calls.append((p.prefix, expert))
+        return ffn(x, p, expert)
+
+    monkeypatch.setattr(multiway_mod, "_expert_ffn", recording_ffn)
+    opt = AdamW(model.trainable_params(), exempt=model.decay_exempt_names())
+    lang = {name: p for name, p in model.fusion.blocks[-1].params.items() if ".language" in name}
+    assert len(lang) == 6
+    before = {name: p.data.copy() for name, p in lang.items()}
+    batch = corpus[:4]
+    opt.zero_grad()
+    logits = model.forward(batch, [RngStream(1).split(f"item-{ex.id}") for ex in batch])
+    T.backward(T.cross_entropy(logits, [model.answer_vocab.index[ex.answer] for ex in batch]))
+    opt.step(1e-3)
+    assert calls == [("fusion.block0", "vision"), ("fusion.block0", "language"),
+                     ("fusion.block1", "vision")]
+    for name, p in lang.items():
+        assert not p.grad.any(), name
+        decay = 0.0 if name in model.decay_exempt_names() else 1e-3 * opt.weight_decay
+        np.testing.assert_array_equal(p.data, before[name] - before[name] * decay)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_row0_composed_forward_grad_check(seed):
+    """c2's composed audit on the forward that computes row 0 alone in the
+    last block, with respect to the vision and the text rows."""
+    corpus = make_synthetic(8, 2, 2, seed=5)
+    cfg = tiny_cfg(layers=2, vision_mode="global")
+    model = build_model(cfg, corpus)
+    batch = corpus[:2]
+    tokens = [tokenize(ex.question, model.vocab, cfg.l_max) for ex in batch]
+    mask = np.stack([tq.mask for tq in tokens])
+    v0 = model.vision_tokens(batch).detach()
+    q0 = project(text_encode(np.stack([tq.ids for tq in tokens]), model.text_params),
+                 model.projection).detach()
+    targets = [model.answer_vocab.index[ex.answer] for ex in batch]
+
+    def composed(v, q):
+        seq = encode(concat_modalities(v, q, mask, model.fusion), model.fusion, keep=1)
+        return T.cross_entropy(classify(pool_cls(seq, model.fusion), model.classifier),
+                               targets)
+
+    r = np.random.default_rng(5000 + seed)
+    v = Tensor(v0.data + 0.1 * r.normal(size=v0.shape))
+    q = Tensor(q0.data + 0.1 * r.normal(size=q0.shape))
+    assert T.grad_check(lambda t: composed(t, q), v, h=1e-5) <= 1e-4
+    assert T.grad_check(lambda t: composed(v, t), q, h=1e-5) <= 1e-4
+
+
+def test_weights_sink_gets_each_layers_attention(corpus):
+    """One array per layer: (B, heads, rows, rows) per inner block and the
+    pooled row's (B, heads, 1, rows) last; rows sum to 1, padded keys get
+    weight exactly 0, and the sink leaves the logits bitwise unchanged."""
+    cfg = tiny_cfg(layers=3)
+    model = build_model(cfg, corpus)
+    batch = corpus[:4]
+    sink = []
+    logits = model.forward(batch, weights_sink=sink).data
+    k = model.vision_rows
+    rows = k + cfg.l_max + 2
+    assert [w.shape for w in sink] == [(4, 2, rows, rows)] * 2 + [(4, 2, 1, rows)]
+    text_mask = np.stack([tokenize(ex.question, model.vocab, cfg.l_max).mask for ex in batch])
+    padded = np.concatenate([np.zeros((4, k), bool), text_mask == 0], axis=1)
+    assert padded.any()
+    for w in sink:
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(w.transpose(0, 3, 1, 2)[padded] == 0.0)
+        assert np.all(w.transpose(0, 3, 1, 2)[~padded] > 0.0)
+    np.testing.assert_array_equal(logits, model.forward(batch).data)
+
+
+def test_no_drop_path_streams_split_that_are_never_drawn(corpus, monkeypatch):
+    """At rate 0 a training step splits no per-item or per-layer stream, and
+    block 0 of a ramp (rate 0) gets none either; a forward given streams it
+    does not draw from equals one without them, bitwise."""
+    labels = []
+    split = RngStream.split
+
+    def recording_split(self, label):
+        labels.append(label)
+        return split(self, label)
+
+    monkeypatch.setattr(RngStream, "split", recording_split)
+    cfg = tiny_cfg(layers=2, epochs=1)
+    model = build_model(cfg, corpus)
+    labels.clear()
+    train_model(model, corpus, cfg)
+    assert labels and not [l for l in labels if l.startswith(("item-", "layer"))]
+
+    batch = corpus[:4]
+    streams = [RngStream(3).split(f"item-{ex.id}") for ex in batch]
+    np.testing.assert_array_equal(model.forward(batch, streams).data, model.forward(batch).data)
+    ramp = build_model(tiny_cfg(layers=2, drop_path=0.5), corpus)
+    labels.clear()
+    ramp.forward(batch, streams)
+    assert labels.count("layer1") == len(batch) and "layer0" not in labels
 
 
 def test_train_model_feeds_every_split_position_once_per_epoch():

@@ -48,6 +48,30 @@ def test_block_preserves_shape():
     assert out.boundary == f.boundary
 
 
+@pytest.mark.parametrize("keep", [1, 3, 5])
+def test_block_keep_computes_the_leading_rows(keep):
+    """With `keep`, a block returns the leading rows of its full output, with
+    the same drop-path draws; with vision rows only, the language expert
+    does not run."""
+    cfg = small_cfg(drop_path=0.5)
+    p = MultiwayBlockParams(cfg, RngStream(8))
+    f = make_seq(k=3, t=4, masked=(6,))
+
+    def streams():
+        return [RngStream(1), RngStream(2)]
+
+    full_sink, sink = [], []
+    full = multiway_block(f, p, 0.5, streams(), weights_sink=full_sink)
+    lang = p["language.fc1.weight"].data
+    if keep <= f.boundary:
+        p["language.fc1.weight"].data = np.full_like(lang, np.nan)
+    out = multiway_block(f, p, 0.5, streams(), keep=keep, weights_sink=sink)
+    p["language.fc1.weight"].data = lang
+    assert out.x.shape == (2, keep, H) and out.boundary == 3 and out.mask is f.mask
+    np.testing.assert_allclose(out.x.data, full.x.data[:, :keep], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sink[0], full_sink[0][:, :, :keep], rtol=0, atol=1e-12)
+
+
 def test_expert_routing_disjoint():
     """Perturbing vision-expert weights changes only vision rows of the
     expert sublayer output, and symmetrically for the language expert."""

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from vivqa import tensor, train
+from vivqa.config import RunConfig
+from vivqa.data import make_synthetic
 from vivqa.model import VivqaModel
 from vivqa.optim import AdamW
 from vivqa.tensor import Tensor
@@ -59,3 +61,25 @@ def test_benchmark_optimizer_hooks_bind():
               "w.bias": Tensor(np.ones(4), requires_grad=True)}
     opt = AdamW(params, exempt={"w.bias"})
     assert sum(p.size for p in opt.params.values()) == len(opt.data) == len(opt.grad) == 16
+
+
+def test_forward_reaches_traced_fusion_layers(monkeypatch):
+    """perfbench's per-layer spans wrap names the forward looks up: one
+    VivqaModel.forward calls `multiway.encode` and `multiway.pool_cls` once
+    each and `multiway.shared_attention` once per layer."""
+    probes = _load_probes()
+    names = ("multiway.encode", "multiway.pool_cls", "multiway.shared_attention")
+    calls = []
+    for name in names:
+        owner, attr = probes._resolve(*probes.TRACED[name])
+        original = getattr(owner, attr)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    corpus = make_synthetic(8, 2, 2, seed=0)
+    model = train.build_model(RunConfig(preset="tiny", layers=3, heads=2), corpus)
+    model.forward(corpus[:2])
+    assert [calls.count(name) for name in names] == [1, 1, 3]

@@ -509,6 +509,51 @@ def test_multi_head_attention_rejects_bad_shapes(rng):
     with pytest.raises(ShapeError):
         T.multi_head_attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
                                Tensor(np.ones((3, 4))), np.zeros(3), 2)
+    kv = Tensor(rng.normal(size=(2, 6, 4)))
+    for bad_q in ((3, 1, 4), (2, 1, 6)):              # batch, then width mismatch
+        with pytest.raises(ShapeError):
+            T.multi_head_attention(Tensor(np.ones(bad_q)), kv, kv, np.zeros((2, 6)), 2)
+    with pytest.raises(ShapeError):                   # k and v disagree
+        T.multi_head_attention(q, kv, Tensor(np.ones((2, 5, 4))), np.zeros((2, 6)), 2)
+
+
+def _attention_case(seed, n):
+    """n query rows over 6 keys: key 4 is padded in every item, key 2 in item 1."""
+    r = np.random.default_rng(600 + seed)
+    B, S, H, d = 2, 6, 2, 3
+    bias = np.zeros((B, S))
+    bias[:, 4] = bias[1, 2] = T.MASK_VALUE
+    mats = [r.normal(size=(B, rows, H * d)) for rows in (n, S, S)]
+    return mats, bias, H, r.normal(size=(B, n, H * d))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_grad_multi_head_attention_fewer_query_rows(seed, n):
+    mats, bias, H, proj = _attention_case(seed, n)
+    for arg in range(3):
+        def f(x, arg=arg):
+            ops = [Tensor(m) for m in mats]
+            ops[arg] = x
+            out = T.multi_head_attention(*ops, bias, H)
+            return T.sum_all(T.mul(out, Tensor(proj)))
+        assert grad_check(f, Tensor(mats[arg])) < GRAD_TOL
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_multi_head_attention_fewer_query_rows_equal_leading_rows(n):
+    """Oracle: n query rows give the first n rows of the output and of the
+    weights of full self-attention, whose queries are those rows and more."""
+    (q, k, v), bias, H, _ = _attention_case(0, n)
+    full_q = np.concatenate([q, k[:, n:]], axis=1)
+    full_sink, sink = [], []
+    full = T.multi_head_attention(Tensor(full_q), Tensor(k), Tensor(v), bias, H,
+                                  weights_sink=full_sink)
+    out = T.multi_head_attention(Tensor(q), Tensor(k), Tensor(v), bias, H, weights_sink=sink)
+    assert out.shape == (2, n, 6) and sink[0].shape == (2, H, n, 6)
+    np.testing.assert_allclose(out.data, full.data[:, :n], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sink[0], full_sink[0][:, :, :n], rtol=0, atol=1e-12)
+    assert np.all(sink[0][:, :, :, 4] == 0.0) and np.all(sink[0][1, :, :, 2] == 0.0)
 
 
 # ---------------------------------------------------------------------------
