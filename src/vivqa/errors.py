@@ -32,7 +32,9 @@ class ParseError(DataError):
 class FormatError(VivqaError):
     """Binary container violation: a VVQF file with bad magic, version,
     checksum or truncation, or a checkpoint that is not a readable npz, has
-    no meta entry, or whose parameters are unknown, missing or misshapen."""
+    no meta entry, or whose layout is not a list of [name, shape] pairs,
+    names parameters the model lacks, lacks or misorders the model's, gives
+    one another shape, or does not match its float64 `params` in length."""
 
 
 class NumericalError(VivqaError):

@@ -1,6 +1,6 @@
 """The VQA model behind one `VivqaModel.forward(examples, rngs=None)`: visual
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
-stack, pooler and classifier; plus the parameter registry and checkpoints.
+stack, pooler and classifier; plus the parameter arena and checkpoints.
 
 Frozen extractor outputs are constants of the image, kept in a feature store
 (a plain dict the harness shares across an experiment's arms): a minibatch
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -23,29 +24,39 @@ from .errors import ConfigError, DataError, FormatError
 from .multiway import (
     FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
 )
+from .optim import pack
 from .rng import RngStream
 from .tensor import Tensor, stack
 from .text import (
     ProjectionParams, TextEncoderParams, Vocabulary, encode as text_encode, project, tokenize,
 )
 from .vision import (
-    StubExtractorParams, adapt_local, extract_global_stub, extract_local_stub, fuse,
-    fused_token_count,
+    StubExtractorParams, adapt_local, extract_global_stub, extract_local_stub, extractor_stream,
+    fuse, fused_token_count,
 )
 from .vvqf import read_feature_file
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_EXEMPT = (".bias", ".gamma", ".beta")      # decay-exempt name suffixes
 
 
-class _Undrawn:
-    """Stands in for the init streams of a model whose checkpoint fills
-    every parameter: each draw is an uninitialised array of its shape."""
+class _Draws:
+    """Stands in for an init stream while the components are built: each
+    draw is an uninitialised array of its shape, noted with the stream and
+    scale that draw it, so the model draws it straight into its arena.
+    Without a stream (a model `load_checkpoint` fills) nothing is noted."""
 
-    def split(self, label: str) -> "_Undrawn":
-        return self
+    def __init__(self, stream: RngStream | None, notes: list):
+        self.stream, self.notes = stream, notes
+
+    def split(self, label: str) -> "_Draws":
+        return _Draws(self.stream and self.stream.split(label), self.notes)
 
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
-        return np.empty(shape)
+        out = np.empty(shape)
+        if self.stream is not None:
+            self.notes.append((out, self.stream, scale))
+        return out
 
 
 class VivqaModel:
@@ -58,12 +69,12 @@ class VivqaModel:
         self.answer_vocab = answer_vocab
         dims = cfg.dims
         self.vision_dims = dims.vision
-        undrawn = None if drawn else _Undrawn()
-        init_rng = undrawn or RngStream(cfg.seed).split("model-init")
+        notes = []
+        init_rng = _Draws(RngStream(cfg.seed).split("model-init") if drawn else None, notes)
 
         self.extractor = StubExtractorParams(
             dims.vision, seed=cfg.extractor_seed, trainable=not cfg.freeze_extractors,
-            rng=undrawn)
+            rng=_Draws(extractor_stream(cfg.extractor_seed) if drawn else None, notes))
         self.text_params = TextEncoderParams(
             len(vocab), dims.text_width, cfg.l_max, init_rng.split("text"))
         self.projection = ProjectionParams(dims.text_width, dims.hidden,
@@ -76,6 +87,22 @@ class VivqaModel:
         self.fusion = FusionStackParams(cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
+        # One flat arena holds every parameter, as views: trainable decayed
+        # parameters, then trainable exempt ones, then the frozen extractor.
+        # The optimizer steps the leading trainable slice in place.  The
+        # constants are copied in; the draws go straight into their views.
+        named = {**self.text_params.named_params(), **self.projection.named_params(),
+                 **self.fusion.named_params(), **self.classifier.named_params(),
+                 **self.extractor.named_params()}
+        self._params = dict(sorted(named.items(), key=lambda item: (
+            2 if not item[1].requires_grad else int(item[0].endswith(_EXEMPT)))))
+        recipe = {id(out): (stream, scale) for out, stream, scale in notes}
+        draws = [(p, *recipe[id(p.data)]) for p in named.values() if id(p.data) in recipe]
+        assert len(draws) == len(notes), "an init draw is not a parameter's array as drawn"
+        self.arena = pack(self._params, fill=drawn)
+        for p, stream, scale in draws:
+            stream.normal_into(p.data, scale)
+        self.n_trainable = sum(p.size for p in self._params.values() if p.requires_grad)
         # (vision dims, extractor seed, example id, image ref) -> frozen
         # (global, adapted local) tokens.  The id fixes the pixel-noise seed
         # and the ref the image, so the key fixes the tokens for any model.
@@ -83,31 +110,24 @@ class VivqaModel:
 
     # -- parameters ---------------------------------------------------------
 
-    def trainable_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.text_params.named_params())
-        out.update(self.projection.named_params())
-        out.update(self.fusion.named_params())
-        out.update(self.classifier.named_params())
-        if not self.cfg.freeze_extractors:
-            out.update(self.extractor.named_params())
-        return out
-
     def all_params(self) -> dict[str, Tensor]:
-        out = self.trainable_params()
-        out.update(self.extractor.named_params())
-        return out
+        """Every parameter, in arena order."""
+        return dict(self._params)
+
+    def trainable_params(self) -> dict[str, Tensor]:
+        """The parameters over `arena[:n_trainable]`, in arena order."""
+        return {name: p for name, p in self._params.items() if p.requires_grad}
 
     def decay_exempt_names(self) -> set[str]:
-        return {
-            name for name in self.trainable_params()
-            if name.endswith((".bias", ".gamma", ".beta"))
-        }
+        return {name for name in self.trainable_params() if name.endswith(_EXEMPT)}
+
+    def layout(self) -> list:
+        """[name, shape] of every parameter, in arena order."""
+        return [[name, list(p.shape)] for name, p in self._params.items()]
 
     def param_counts(self) -> dict[str, int]:
-        trainable = sum(p.size for p in self.trainable_params().values())
-        total = sum(p.size for p in self.all_params().values())
-        return {"total": total, "trainable": trainable, "frozen": total - trainable}
+        return {"total": self.arena.size, "trainable": self.n_trainable,
+                "frozen": self.arena.size - self.n_trainable}
 
     # -- features -----------------------------------------------------------
 
@@ -170,42 +190,83 @@ class VivqaModel:
 
 # ---------------------------------------------------------------------------
 # Checkpoints: one .npz holding what `vivqa eval` needs and nothing more --
-# every parameter, the config echo, both vocabularies and a format version.
+# the parameter arena as one `params` array, and a `meta` entry with the
+# config echo, both vocabularies, the arena's layout and a format version.
+# Version 1 held one `param::<name>` entry per parameter; it still loads.
 # Save/load round-trips bitwise.
 
 
 def save_checkpoint(path, model: VivqaModel) -> None:
-    arrays = {f"param::{name}": p.data for name, p in model.all_params().items()}
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": json.loads(model.cfg.to_json()),
         "vocab": model.vocab.tokens,
         "answers": model.answer_vocab.answers,
+        "layout": model.layout(),
     }
-    arrays["meta"] = np.frombuffer(
+    meta = np.frombuffer(
         json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     tmp = io.BytesIO()
-    np.savez(tmp, **arrays)
+    np.savez(tmp, params=model.arena, meta=meta)
     with open(path, "wb") as fh:
         fh.write(tmp.getvalue())
 
 
 def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every entry of an npz file, each a read-only array over its member's
+    bytes, which zipfile reads whole and checks against their CRC.  (np.load
+    reads a member into a fresh array in small chunks: 3x slower here.)"""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FormatError(f"{path}: not an npz checkpoint")
         fh.seek(0)
         try:
-            with np.load(fh) as z:
-                return {k: z[k] for k in z.files}
+            out = {}
+            with zipfile.ZipFile(fh) as zf:
+                for name in zf.namelist():
+                    raw = zf.read(name)
+                    member = io.BytesIO(raw)
+                    # np.savez writes npy 1.0; a later version's wider header
+                    # length makes the 1.0 header parse fail.
+                    np.lib.format.read_magic(member)
+                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                    out[name.removesuffix(".npy")] = np.frombuffer(
+                        raw, dtype, math.prod(shape), member.tell()
+                    ).reshape(shape, order="F" if fortran else "C")
+            return out
         except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
             raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
+def _is_layout(layout) -> bool:
+    return isinstance(layout, list) and all(
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list)
+        and all(type(d) is int and d >= 0 for d in entry[1]) for entry in layout)
+
+
+def _version1_entries(path, arrays: dict, order: list) -> tuple[list, np.ndarray]:
+    """The (layout, params) a version-1 file's `param::<name>` entries
+    describe: the names the model has in its order, any others after.  The
+    entries leave `arrays`, so they are freed once assembled."""
+    entries = {}
+    while arrays:
+        key, arr = arrays.popitem()
+        if not key.startswith("param::"):
+            raise FormatError(f"{path}: unknown checkpoint entry {key!r}")
+        if arr.dtype != np.float64:
+            raise FormatError(f"{path}: {key!r} is {arr.dtype}, the model expects float64")
+        entries[key[len("param::"):]] = arr
+    rank = {name: i for i, name in enumerate(order)}
+    names = sorted(entries, key=lambda name: rank.get(name, len(rank)))
+    params = np.concatenate([entries[name].reshape(-1) for name in names] or [np.empty(0)])
+    return [[name, list(entries[name].shape)] for name in names], params
+
+
 def load_checkpoint(path) -> tuple[VivqaModel, dict]:
-    """(model, meta) from a checkpoint whose `param::` entries match the
-    rebuilt model's parameters exactly, by name and shape.  The model is
-    built undrawn, so its parameters hold only the checkpoint's arrays."""
+    """(model, meta) from a checkpoint whose layout matches the rebuilt
+    model's exactly, by name, order and shape.  The model is built undrawn,
+    and its arena is filled with one copy of the checkpoint's `params`."""
     arrays = _read_npz(path)
     try:
         meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
@@ -213,7 +274,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         raise FormatError(f"{path}: checkpoint has no readable meta entry") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: checkpoint meta is not an object")
-    if meta.get("version") != CHECKPOINT_VERSION:
+    if meta.get("version") not in (1, CHECKPOINT_VERSION):
         raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
     try:
         config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
@@ -228,18 +289,36 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         raise FormatError(f"{path}: checkpoint has no answers")
     model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
                        AnswerVocab(answers, ranked=True), drawn=False)
-    params = {f"param::{name}": p for name, p in model.all_params().items()}
-    mismatched = sorted(set(arrays) ^ set(params))
+    want = model.layout()
+    want_names = [name for name, _ in want]
+    if meta["version"] == 1:
+        layout, params = _version1_entries(path, arrays, want_names)
+    else:
+        layout = meta.get("layout")
+        if not _is_layout(layout):
+            raise FormatError(f"{path}: checkpoint layout is not a list of [name, shape] pairs")
+        if set(arrays) != {"params"}:
+            raise FormatError(f"{path}: checkpoint holds {sorted(arrays)} beside meta, "
+                              f"not ['params']")
+        params = arrays["params"]
+    names = [name for name, _ in layout]
+    mismatched = sorted(set(names) ^ set(want_names))
     if mismatched:
-        kind = "unknown" if mismatched[0] in arrays else "missing"
-        raise FormatError(f"{path}: {kind} checkpoint entry {mismatched[0]!r}")
-    for key, p in params.items():
-        if arrays[key].shape != p.shape or arrays[key].dtype != np.float64:
-            raise FormatError(f"{path}: {key!r} is {arrays[key].dtype} {arrays[key].shape}, "
-                              f"the model expects float64 {p.shape}")
-        # A copy, not the array np.load returned: forwards over the latter
-        # ran tiny-eval's predict steps about 15 % slower.
-        p.data = np.array(arrays[key])
+        kind = "unknown" if mismatched[0] in names else "missing"
+        raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
+    if names != want_names:
+        raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
+    for (name, shape), (_, expected) in zip(layout, want):
+        if shape != expected:
+            raise FormatError(f"{path}: {name!r} is {tuple(shape)}, "
+                              f"the model expects {tuple(expected)}")
+    if params.dtype != np.float64 or params.shape != model.arena.shape:
+        raise FormatError(f"{path}: params is {params.dtype} {params.shape}, "
+                          f"the layout needs float64 {model.arena.shape}")
+    # A copy into the model's own arena, never an array over the file's
+    # bytes: forwards over np.load's arrays ran tiny-eval's predict steps
+    # about 15 % slower.
+    model.arena[...] = params
     return model, meta
 
 

@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay, and the cosine-with-warmup schedule."""
+"""The flat parameter arena (`pack`), AdamW with decoupled weight decay over
+it, and the cosine-with-warmup schedule."""
 from __future__ import annotations
 
 import math
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
 _CHUNK = 1 << 14     # elements per pass of AdamW.step: the fastest size measured
@@ -40,43 +41,70 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
     return cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
+def pack(params: dict[str, Tensor], fill: bool = True) -> np.ndarray:
+    """One flat arena holding `params` in dict order, each `p.data` rebound to
+    a reshaped view of its slice.  With `fill` each value is copied in, one
+    array at a time, each freed as it goes; without, the views are bound over
+    uninitialised memory, for a caller that fills the arena afterwards."""
+    arena = np.empty(sum(p.size for p in params.values()),
+                     np.result_type(np.float32, *{p.data.dtype for p in params.values()}))
+    start = 0
+    for p in params.values():
+        if fill:
+            arena[start:start + p.size] = p.data.reshape(-1)
+        p.data = arena[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return arena
+
+
 class AdamW:
     """Bias-corrected Adam plus decoupled decay p <- p - lr*wd*p.
 
-    All parameters live in one flat `data` arena and their gradients in one
-    `grad` arena, as reshaped views; `m` and `v` are flat too.  Decay-exempt
-    parameters (norm scales/shifts, biases) come last, so the decay is one
-    slice.  `zero_grad` zeroes `grad` and rebinds every view; `step` copies
-    in a gradient bound elsewhere (None counts as zeros).
+    `params` are, in dict order, the views of the flat `data` arena that
+    `pack` made; AdamW copies none of their values.  Their gradients live in
+    one `grad` arena, as reshaped views; `m` and `v` are flat too.
+    Decay-exempt parameters (norm scales/shifts, biases) must come last, so
+    the decay is one slice.  `zero_grad` zeroes `grad` and rebinds every
+    view; `step` copies in a gradient bound elsewhere (None counts as zeros).
     """
 
-    def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01, exempt=None):
+    def __init__(self, params: dict[str, Tensor], data: np.ndarray, betas=(0.9, 0.999),
+                 eps: float = 1e-8, weight_decay: float = 0.01, exempt=None):
         self.params = params
+        self.data = data
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.exempt = set(exempt or ())
         self.t = 0
-        order = sorted(params.items(), key=lambda item: item[0] in self.exempt)
-        self.n_decay = sum(p.size for name, p in order if name not in self.exempt)
-        # one array at a time, each freed as it goes; calloc'd zeros stay unmapped until written
-        size = sum(p.size for _, p in order)
-        self.data = np.empty(size, np.result_type(np.float32, *(p.data.dtype for _, p in order)))
-        self.grad, self.m, self.v = (np.zeros(size, self.data.dtype) for _ in range(3))
+        self.n_decay = sum(p.size for name, p in params.items() if name not in self.exempt)
+        if sum(p.size for p in params.values()) != data.size:
+            raise UsageError(f"the parameters do not fill the arena's {data.size} elements")
+        # calloc'd zeros stay unmapped until written
+        self.grad, self.m, self.v = (np.zeros(data.size, data.dtype) for _ in range(3))
         self._views = []
         start = 0
-        for name, p in order:
-            span = slice(start, start + p.size)
-            self.data[span] = p.data.reshape(-1)
-            p.data = self.data[span].reshape(p.shape)
-            self._views.append((name, p, self.grad[span].reshape(p.shape)))
+        for name, p in params.items():
+            if (p.data.ctypes.data != data.ctypes.data + start * data.itemsize
+                    or (start < self.n_decay) == (name in self.exempt)):
+                raise UsageError(f"{name} is not the arena's view at offset {start}, "
+                                 f"decayed parameters first")
+            self._views.append((name, p, self.grad[start:start + p.size].reshape(p.shape)))
             start += p.size
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
         for _, p, view in self._views:
             p.grad = view
+
+    def nonfinite_grad(self) -> str | None:
+        """The first parameter, in arena order, whose `grad` slice holds a
+        non-finite value; None when the whole arena is finite."""
+        if np.isfinite(self.grad).all():
+            return None
+        ends = np.cumsum([p.size for p in self.params.values()])
+        first = np.flatnonzero(~np.isfinite(self.grad))[0]
+        return list(self.params)[np.searchsorted(ends, first, side="right")]
 
     def step(self, lr: float) -> None:
         if lr < 0:

@@ -34,6 +34,13 @@ class RngStream:
     def normal(self, shape=(), scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
 
+    def normal_into(self, out: np.ndarray, scale: float = 1.0) -> None:
+        """`out[...] = self.normal(out.shape, scale)` without the temporary:
+        the same draws and the same rounding, 0.0 + scale * z."""
+        self._gen.standard_normal(out=out)
+        out *= scale
+        out += 0.0
+
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 

@@ -87,8 +87,8 @@ def _keep_heap() -> None:
 def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     """Run the optimization loop on an already-built model."""
     _keep_heap()
-    params = model.trainable_params()
-    optimizer = AdamW(params, betas=cfg.adam_betas, eps=cfg.adam_eps,
+    optimizer = AdamW(model.trainable_params(), model.arena[:model.n_trainable],
+                      betas=cfg.adam_betas, eps=cfg.adam_eps,
                       weight_decay=cfg.weight_decay, exempt=model.decay_exempt_names())
     n_batches = math.ceil(len(train_split) / cfg.batch_size)
     schedule = ScheduleConfig(peak_lr=cfg.lr, total_steps=max(1, cfg.epochs * n_batches),
@@ -118,6 +118,10 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
             hits += int(np.sum(np.argmax(logits.data, axis=1) == targets))
             total += len(examples)
             T.backward(loss)
+            bad = optimizer.nonfinite_grad()
+            if bad is not None:
+                raise NumericalError(
+                    f"gradient of {bad} is non-finite at epoch {epoch}, step {step}")
             optimizer.step(lr_at(step, schedule))
             step += 1
         report.epoch_losses.append(loss_sum / max(1, total))

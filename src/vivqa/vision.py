@@ -58,6 +58,11 @@ class VisionDims:
         return self.channels + self.grid * self.grid * self.texture_dim
 
 
+def extractor_stream(seed: int) -> RngStream:
+    """The stream both stubs' parameters and the texture projector draw from."""
+    return RngStream(seed).split("stub-extractors")
+
+
 class StubExtractorParams:
     """Seeded projection weights for both stubs.  Never optimizer-registered
     unless explicitly unfrozen for the freeze ablation."""
@@ -67,7 +72,7 @@ class StubExtractorParams:
         """`rng` replaces the seed's stream for the four parameters only."""
         self.dims = dims
         self.seed = seed
-        rng = RngStream(seed).split("stub-extractors") if rng is None else rng
+        rng = extractor_stream(seed) if rng is None else rng
         d = dims
         g = rng.split("global")
         self.global_weight = Tensor(
@@ -88,7 +93,7 @@ class StubExtractorParams:
         """The texture projector: fixed preprocessing even in the unfrozen
         arm, drawn from the seed when the global stub first needs it."""
         d = self.dims
-        return RngStream(self.seed).split("stub-extractors").split("patch-proj").normal(
+        return extractor_stream(self.seed).split("patch-proj").normal(
             (d.texture_dim, d.block * d.block * d.channels),
             scale=1.0 / np.sqrt(d.block * d.block * d.channels),
         )

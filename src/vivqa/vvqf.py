@@ -10,6 +10,7 @@ Layout (little-endian throughout):
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -33,6 +34,8 @@ def write_feature_file(path, tensor: Tensor) -> None:
 
 
 def read_feature_file(path) -> Tensor:
+    """The file's float32 tensor, a read-only view of the bytes read, so a
+    caller's cast to another dtype is the payload's only copy."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16:
@@ -47,14 +50,13 @@ def read_feature_file(path) -> Tensor:
         raise FormatError(f"{path}: truncated dimension list")
     dims = struct.unpack_from(f"<{rank}I", raw, offset)
     offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)
     end = offset + 4 * count
     if len(raw) != end + 4:
         raise FormatError(
             f"{path}: payload/checksum size mismatch (have {len(raw)}, want {end + 4})"
         )
     (crc,) = struct.unpack_from("<I", raw, end)
-    if crc != (zlib.crc32(raw[:end]) & 0xFFFFFFFF):
+    if crc != (zlib.crc32(memoryview(raw)[:end]) & 0xFFFFFFFF):
         raise FormatError(f"{path}: checksum mismatch")
-    arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(dims)
-    return Tensor(arr.astype(np.float32))
+    return Tensor(np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(dims))

@@ -3,8 +3,10 @@ one, the frozen-feature store, freeze contract, checkpoint round trip,
 training determinism, non-finite losses, and report artifacts."""
 import ctypes
 import dataclasses
+import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -222,7 +224,8 @@ def test_last_block_language_expert_never_runs(corpus, monkeypatch):
         return ffn(x, p, expert)
 
     monkeypatch.setattr(multiway_mod, "_expert_ffn", recording_ffn)
-    opt = AdamW(model.trainable_params(), exempt=model.decay_exempt_names())
+    opt = AdamW(model.trainable_params(), model.arena[:model.n_trainable],
+                exempt=model.decay_exempt_names())
     lang = {name: p for name, p in model.fusion.blocks[-1].params.items() if ".language" in name}
     assert len(lang) == 6
     before = {name: p.data.copy() for name, p in lang.items()}
@@ -394,6 +397,69 @@ def test_decay_exempt_names(corpus):
     assert not any(n.endswith(".weight") for n in exempt)
 
 
+@pytest.mark.parametrize("freeze", [True, False])
+def test_parameters_are_views_of_the_model_arena_in_order(corpus, freeze):
+    """One float64 arena: trainable decayed parameters, then trainable
+    exempt ones, then the frozen extractor, each a view at its offset."""
+    model = build_model(tiny_cfg(layers=2, freeze_extractors=freeze), corpus)
+    exempt = model.decay_exempt_names()
+    start, groups = 0, []
+    for name, p in model.all_params().items():
+        assert p.data.base is model.arena, name
+        assert p.data.ctypes.data == model.arena.ctypes.data + 8 * start, name
+        groups.append(2 if not p.requires_grad else int(name in exempt))
+        start += p.size
+    assert model.arena.dtype == np.float64 and start == model.arena.size
+    assert groups == sorted(groups) and set(groups) == ({0, 1, 2} if freeze else {0, 1})
+    trainable = model.trainable_params()
+    assert list(trainable) == list(model.all_params())[:len(trainable)]
+    assert model.n_trainable == sum(p.size for p in trainable.values())
+    assert model.layout() == [[n, list(p.shape)] for n, p in model.all_params().items()]
+
+
+# sha256 over (name, bytes) in name order of every drawn parameter, taken
+# when each parameter still lived in the array its own stream drew it into.
+PER_PARAMETER_DRAWS = [
+    ({}, "c2a9bbc8c1e5bb20ff498c3cce94bec2549c6150c84b73dbff3ae26eaffecb02"),
+    (dict(layers=3, vision_mode="both", fusion_op="add", freeze_extractors=False, seed=5),
+     "ce7405e000507882b2612b092b880e6c25d614d28098883feeef44d01d5e1979"),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.02, 1.0 / np.sqrt(24)])
+def test_normal_into_draws_what_normal_draws(scale):
+    out = np.empty((37, 5))
+    RngStream(11).split("w").normal_into(out, scale)
+    assert out.tobytes() == RngStream(11).split("w").normal((37, 5), scale).tobytes()
+
+
+@pytest.mark.parametrize("kw, digest", PER_PARAMETER_DRAWS)
+def test_arena_holds_the_per_parameter_draws_bitwise(corpus, kw, digest):
+    model = build_model(tiny_cfg(**kw), corpus)
+    h = hashlib.sha256()
+    for name, p in sorted(model.all_params().items()):
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_training_steps_the_model_arena_in_place(corpus, freeze):
+    """The optimizer copies no parameter: after training every parameter
+    is still the same view of the arena.  The trainable slice moved; the
+    frozen extractor did not, and an unfrozen one trained."""
+    cfg = tiny_cfg(epochs=1, freeze_extractors=freeze)
+    model = build_model(cfg, corpus)
+    addresses = {name: p.data.ctypes.data for name, p in model.all_params().items()}
+    before = {name: p.data.copy() for name, p in model.all_params().items()}
+    train_model(model, corpus, cfg)
+    assert {name: p.data.ctypes.data for name, p in model.all_params().items()} == addresses
+    moved = {name for name, p in model.all_params().items() if (p.data != before[name]).any()}
+    assert moved and moved <= set(model.trainable_params())
+    extractor = set(model.extractor.named_params())
+    assert extractor & moved == (set() if freeze else extractor)
+
+
 def test_training_frozen_extractor_bytes_unchanged(corpus):
     cfg = tiny_cfg(epochs=1)
     model = build_model(cfg, corpus)
@@ -453,6 +519,39 @@ def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
                                    heads=2, lr=1e-3)))
     assert main(["train", "--config", str(cfg), "--data", str(data)]) == 4
     assert "training loss is nan at epoch 0, step 0" in capsys.readouterr().err
+
+
+def test_cli_train_exits_4_on_nonfinite_gradient_under_finite_loss(tmp_path, corpus,
+                                                                   monkeypatch, capsys):
+    """An inf gradient under a finite loss stops the run at its step, naming
+    the first poisoned parameter in arena order: classifier.fc2.weight is a
+    decayed weight, text.proj.bias an exempt bias packed after it."""
+    backward, zero_grad, optimizers, steps = T.backward, AdamW.zero_grad, [], []
+
+    def recording_zero_grad(opt):
+        optimizers.append(opt)
+        zero_grad(opt)
+
+    def poisoned_backward(loss):
+        assert np.isfinite(loss.data)
+        backward(loss)
+        steps.append(loss)
+        if len(steps) == 2:
+            params = optimizers[-1].params
+            params["text.proj.bias"].grad[0] = np.nan
+            params["classifier.fc2.weight"].grad[1, 0] = np.inf
+
+    monkeypatch.setattr(AdamW, "zero_grad", recording_zero_grad)
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, corpus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(preset="tiny", epochs=2, batch_size=8, layers=1,
+                                   heads=2, lr=1e-3)))
+    assert main(["train", "--config", str(cfg), "--data", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: gradient of classifier.fc2.weight is non-finite "
+                   "at epoch 0, step 1\n")
 
 
 def test_early_stop(corpus):
@@ -521,6 +620,7 @@ def test_checkpoint_load_draws_no_init_values(tmp_path, corpus, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(RngStream, "normal", refuse)
+        m.setattr(RngStream, "normal_into", refuse)
         loaded, _ = load_checkpoint(path)
     for name, p in model.all_params().items():
         np.testing.assert_array_equal(p.data, loaded.all_params()[name].data)
@@ -528,17 +628,18 @@ def test_checkpoint_load_draws_no_init_values(tmp_path, corpus, monkeypatch):
 
 
 def test_checkpoint_version_guard(tmp_path, corpus):
+    """Versions 1 and 2 load; any other exits 2 as a config error."""
     cfg = tiny_cfg(epochs=0)
     model = build_model(cfg, corpus)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model)
-    arrays = dict(np.load(path))
-    meta = json.loads(bytes(arrays["meta"].tobytes()).decode())
-    meta["version"] = 99
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
-    with pytest.raises(ConfigError):
-        load_checkpoint(path)
+    with np.load(path) as z:
+        arrays = dict(z)
+    assert sorted(arrays) == ["meta", "params"] and _meta(arrays)["version"] == 2
+    for version in (0, 3, 99):
+        _rewrite(path, arrays, dict(_meta(arrays), version=version))
+        with pytest.raises(ConfigError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def _rewrite(path, arrays, meta=None):
@@ -547,6 +648,17 @@ def _rewrite(path, arrays, meta=None):
             json.dumps(meta, ensure_ascii=False, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _save_version1(path, model):
+    """The entries the version-1 writer wrote: one `param::<name>` array per
+    parameter, in its registry order, and a meta without a layout."""
+    named = {**model.text_params.named_params(), **model.projection.named_params(),
+             **model.fusion.named_params(), **model.classifier.named_params(),
+             **model.extractor.named_params()}
+    meta = {"version": 1, "config": json.loads(model.cfg.to_json()),
+            "vocab": model.vocab.tokens, "answers": model.answer_vocab.answers}
+    _rewrite(path, {f"param::{name}": p.data for name, p in named.items()}, meta)
 
 
 def _unknown_param(path, arrays):
@@ -610,8 +722,13 @@ def _answers_empty(path, arrays):
     _int64_param, _config_number, _vocab_number, _answers_not_strings, _answers_empty])
 def test_malformed_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus, corrupt,
                                                                 capsys):
+    """Version-1 files, written entry by entry."""
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
+    _save_version1(path, build_model(tiny_cfg(epochs=0), corpus))
+    _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys)
+
+
+def _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys):
     with np.load(path) as z:
         arrays = dict(z)
     corrupt(path, arrays)
@@ -624,30 +741,167 @@ def test_malformed_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus,
     assert err.startswith("data error: ") and err.count("\n") == 1
 
 
+def _edit_layout(path, arrays, edit):
+    """Apply `edit` to the [name, shape, slice of params] triples of a
+    version-2 file and write the layout and params they then describe."""
+    meta = _meta(arrays)
+    entries, start = [], 0
+    for name, shape in meta["layout"]:
+        size = int(np.prod(shape))
+        entries.append([name, shape, arrays["params"][start:start + size]])
+        start += size
+    entries = edit(entries)
+    arrays["params"] = np.concatenate([values for _, _, values in entries])
+    _rewrite(path, arrays, dict(meta, layout=[[name, shape] for name, shape, _ in entries]))
+
+
+def _v2_unknown_name(path, arrays):
+    _edit_layout(path, arrays, lambda e: e + [["text.extra.weight", [3], np.zeros(3)]])
+
+
+def _v2_missing_name(path, arrays):
+    _edit_layout(path, arrays, lambda e: [x for x in e if x[0] != "classifier.fc2.bias"])
+
+
+def _v2_wrong_shape(path, arrays):
+    """Same size, other shape: only the shape check can catch it."""
+    _edit_layout(path, arrays, lambda e: [
+        [name, [1] + shape if name == "classifier.fc2.bias" else shape, values]
+        for name, shape, values in e])
+
+
+def _v2_out_of_order(path, arrays):
+    """Two same-shape weights swapped, with their values: only the order
+    check can catch it."""
+    def swap(entries):
+        names = [name for name, _, _ in entries]
+        i, j = (names.index(f"fusion.block0.attn.{w}.weight") for w in "qk")
+        entries[i], entries[j] = entries[j], entries[i]
+        return entries
+    _edit_layout(path, arrays, swap)
+
+
+def _v2_params_longer(path, arrays):
+    arrays["params"] = np.append(arrays["params"], 0.0)
+    _rewrite(path, arrays)
+
+
+def _v2_params_shorter(path, arrays):
+    arrays["params"] = arrays["params"][:-1]
+    _rewrite(path, arrays)
+
+
+def _v2_float32_params(path, arrays):
+    arrays["params"] = arrays["params"].astype(np.float32)
+    _rewrite(path, arrays)
+
+
+def _v2_no_params(path, arrays):
+    del arrays["params"]
+    _rewrite(path, arrays)
+
+
+def _v2_extra_entry(path, arrays):
+    arrays["param::text.embedding"] = np.zeros(3)
+    _rewrite(path, arrays)
+
+
+def _v2_npy_version_2(path, arrays):
+    """Members in npy format 2.0, which np.savez never writes."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                np.lib.format.write_array(fh, arr, version=(2, 0))
+
+
+def _v2_layout(value):
+    def corrupt(path, arrays):
+        meta = _meta(arrays)
+        if value is None:
+            del meta["layout"]
+        else:
+            meta["layout"] = value
+        _rewrite(path, arrays, meta)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _v2_unknown_name, _v2_missing_name, _v2_wrong_shape, _v2_out_of_order, _v2_params_longer,
+    _v2_params_shorter, _v2_float32_params, _v2_no_params, _v2_extra_entry, _v2_npy_version_2,
+    pytest.param(_v2_layout(None), id="layout-absent"),
+    pytest.param(_v2_layout({"text.embedding": [1]}), id="layout-object"),
+    pytest.param(_v2_layout([["text.embedding", 3]]), id="layout-shape-int"),
+    pytest.param(_v2_layout([[1, [2]]]), id="layout-name-int"),
+    pytest.param(_v2_layout([["text.embedding", [1.5]]]), id="layout-dim-float"),
+    pytest.param(_v2_layout([["text.embedding", [True]]]), id="layout-dim-bool"),
+    pytest.param(_v2_layout([["text.embedding", [-1]]]), id="layout-dim-negative"),
+    pytest.param(_v2_layout([["text.embedding", [2], 3]]), id="layout-triple")])
+def test_malformed_version2_checkpoint_is_format_error_and_eval_exits_3(tmp_path, corpus,
+                                                                         corrupt, capsys):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
+    _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys)
+
+
 RETIRED_AT_THEIR_VALUE = dict(use_position_embeddings=True, use_modality_type_embeddings=True,
                               cls_row="first", split_seed=0)
 
 
 def test_checkpoint_in_previous_layout_loads(tmp_path, corpus):
-    """Files that still carry `n_local_cues` and a null `opt_t` in their meta,
-    and the retired config fields at their one value, load and predict
-    exactly like a fresh save."""
+    """Version-1 and version-2 files that still carry `n_local_cues` and a
+    null `opt_t` in their meta, and the retired config fields at their one
+    value, load and predict exactly like a fresh save."""
     cfg = tiny_cfg(epochs=1)
     model = build_model(cfg, corpus)
     train_model(model, corpus, cfg)
-    fresh, old = tmp_path / "fresh.npz", tmp_path / "old.npz"
+    fresh = tmp_path / "fresh.npz"
     save_checkpoint(fresh, model)
-    with np.load(fresh) as z:
-        arrays = dict(z)
-    meta = json.loads(arrays["meta"].tobytes().decode())
-    _rewrite(old, arrays, dict(meta, n_local_cues=2, opt_t=None,
-                               config=dict(meta["config"], **RETIRED_AT_THEIR_VALUE)))
     a, _ = load_checkpoint(fresh)
-    b, b_meta = load_checkpoint(old)
-    assert b_meta["n_local_cues"] == 2
+    for write in (save_checkpoint, _save_version1):
+        old = tmp_path / "old.npz"
+        write(old, model)
+        with np.load(old) as z:
+            arrays = dict(z)
+        meta = _meta(arrays)
+        _rewrite(old, arrays, dict(meta, n_local_cues=2, opt_t=None,
+                                   config=dict(meta["config"], **RETIRED_AT_THEIR_VALUE)))
+        b, b_meta = load_checkpoint(old)
+        assert b_meta["n_local_cues"] == 2
+        with T.no_grad():
+            np.testing.assert_array_equal(a.forward(corpus).data, b.forward(corpus).data)
+        assert predict_split(a, corpus) == predict_split(b, corpus)
+
+
+def test_version1_fortran_ordered_entry_loads_its_values(tmp_path, corpus):
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    path = tmp_path / "v1.npz"
+    _save_version1(path, model)
+    with np.load(path) as z:
+        arrays = dict(z)
+    key = "param::classifier.fc1.weight"
+    arrays[key] = np.asfortranarray(arrays[key])
+    _rewrite(path, arrays)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.arena.tobytes() == model.arena.tobytes()
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_version1_checkpoint_loads_and_predicts_like_version2(tmp_path, corpus, freeze):
+    """A file with the version-1 writer's exact entries fills the same arena,
+    byte for byte, as a fresh version-2 save, and predicts the same."""
+    cfg = tiny_cfg(epochs=1, freeze_extractors=freeze)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    v1, v2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
+    _save_version1(v1, model)
+    save_checkpoint(v2, model)
+    (a, a_meta), (b, b_meta) = load_checkpoint(v1), load_checkpoint(v2)
+    assert (a_meta["version"], b_meta["version"]) == (1, 2)
+    assert a.arena.tobytes() == b.arena.tobytes() == model.arena.tobytes()
+    assert a.layout() == b.layout() == b_meta["layout"]
     with T.no_grad():
-        np.testing.assert_array_equal(a.forward(corpus).data, b.forward(corpus).data)
-    assert predict_split(a, corpus) == predict_split(b, corpus)
+        assert a.forward(corpus).data.tobytes() == b.forward(corpus).data.tobytes()
+    assert predict_split(a, corpus) == predict_split(b, corpus) == predict_split(model, corpus)
 
 
 @pytest.mark.parametrize("field, value", [

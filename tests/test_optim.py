@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from vivqa.errors import ShapeError
-from vivqa.optim import AdamW, ScheduleConfig, lr_at
+from vivqa.errors import ShapeError, UsageError
+from vivqa.optim import AdamW, ScheduleConfig, lr_at, pack
 from vivqa.tensor import Tensor
+
+
+def packed_adamw(params, **kwargs):
+    """AdamW over loose tensors, packed into their arena as the model packs its own."""
+    return AdamW(params, pack(params), **kwargs)
 
 
 def reference_adamw_trace(p0, grads, lr, b1, b2, eps, wd, decay):
@@ -30,7 +35,7 @@ def reference_adamw_trace(p0, grads, lr, b1, b2, eps, wd, decay):
 def test_decoupled_decay_only():
     # zero gradient: only the decay term moves the parameter
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"w": p}, weight_decay=0.01)
+    opt = packed_adamw({"w": p}, weight_decay=0.01)
     p.grad = np.array([0.0])
     opt.step(3e-5)
     assert math.isclose(float(p.data[0]), 1.0 - 3e-7, rel_tol=1e-12)
@@ -38,7 +43,7 @@ def test_decoupled_decay_only():
 
 def test_first_step_bias_corrected():
     p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = AdamW({"w": p}, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt = packed_adamw({"w": p}, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
     p.grad = np.array([1.0])
     opt.step(0.1)
     assert math.isclose(float(p.data[0]), -0.0999999990, abs_tol=1e-9)
@@ -50,7 +55,7 @@ def test_twenty_step_scalar_trace(decay):
     grads = rng.normal(size=20)
     lr, wd = 1e-2, 0.05
     p = Tensor(np.array([0.7]), requires_grad=True)
-    opt = AdamW({"w": p}, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd,
+    opt = packed_adamw({"w": p}, betas=(0.9, 0.999), eps=1e-8, weight_decay=wd,
                 exempt=set() if decay else {"w"})
     got = []
     for g in grads:
@@ -64,7 +69,7 @@ def test_twenty_step_scalar_trace(decay):
 def test_exempt_param_skips_decay_but_not_adam():
     a = Tensor(np.array([1.0]), requires_grad=True)
     b = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"w.weight": a, "w.bias": b}, weight_decay=0.1, exempt={"w.bias"})
+    opt = packed_adamw({"w.weight": a, "w.bias": b}, weight_decay=0.1, exempt={"w.bias"})
     a.grad = np.array([0.0])
     b.grad = np.array([0.0])
     opt.step(0.1)
@@ -74,21 +79,21 @@ def test_exempt_param_skips_decay_but_not_adam():
 
 def test_missing_grad_treated_as_zero():
     p = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW({"w": p}, weight_decay=0.0)
+    opt = packed_adamw({"w": p}, weight_decay=0.0)
     opt.step(0.5)  # no grad set
     assert float(p.data[0]) == 2.0
 
 
 def test_grad_shape_mismatch_raises():
     p = Tensor(np.zeros(3), requires_grad=True)
-    opt = AdamW({"w": p})
+    opt = packed_adamw({"w": p})
     p.grad = np.zeros(4)
     with pytest.raises(ShapeError):
         opt.step(0.1)
 
 
 def test_negative_lr_rejected():
-    opt = AdamW({"w": Tensor(np.zeros(1), requires_grad=True)})
+    opt = packed_adamw({"w": Tensor(np.zeros(1), requires_grad=True)})
     with pytest.raises(ValueError):
         opt.step(-1e-3)
 
@@ -98,7 +103,7 @@ def test_zero_grad_clears():
     also one the caller rebound."""
     p = Tensor(np.zeros(2), requires_grad=True)
     q = Tensor(np.zeros((2, 3)), requires_grad=True)
-    opt = AdamW({"w": p, "u": q})
+    opt = packed_adamw({"w": p, "u": q})
     opt.zero_grad()
     q.grad += 1.0
     p.grad = np.ones(2)
@@ -108,6 +113,54 @@ def test_zero_grad_clears():
         assert np.array_equal(t.grad, np.zeros(t.shape))
         assert np.shares_memory(t.grad, opt.grad)
         assert np.shares_memory(t.data, opt.data)
+
+
+def test_pack_binds_views_in_order_and_adamw_copies_nothing():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    b = Tensor(np.array([7.0, 8.0]), requires_grad=True)
+    params = {"a.weight": a, "b.bias": b}
+    arena = pack(params)
+    np.testing.assert_array_equal(arena, [0, 1, 2, 3, 4, 5, 7, 8])
+    assert a.data.base is arena and b.data.base is arena
+    addresses = [p.data.ctypes.data for p in params.values()]
+    opt = AdamW(params, arena, exempt={"b.bias"})
+    assert opt.data is arena and opt.n_decay == 6
+    assert [p.data.ctypes.data for p in params.values()] == addresses
+    # without `fill`, the views are bound and nothing is copied in
+    c = Tensor(np.ones(3), requires_grad=True)
+    empty = pack({"c": c}, fill=False)
+    assert c.data.base is empty and c.data.shape == (3,)
+
+
+@pytest.mark.parametrize("misuse", ["loose", "exempt first", "short arena", "long arena"])
+def test_adamw_rejects_params_that_are_not_its_arena(misuse):
+    a = Tensor(np.zeros((2, 3)), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True)
+    params = {"a.weight": a, "b.bias": b}
+    arena = pack(params)
+    if misuse == "loose":
+        a.data = a.data.copy()
+    elif misuse == "exempt first":
+        params = {"b.bias": b, "a.weight": a}
+        arena = pack(params)
+    elif misuse == "short arena":
+        arena = arena[:6]
+    else:
+        params = {"a.weight": a}
+    with pytest.raises(UsageError):
+        AdamW(params, arena, exempt={"b.bias"})
+
+
+def test_nonfinite_grad_names_the_first_parameter_in_arena_order():
+    params = {"a": Tensor(np.zeros(3), requires_grad=True),
+              "b": Tensor(np.zeros((2, 2)), requires_grad=True)}
+    opt = packed_adamw(params)
+    opt.zero_grad()
+    assert opt.nonfinite_grad() is None
+    params["b"].grad[0, 0] = np.inf         # b's first element: offset 3, a's end
+    assert opt.nonfinite_grad() == "b"
+    params["a"].grad[2] = np.nan
+    assert opt.nonfinite_grad() == "a"
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +192,19 @@ def per_parameter_adamw(params, grads, state, lr, betas, eps, wd, exempt):
 
 @pytest.mark.parametrize("chunk", [7, 1 << 14])
 def test_arena_matches_per_parameter_update_bitwise(monkeypatch, chunk):
-    """Mixed shapes, exempt and decayed names interleaved in dict order, one
-    parameter left without a gradient, one whose gradient the caller binds
-    to an array of its own; a small odd chunk makes parameters straddle
-    chunks, and the exempt ones sit behind the decay slice's end."""
+    """Mixed shapes, exempt and decayed names interleaved in the oracle's
+    order, one parameter left without a gradient, one whose gradient the
+    caller binds to an array of its own; a small odd chunk makes parameters
+    straddle chunks, and the exempt ones sit behind the decay slice's end."""
     monkeypatch.setattr("vivqa.optim._CHUNK", chunk)
     rng = np.random.default_rng(7)
     shapes = {"a.weight": (3, 5), "a.bias": (5,), "b.gamma": (4,), "b.weight": (2, 3, 4),
               "c.beta": (1,), "c.weight": (9,), "d.bias": (2, 2), "e.weight": (13,)}
     init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     exempt = {name for name in shapes if name.endswith((".bias", ".gamma", ".beta"))}
-    params = {name: Tensor(arr.copy(), requires_grad=True) for name, arr in init.items()}
-    opt = AdamW(params, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.05, exempt=exempt)
+    params = {name: Tensor(init[name].copy(), requires_grad=True)
+              for name in sorted(shapes, key=lambda name: name in exempt)}
+    opt = packed_adamw(params, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.05, exempt=exempt)
     ref = {name: arr.copy() for name, arr in init.items()}
     state = {"t": 0, "m": {}, "v": {}}
     for step in range(25):
@@ -181,7 +235,7 @@ def test_arena_views_stay_bound_through_backward():
     from vivqa.tensor import backward, mul, sum_all
 
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    opt = AdamW({"w": w})
+    opt = packed_adamw({"w": w})
     opt.zero_grad()
     view = w.grad
     x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)

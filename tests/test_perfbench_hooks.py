@@ -1,19 +1,23 @@
 """The benchmark instruments the program from the outside, by module and
 attribute name (perfbench/probes.py).  A rename must fail here, not only in
 a benchmark run.  probes.py is loaded read-only: no bytecode is written."""
+import dataclasses
 import importlib.util
 import inspect
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import vivqa.model as vmodel
 from vivqa import tensor, train
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic
 from vivqa.model import VivqaModel
-from vivqa.optim import AdamW
+from vivqa.optim import AdamW, pack
 from vivqa.tensor import Tensor
+from vivqa.vvqf import write_feature_file
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
@@ -59,7 +63,7 @@ def test_benchmark_optimizer_hooks_bind():
     inspect.signature(AdamW.step).bind("opt", 1e-3)
     params = {"w.weight": Tensor(np.ones((3, 4)), requires_grad=True),
               "w.bias": Tensor(np.ones(4), requires_grad=True)}
-    opt = AdamW(params, exempt={"w.bias"})
+    opt = AdamW(params, pack(params), exempt={"w.bias"})
     assert sum(p.size for p in opt.params.values()) == len(opt.data) == len(opt.grad) == 16
 
 
@@ -83,3 +87,40 @@ def test_forward_reaches_traced_fusion_layers(monkeypatch):
     model = train.build_model(RunConfig(preset="tiny", layers=3, heads=2), corpus)
     model.forward(corpus[:2])
     assert [calls.count(name) for name in names] == [1, 1, 3]
+
+
+def test_tiny_eval_reaches_checkpoint_and_vvqf_hooks(tmp_path):
+    """tiny-eval's shape (perfbench/run.py `_eval_from_files`) under every
+    traced wrapper: its set-up saves one checkpoint, and its timed phase
+    loads it once and reads 2 x 128 VVQF files, each through the wrapper
+    that counts `vvqf.read.bytes`.  A renamed hook or a changed call would
+    end the benchmark run as failed."""
+    probes = _load_probes()
+    tracer = probes.Tracer()
+    corpus = make_synthetic(128, 4, 4, seed=0)
+    cfg = RunConfig(preset="tiny", layers=2, heads=2, batch_size=16, drop_path=0.1, epochs=0,
+                    seed=0)
+    ckpt = tmp_path / "checkpoint.npz"
+    with probes.patched(tracer.wrappers()):
+        tracer.phase = "setup"
+        built = train.build_model(cfg, corpus)
+        eval_corpus = []
+        for ex in corpus:
+            prefix = str(tmp_path / ex.id)
+            g, l = built.visual_features(ex)
+            write_feature_file(prefix + ".global.vvqf", g)
+            write_feature_file(prefix + ".local.vvqf", l)
+            eval_corpus.append(dataclasses.replace(ex, image=prefix))
+        vmodel.save_checkpoint(ckpt, built)
+        tracer.phase = "timed"
+        loaded, _ = vmodel.load_checkpoint(ckpt)
+        for i in range(0, len(eval_corpus), cfg.batch_size):
+            train.predict_split(loaded, eval_corpus[i:i + cfg.batch_size])
+    setup, timed = tracer.layer_totals(0, "setup"), tracer.layer_totals(0, "timed")
+    assert setup["model.save_checkpoint"][0] == 1
+    assert [timed[name][0] for name in ("model.load_checkpoint", "vvqf.read_feature_file")] \
+        == [1, 256]
+    files = [p for p in os.listdir(tmp_path) if p.endswith(".vvqf")]
+    assert len(files) == 256
+    assert tracer.counters[0]["vvqf.read.bytes"] == sum(
+        os.path.getsize(tmp_path / p) for p in files)
