@@ -3,7 +3,9 @@ seed-level significance, freeze ablation, heads/layers sweeps, and
 multi-seed significance between two configs.  Emits CSV and Markdown
 tables; all deterministic given (config, seeds, corpus).  Each entry point
 makes one frozen-feature store and shares it across its arms, so every
-image is rendered and extracted once per experiment.
+image is rendered and extracted once per experiment.  A frozen arm fills it
+for both splits before training; each arm scores the test split only (the
+train split when there is none).
 """
 from __future__ import annotations
 
@@ -14,11 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import train  # called through the module, whose names perfbench wraps
 from .config import RunConfig
 from .errors import ConfigError
-from .metrics import welch_t_test
+from .metrics import report as metrics_report, welch_t_test
 from .model import ensure_out_dir
-from .train import run_training
 from .vision import FUSION_OPS, StubExtractorParams, fused_token_count, sparsity_stats
 
 FUSION_LABELS = {
@@ -46,10 +48,15 @@ def _write_table(out, stem, header, rows) -> None:
 
 
 def _run_arm(cfg: RunConfig, train_split, test_split, store: dict):
-    report, model = run_training(replace(cfg, out=None), train_split, test_split, store)
-    acc = report.test_metrics["accuracy"] if report.test_metrics else \
-        report.train_metrics["accuracy"]
-    return report, model, acc
+    """(report, model, accuracy on the test split, else the train split)."""
+    model = train.build_model(cfg, train_split, store)
+    if cfg.freeze_extractors:
+        examples = list(train_split) + list(test_split or [])
+        for start in range(0, len(examples), cfg.batch_size):
+            model.fill_store(examples[start:start + cfg.batch_size])
+    report = train.train_model(model, train_split, cfg)
+    records = train.predict_split(model, test_split or train_split)
+    return report, model, metrics_report(records).accuracy
 
 
 def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict:

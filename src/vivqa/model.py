@@ -3,14 +3,14 @@ stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
 stack, pooler and classifier; plus the parameter arena and checkpoints.
 
 Frozen extractor outputs are constants of the image, kept in a feature store
-(a plain dict the harness shares across an experiment's arms): a minibatch
+(a plain dict the harness shares across an experiment's arms): `fill_store`
 extracts only the images the store lacks, and adapts them in one pass.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import json
-import math
 import os
 import zipfile
 import zlib
@@ -38,6 +38,7 @@ from .vvqf import read_feature_file
 
 CHECKPOINT_VERSION = 2
 _EXEMPT = (".bias", ".gamma", ".beta")      # decay-exempt name suffixes
+_CHUNK = 1 << 24                            # bytes per read of `params` into the arena
 
 
 class _Draws:
@@ -149,23 +150,27 @@ class VivqaModel:
             pair.append(Tensor(t.data.astype(np.float64)))
         return tuple(pair)
 
+    def fill_store(self, examples) -> list:
+        """The store keys of `examples`, after extracting the distinct ones the
+        store lacks and adapting them in one pass (frozen extractors only)."""
+        keys = [(self.vision_dims, self.cfg.extractor_seed, ex.id, ex.image) for ex in examples]
+        misses = {k: ex for k, ex in zip(keys, examples) if k not in self.store}
+        if misses:
+            feats = [self.visual_features(ex) for ex in misses.values()]
+            rows = adapt_local(Tensor(np.stack([l.data for _, l in feats])), self.vision_dims)
+            self.store.update(zip(misses, zip([g.data for g, _ in feats], rows.data)))
+        return keys
+
     def vision_tokens(self, examples) -> Tensor:
-        """(B, k, hidden) tokens of B examples, adapted and fused once per batch.
-        The store extracts and adapts only the distinct keys it lacks; tokens
-        of unfrozen extractors, which train, are never stored."""
+        """(B, k, hidden) tokens of B examples, adapted and fused once per batch:
+        frozen tokens through the store, unfrozen ones (which train) never."""
         if not self.cfg.freeze_extractors:
             feats = [self.visual_features(ex) for ex in examples]
             glob = stack([g for g, _ in feats])
             local = adapt_local(stack([l for _, l in feats]), self.vision_dims)
         else:
-            keys = [(self.vision_dims, self.cfg.extractor_seed, ex.id, ex.image) for ex in examples]
-            misses = {k: ex for k, ex in zip(keys, examples) if k not in self.store}
-            if misses:
-                feats = [self.visual_features(ex) for ex in misses.values()]
-                rows = adapt_local(Tensor(np.stack([l.data for _, l in feats])), self.vision_dims)
-                self.store.update(zip(misses, zip([g.data for g, _ in feats], rows.data)))
-            glob = Tensor(np.stack([self.store[k][0] for k in keys]))
-            local = Tensor(np.stack([self.store[k][1] for k in keys]))
+            keys = self.fill_store(examples)
+            glob, local = (Tensor(np.stack([self.store[k][i] for k in keys])) for i in (0, 1))
         if self.cfg.vision_mode != "both":
             return glob if self.cfg.vision_mode == "global" else local
         return fuse(glob, local, self.cfg.fusion_op)
@@ -212,30 +217,13 @@ def save_checkpoint(path, model: VivqaModel) -> None:
         fh.write(tmp.getvalue())
 
 
-def _read_npz(path) -> dict[str, np.ndarray]:
-    """Every entry of an npz file, each a read-only array over its member's
-    bytes, which zipfile reads whole and checks against their CRC.  (np.load
-    reads a member into a fresh array in small chunks: 3x slower here.)"""
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":
-            raise FormatError(f"{path}: not an npz checkpoint")
-        fh.seek(0)
-        try:
-            out = {}
-            with zipfile.ZipFile(fh) as zf:
-                for name in zf.namelist():
-                    raw = zf.read(name)
-                    member = io.BytesIO(raw)
-                    # np.savez writes npy 1.0; a later version's wider header
-                    # length makes the 1.0 header parse fail.
-                    np.lib.format.read_magic(member)
-                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
-                    out[name.removesuffix(".npy")] = np.frombuffer(
-                        raw, dtype, math.prod(shape), member.tell()
-                    ).reshape(shape, order="F" if fortran else "C")
-            return out
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-            raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
+@contextlib.contextmanager
+def _readable(path):
+    """A zip or npy read error under it is a FormatError naming `path`."""
+    try:
+        yield
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
 def _is_layout(layout) -> bool:
@@ -265,60 +253,82 @@ def _version1_entries(path, arrays: dict, order: list) -> tuple[list, np.ndarray
 
 def load_checkpoint(path) -> tuple[VivqaModel, dict]:
     """(model, meta) from a checkpoint whose layout matches the rebuilt
-    model's exactly, by name, order and shape.  The model is built undrawn,
-    and its arena is filled with one copy of the checkpoint's `params`."""
-    arrays = _read_npz(path)
-    try:
-        meta = json.loads(arrays.pop("meta").tobytes().decode("utf-8"))
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: checkpoint has no readable meta entry") from exc
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: checkpoint meta is not an object")
-    if meta.get("version") not in (1, CHECKPOINT_VERSION):
-        raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
-    try:
-        config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
-    except KeyError as exc:
-        raise FormatError(f"{path}: checkpoint meta has no {exc} field") from exc
-    if not isinstance(config, dict):
-        raise FormatError(f"{path}: checkpoint config is not an object")
-    for name, strings in (("vocab", tokens), ("answers", answers)):
-        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
-            raise FormatError(f"{path}: checkpoint {name} is not a list of strings")
-    if not answers:
-        raise FormatError(f"{path}: checkpoint has no answers")
-    model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
-                       AnswerVocab(answers, ranked=True), drawn=False)
-    want = model.layout()
-    want_names = [name for name, _ in want]
-    if meta["version"] == 1:
-        layout, params = _version1_entries(path, arrays, want_names)
-    else:
-        layout = meta.get("layout")
-        if not _is_layout(layout):
-            raise FormatError(f"{path}: checkpoint layout is not a list of [name, shape] pairs")
-        if set(arrays) != {"params"}:
-            raise FormatError(f"{path}: checkpoint holds {sorted(arrays)} beside meta, "
-                              f"not ['params']")
-        params = arrays["params"]
-    names = [name for name, _ in layout]
-    mismatched = sorted(set(names) ^ set(want_names))
-    if mismatched:
-        kind = "unknown" if mismatched[0] in names else "missing"
-        raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
-    if names != want_names:
-        raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
-    for (name, shape), (_, expected) in zip(layout, want):
-        if shape != expected:
-            raise FormatError(f"{path}: {name!r} is {tuple(shape)}, "
-                              f"the model expects {tuple(expected)}")
-    if params.dtype != np.float64 or params.shape != model.arena.shape:
-        raise FormatError(f"{path}: params is {params.dtype} {params.shape}, "
-                          f"the layout needs float64 {model.arena.shape}")
-    # A copy into the model's own arena, never an array over the file's
-    # bytes: forwards over np.load's arrays ran tiny-eval's predict steps
-    # about 15 % slower.
-    model.arena[...] = params
+    model's exactly, by name, order and shape.  `meta` is read first and the
+    model built undrawn; a version-2 `params` then streams straight into its
+    arena, so the file's copy of the parameters is never held whole."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise FormatError(f"{path}: not an npz checkpoint")
+    with _readable(path):
+        zf = zipfile.ZipFile(path)
+    with zf:
+        members = {name.removesuffix(".npy"): name for name in zf.namelist()}
+        try:
+            with _readable(path):
+                raw = zf.read(members.pop("meta"))
+                meta = json.loads(np.lib.format.read_array(io.BytesIO(raw)).tobytes())
+        except (KeyError, FormatError) as exc:
+            raise FormatError(f"{path}: checkpoint has no readable meta entry") from exc
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: checkpoint meta is not an object")
+        if meta.get("version") not in (1, CHECKPOINT_VERSION):
+            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        try:
+            config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
+        except KeyError as exc:
+            raise FormatError(f"{path}: checkpoint meta has no {exc} field") from exc
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: checkpoint config is not an object")
+        for name, strings in (("vocab", tokens), ("answers", answers)):
+            if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+                raise FormatError(f"{path}: checkpoint {name} is not a list of strings")
+        if not answers:
+            raise FormatError(f"{path}: checkpoint has no answers")
+        model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
+                           AnswerVocab(answers, ranked=True), drawn=False)
+        want = model.layout()
+        want_names = [name for name, _ in want]
+        if meta["version"] == 1:
+            with _readable(path):
+                arrays = {key: np.lib.format.read_array(io.BytesIO(zf.read(name)))
+                          for key, name in members.items()}
+            layout, params = _version1_entries(path, arrays, want_names)
+        else:
+            layout = meta.get("layout")
+            if not _is_layout(layout):
+                raise FormatError(f"{path}: checkpoint layout is not a list of [name, shape] pairs")
+            if set(members) != {"params"}:
+                raise FormatError(f"{path}: checkpoint holds {sorted(members)} beside meta, "
+                                  f"not ['params']")
+        names = [name for name, _ in layout]
+        mismatched = sorted(set(names) ^ set(want_names))
+        if mismatched:
+            kind = "unknown" if mismatched[0] in names else "missing"
+            raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
+        if names != want_names:
+            raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
+        for (name, shape), (_, expected) in zip(layout, want):
+            if shape != expected:
+                raise FormatError(f"{path}: {name!r} is {tuple(shape)}, "
+                                  f"the model expects {tuple(expected)}")
+        # Into the model's own arena: forwards over arrays on the file's bytes
+        # ran tiny-eval 15 % slower.  Version 1's entries already match it.
+        if meta["version"] == 1:
+            model.arena[...] = params
+            return model, meta
+        # An npy 1.0 header (np.savez's; a later version's wider header fails
+        # its parse), then the data `_CHUNK` bytes at a time and on to the
+        # member's end, where zipfile checks its CRC.
+        with _readable(path), zf.open(members["params"]) as member:
+            np.lib.format.read_magic(member)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+            if dtype != np.float64 or shape != model.arena.shape:
+                raise FormatError(f"{path}: params is {dtype} {shape}, "
+                                  f"the layout needs float64 {model.arena.shape}")
+            view = memoryview(model.arena).cast("B")
+            done = sum(member.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
+            if done != len(view) or member.read(1):
+                raise FormatError(f"{path}: params does not hold the {shape} its header gives")
     return model, meta
 
 

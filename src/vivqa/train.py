@@ -135,12 +135,10 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     return report
 
 
-def run_training(cfg: RunConfig, train_split, test_split,
-                 store: dict | None = None) -> tuple[RunReport, VivqaModel]:
+def run_training(cfg: RunConfig, train_split, test_split) -> tuple[RunReport, VivqaModel]:
     """Full train entry: train, evaluate both splits, write report and
-    checkpoint when cfg.out is set.  `store` is the frozen feature store to
-    share (see `VivqaModel`)."""
-    model = build_model(cfg, train_split, store)
+    checkpoint when cfg.out is set."""
+    model = build_model(cfg, train_split)
     report = train_model(model, train_split, cfg)
 
     train_records = predict_split(model, train_split)

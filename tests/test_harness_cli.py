@@ -2,11 +2,13 @@
 sweep/significance plumbing, exit codes, and artifact round trips."""
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vivqa.cli import build_parser, main
@@ -14,6 +16,7 @@ from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl
 from vivqa.errors import ConfigError
 from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
+from vivqa.train import build_model
 
 
 def mini_cfg(**kw):
@@ -64,6 +67,92 @@ def test_ablate_extractors_extracts_each_image_once(splits, monkeypatch):
     monkeypatch.setattr(model_mod, "extract_global_stub", counting)
     ablate_extractors(mini_cfg(), train, test, seeds=[0, 1])
     assert len(calls) == len({(ex.id, ex.image) for ex in train + test})
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
+
+
+def _freeze_without_timing(cfg, train, test):
+    results = ablate_freeze(cfg, train, test)
+    for arm in ("frozen", "unfrozen"):
+        results[arm].pop("training_seconds")
+    return results
+
+
+# sha256 of each entry point's result on `splits`: no result may depend on
+# when the store is filled or on which splits an arm predicts.
+HARNESS_DIGESTS = {
+    "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
+    "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
+    "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
+    "freeze": "3ce8c698c54ee390f485484a87aae13b87d5c41dbf70dc2eb0ad27333b8a81c8",
+    "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
+    "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
+}
+
+
+def test_harness_results_are_bitwise_those_pinned(splits):
+    """Every entry point gives the digest pinned above; with an empty test
+    split the extractor arms score the train split.  `training_seconds` is
+    wall clock and is left out."""
+    train, test = splits
+    cfg = mini_cfg()
+    runs = {
+        "extractors": lambda: ablate_extractors(cfg, train, test, seeds=[0, 1]),
+        "extractors_no_test": lambda: ablate_extractors(cfg, train, [], seeds=[0, 1]),
+        "fusion": lambda: ablate_fusion(cfg, train, test),
+        "freeze": lambda: _freeze_without_timing(cfg, train, test),
+        "sweep": lambda: sweep(cfg, "layers", [1, 2], train, test),
+        "significance": lambda: significance(cfg, mini_cfg(fusion_op="add"), train, test,
+                                             n_seeds=2),
+    }
+    assert {name: _digest(run()) for name, run in runs.items()} == HARNESS_DIGESTS
+
+
+def test_arms_predict_only_the_split_they_score(splits, monkeypatch):
+    """One predict per arm, over the test split, or over the train split
+    when the test split is empty."""
+    import vivqa.train as train_mod
+
+    train, test = splits
+    predicted = []
+    predict = train_mod.predict_split
+
+    def recording(model, split):
+        predicted.append([ex.id for ex in split])
+        return predict(model, split)
+
+    monkeypatch.setattr(train_mod, "predict_split", recording)
+    ablate_extractors(mini_cfg(), train, test, seeds=[0, 1])
+    assert predicted == [[ex.id for ex in test]] * 6
+    predicted.clear()
+    ablate_extractors(mini_cfg(), train, [], seeds=[0, 1])
+    assert predicted == [[ex.id for ex in train]] * 6
+
+
+@pytest.mark.parametrize("chunk", [3, 8, 24])
+def test_fill_store_in_chunks_matches_a_store_filled_by_vision_tokens(splits, chunk):
+    """Filling a store in chunks of any size gives every key the tokens that
+    minibatches through `vision_tokens` store, and the same tokens out."""
+    train, test = splits
+    examples = train + test
+    cfg = mini_cfg(vision_mode="both", fusion_op="concatenate")
+    filled = build_model(cfg, train, {})
+    keys = []
+    for start in range(0, len(examples), chunk):
+        keys += filled.fill_store(examples[start:start + chunk])
+    by_batches = build_model(cfg, train, {})
+    for start in range(0, len(examples), cfg.batch_size):
+        by_batches.vision_tokens(examples[::-1][start:start + cfg.batch_size])
+    assert keys == [(filled.vision_dims, cfg.extractor_seed, ex.id, ex.image)
+                    for ex in examples]
+    assert filled.store.keys() == by_batches.store.keys() == set(keys)
+    for key in keys:
+        for a, b in zip(filled.store[key], by_batches.store[key]):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(filled.vision_tokens(examples).data,
+                                  by_batches.vision_tokens(examples).data)
 
 
 def test_ablate_freeze_contract(tmp_path, splits):
@@ -327,11 +416,12 @@ def test_cli_ablate_freeze(tmp_path, capsys):
 
 @pytest.mark.parametrize("seeds", ["0", "1"])
 def test_cli_ablate_extractors_needs_two_seeds(tmp_path, capsys, monkeypatch, seeds):
-    """Welch's test needs two accuracies per arm: refuse before any arm trains."""
-    import vivqa.harness as harness_mod
+    """Welch's test needs two accuracies per arm: refuse before any arm builds
+    its model."""
+    import vivqa.train as train_mod
 
     calls = []
-    monkeypatch.setattr(harness_mod, "run_training", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(train_mod, "build_model", lambda *a, **k: calls.append(a))
     cfg = write_config(tmp_path, write_corpus(tmp_path))
     assert main(["ablate", "extractors", "--seeds", seeds, "--config", cfg]) == 2
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ training determinism, non-finite losses, and report artifacts."""
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import zipfile
@@ -814,6 +815,37 @@ def _v2_npy_version_2(path, arrays):
                 np.lib.format.write_array(fh, arr, version=(2, 0))
 
 
+def _v2_flipped_data_byte(path, arrays):
+    """One byte of the stored `params` data flipped: only the member's CRC
+    can catch it."""
+    raw = bytearray(path.read_bytes())
+    start = raw.find(arrays["params"].tobytes())
+    assert start > 0
+    raw[start + arrays["params"].nbytes // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _write_params_member(path, arrays, data: bytes):
+    """`params` whose npy header gives the arena's shape, over `data`."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, arr in arrays.items():
+            with zf.open(f"{name}.npy", "w") as fh:
+                if name == "params":
+                    np.lib.format.write_array_header_1_0(
+                        fh, np.lib.format.header_data_from_array_1_0(arr))
+                    fh.write(data)
+                else:
+                    np.lib.format.write_array(fh, arr)
+
+
+def _v2_params_data_longer(path, arrays):
+    _write_params_member(path, arrays, arrays["params"].tobytes() + bytes(8))
+
+
+def _v2_params_data_shorter(path, arrays):
+    _write_params_member(path, arrays, arrays["params"].tobytes()[:-8])
+
+
 def _v2_layout(value):
     def corrupt(path, arrays):
         meta = _meta(arrays)
@@ -828,6 +860,7 @@ def _v2_layout(value):
 @pytest.mark.parametrize("corrupt", [
     _v2_unknown_name, _v2_missing_name, _v2_wrong_shape, _v2_out_of_order, _v2_params_longer,
     _v2_params_shorter, _v2_float32_params, _v2_no_params, _v2_extra_entry, _v2_npy_version_2,
+    _v2_flipped_data_byte, _v2_params_data_longer, _v2_params_data_shorter,
     pytest.param(_v2_layout(None), id="layout-absent"),
     pytest.param(_v2_layout({"text.embedding": [1]}), id="layout-object"),
     pytest.param(_v2_layout([["text.embedding", 3]]), id="layout-shape-int"),
@@ -841,6 +874,49 @@ def test_malformed_version2_checkpoint_is_format_error_and_eval_exits_3(tmp_path
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
     _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys)
+
+
+def test_checkpoint_params_stream_into_the_arena_in_chunks(tmp_path, corpus, monkeypatch):
+    """`params` is never read whole: it goes into the arena at most `_CHUNK`
+    bytes a read, here in 1000-byte reads that split floats, and the load
+    stays bitwise."""
+    cfg = tiny_cfg(epochs=1)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+    reads, read_whole = [], zipfile.ZipFile.read
+
+    def read(zf, name, *args):
+        assert name != "params.npy", "params was read whole"
+        return read_whole(zf, name, *args)
+
+    def readinto(member, buffer):
+        reads.append(len(buffer))
+        return io.BufferedIOBase.readinto(member, buffer)
+
+    monkeypatch.setattr(model_mod, "_CHUNK", 1000)
+    monkeypatch.setattr(zipfile.ZipFile, "read", read)
+    monkeypatch.setattr(zipfile.ZipExtFile, "readinto", readinto, raising=False)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.arena.tobytes() == model.arena.tobytes()
+    assert len(reads) == -(-model.arena.nbytes // 1000) and max(reads) == 1000
+    assert predict_split(loaded, corpus) == predict_split(model, corpus)
+
+
+def test_compressed_checkpoint_loads_bitwise(tmp_path, corpus):
+    """A `params` member stored deflated streams through zipfile's
+    decompressor into the same arena."""
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+    with np.load(path) as z:
+        arrays = dict(z)
+    np.savez_compressed(path, **arrays)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.getinfo("params.npy").compress_type == zipfile.ZIP_DEFLATED
+    loaded, _ = load_checkpoint(path)
+    assert loaded.arena.tobytes() == model.arena.tobytes()
 
 
 RETIRED_AT_THEIR_VALUE = dict(use_position_embeddings=True, use_modality_type_embeddings=True,

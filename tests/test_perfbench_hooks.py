@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import vivqa.model as vmodel
-from vivqa import tensor, train
+from vivqa import harness, tensor, train
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic
 from vivqa.model import VivqaModel
@@ -124,3 +124,49 @@ def test_tiny_eval_reaches_checkpoint_and_vvqf_hooks(tmp_path):
     assert len(files) == 256
     assert tracer.counters[0]["vvqf.read.bytes"] == sum(
         os.path.getsize(tmp_path / p) for p in files)
+
+
+def test_tiny_ablate_arms_train_and_predict_once_from_a_filled_store():
+    """tiny-ablate's shape (perfbench/run.py `_tiny_ablate`, on a smaller
+    corpus and 2 seeds) under the probe and every traced wrapper: each arm
+    calls `train_model` and `predict_split` once, through the names the
+    probe wraps, and predicts the test split only.  Each distinct image is
+    extracted once, and never inside training or prediction."""
+    probes = _load_probes()
+    probe, tracer = probes.Probe(), probes.Tracer()
+    seed = 3    # the arms' accuracies spread at every seed: Welch's test can run
+    tr = make_synthetic(32, 4, 4, seed=seed, id_prefix="tr")
+    te = make_synthetic(16, 4, 4, seed=seed + 1, id_prefix="te")
+    cfg = RunConfig(preset="tiny", layers=1, heads=2, batch_size=16, lr=1e-3, drop_path=0.0,
+                    epochs=2, seed=seed)
+    depth, inside = [0], []
+
+    def entering(orig):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return orig(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def visual_features(orig):
+        def run(model, example):
+            inside.append(depth[0] > 0)
+            return orig(model, example)
+        return run
+
+    wrappers = probe.wrappers() + tracer.wrappers() + [
+        (("vivqa.train", "train_model"), entering),
+        (("vivqa.train", "predict_split"), entering),
+        (("vivqa.model", "VivqaModel.visual_features"), visual_features)]
+    with probes.patched(wrappers):
+        harness.ablate_extractors(cfg, tr, te, seeds=[seed, seed + 1])
+    arms = 2 * len(harness.EXTRACTOR_ARMS)
+    timed = tracer.layer_totals(0, "timed")
+    assert timed["train.train_model"][0] == len(probe.epoch_losses) == arms
+    assert timed["train.predict_split"][0] == arms
+    assert probe.eval_examples == arms * len(te) and not probe.coverage_failures
+    distinct = len({(ex.id, ex.image) for ex in tr + te})
+    assert timed["vision.extract_global_stub"][0] == len(inside) == distinct
+    assert not any(inside)
