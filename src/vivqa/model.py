@@ -169,8 +169,8 @@ class VivqaModel:
             glob = stack([g for g, _ in feats])
             local = adapt_local(stack([l for _, l in feats]), self.vision_dims)
         else:
-            keys = self.fill_store(examples)
-            glob, local = (Tensor(np.stack([self.store[k][i] for k in keys])) for i in (0, 1))
+            entries = [self.store[k] for k in self.fill_store(examples)]
+            glob, local = (Tensor(np.stack(part)) for part in zip(*entries))
         if self.cfg.vision_mode != "both":
             return glob if self.cfg.vision_mode == "global" else local
         return fuse(glob, local, self.cfg.fusion_op)

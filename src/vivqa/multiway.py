@@ -21,7 +21,7 @@ from .config import RunConfig
 from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
-    MASK_VALUE, Tensor, add, concat, drop_path, embedding_lookup, gelu, layer_norm,
+    MASK_VALUE, Tensor, add, add_rows, concat, drop_path, gelu, layer_norm,
     linear, multi_head_attention, narrow, reshape, tanh,
 )
 
@@ -157,8 +157,8 @@ class FusionStackParams:
 def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
                       stack: FusionStackParams) -> FusedSequence:
     """(B, k, hidden) vision rows first, (B, L, hidden) text rows after,
-    with the (B, L) text mask; add learned position and modality-type
-    embeddings."""
+    with the (B, L) text mask; add the learned position and modality-type
+    embeddings, one row per sequence row shared by every item (`add_rows`)."""
     h = stack.hidden
     if v.data.ndim != 3 or q.data.ndim != 3 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"concat_modalities: batches {v.shape} / {q.shape}")
@@ -166,11 +166,9 @@ def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
         raise ShapeError(f"concat_modalities: widths {v.shape} / {q.shape} != {h}")
     batch, k = v.shape[:2]
     x = concat([v, q], axis=1)
-    rows = x.shape[1]
-    positions = np.broadcast_to(np.arange(rows), (batch, rows))
-    x = add(x, embedding_lookup(stack.extra["fusion.position"], positions))
-    types = np.broadcast_to(np.arange(rows) >= k, (batch, rows))
-    x = add(x, embedding_lookup(stack.extra["fusion.type"], types))
+    rows = np.arange(x.shape[1])
+    x = add_rows(x, stack.extra["fusion.position"], rows)
+    x = add_rows(x, stack.extra["fusion.type"], rows >= k)
     mask = np.concatenate([np.ones((batch, k)), q_mask], axis=1)
     return FusedSequence(x=x, boundary=k, mask=mask)
 

@@ -13,9 +13,9 @@ A minibatch travels as one leading batch axis: the model's activations are
 takes (B, S, width) with a (B, S) key bias, `cross_entropy` takes (B, C)
 logits and (B,) targets with mean reduction, and `drop_path` draws one
 keep-or-kill per item.  Broadcasting is otherwise deliberately restricted:
-elementwise ops demand identical shapes; the single sanctioned broadcast is
-the bias row in `linear`.  64-bit is the default dtype; 32-bit is allowed
-for training speed but all gradient checks assume 64-bit.
+elementwise ops demand identical shapes, save the bias row in `linear` and
+the batch-shared table rows in `add_rows`.  64-bit is the default dtype;
+32-bit is allowed for training speed but all gradient checks assume 64-bit.
 """
 from __future__ import annotations
 
@@ -379,9 +379,9 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         )
     x = t.data
     gd = gamma.data.reshape(-1)
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d     # x.mean(-1) without its wrapper
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
 
@@ -390,11 +390,8 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dgamma = (g * xhat).sum(axis=lead).reshape(gamma.shape)
         dbeta = g.sum(axis=lead).reshape(beta.shape)
         dxhat = g * gd
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
         return (dx, dgamma, dbeta)
 
     return _node(xhat * gd + beta.data.reshape(-1), (t, gamma, beta), bwd)
@@ -452,21 +449,45 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
 # Lookup, loss, drop path
 
 
+def _indices(ids, size: int, what: str) -> np.ndarray:
+    """`ids` as int64; IndexError names the first one outside [0, size)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IndexError(f"{what} {ids[(ids < 0) | (ids >= size)][0]} outside [0, {size})")
+    return ids
+
+
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of `table` for an id array of any shape, e.g. (B, S) -> (B, S, d)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    vocab = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-        bad = ids[(ids < 0) | (ids >= vocab)][0]
-        raise IndexError(f"embedding_lookup: id {bad} outside table of size {vocab}")
-    tshape = table.shape
+    ids = _indices(ids, table.shape[0], "embedding_lookup: id")
 
     def bwd(g):
-        dt = np.zeros(tshape, dtype=g.dtype)
+        dt = np.zeros(table.shape, dtype=g.dtype)
         np.add.at(dt, ids, g)
         return (dt,)
 
     return _node(table.data[ids], (table,), bwd)
+
+
+def add_rows(x: Tensor, table: Tensor, ids) -> Tensor:
+    """x + table[ids] on every item of x (B, rows, d), one (rows,) id list for
+    the batch.  The table's gradient sums each id's rows item-major: np.add.at's
+    bits without its element loop (at d > 1; numpy sums one column pairwise)."""
+    ids = _indices(ids, table.shape[0], "add_rows: id")
+    if x.data.ndim != 3 or ids.shape != x.shape[1:2] or table.shape[1:] != x.shape[2:]:
+        raise ShapeError(f"add_rows: x {x.shape}, table {table.shape}, ids {ids.shape}")
+
+    def bwd(g):
+        dt = np.zeros(table.shape, dtype=g.dtype)
+        distinct = set(ids.tolist())
+        if len(distinct) == ids.size:
+            dt[ids] = g.sum(axis=0)
+        else:
+            for i in distinct:
+                dt[i] = g[:, ids == i].reshape(-1, table.shape[1]).sum(axis=0)
+        return (g, dt)
+
+    return _node(x.data + table.data[ids], (x, table), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -476,9 +497,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
     batch, c = logits.shape
-    if targets.size and (targets.min() < 0 or targets.max() >= c):
-        bad = targets[(targets < 0) | (targets >= c)][0]
-        raise IndexError(f"cross_entropy: target {bad} outside {c} classes")
+    targets = _indices(targets, c, "cross_entropy: target")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Tensor, add, embedding_lookup, linear
+from .tensor import Tensor, add_rows, embedding_lookup, linear
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 RESERVED = ["[PAD]", "[CLS]", "[SEP]", "[UNK]"]
@@ -80,9 +80,7 @@ def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ShapeError(f"encode: token ids must be (batch, length), got {ids.shape}")
-    tok = embedding_lookup(p.embedding, ids)
-    pos = embedding_lookup(p.positional, np.broadcast_to(np.arange(ids.shape[1]), ids.shape))
-    return add(tok, pos)
+    return add_rows(embedding_lookup(p.embedding, ids), p.positional, np.arange(ids.shape[1]))
 
 
 class ProjectionParams:

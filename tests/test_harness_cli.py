@@ -81,12 +81,14 @@ def _freeze_without_timing(cfg, train, test):
 
 
 # sha256 of each entry point's result on `splits`: no result may depend on
-# when the store is filled or on which splits an arm predicts.
+# when the store is filled or on which splits an arm predicts.  "freeze"
+# also holds each arm's backward node visits, so it moves whenever the
+# graph gains or loses a node per step.
 HARNESS_DIGESTS = {
     "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
     "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
     "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
-    "freeze": "3ce8c698c54ee390f485484a87aae13b87d5c41dbf70dc2eb0ad27333b8a81c8",
+    "freeze": "fde7e6bf3277d9a5038de4cfbe06c0cb912589e18416aa86026ba02a6e2fe05f",
     "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
     "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
 }

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -162,16 +164,69 @@ def test_vision_tokens_adapt_store_misses_once_per_batch(corpus, monkeypatch):
     np.testing.assert_array_equal(out, alone)
 
 
-def test_tiny_train_backward_node_visits():
+@pytest.fixture(scope="module")
+def tiny_train_run():
     """The benchmark's tiny-train run: 48 steps of a 2-layer model, one
     graph per minibatch with its vision tokens served from the store."""
     cfg = RunConfig(preset="tiny", layers=2, heads=2, batch_size=16, lr=1e-3,
                     drop_path=0.1, epochs=6, seed=0)
     corpus = make_synthetic(128, 4, 4, seed=0)
-    report = train_model(build_model(cfg, corpus), corpus, cfg)
+    model = build_model(cfg, corpus)
+    report = train_model(model, corpus, cfg)
+    return model, report, predict_split(model, corpus)
+
+
+def test_tiny_train_backward_node_visits(tiny_train_run):
+    _, report, _ = tiny_train_run
     # The last block computes row 0 alone: its language expert (4 ops and 6
     # parameter leaves), routing narrows and concat are not on the graph.
-    assert report.backward_node_visits == 5184
+    # Each step's positional, fusion-position and type rows are one
+    # `add_rows` node each.
+    assert report.backward_node_visits == 5040
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_tiny_train_is_bitwise_the_pinned_run(tiny_train_run):
+    """Epoch losses, predictions and the trained arena of the tiny-train run
+    hash to the digests pinned here: a kernel change that moves one bit of
+    training fails this test."""
+    model, report, records = tiny_train_run
+    losses = " ".join(float(v).hex() for v in report.epoch_losses)
+    predictions = json.dumps([[r.id, r.prediction] for r in records])
+    assert {
+        "losses": _sha256(losses.encode()),
+        "predictions": _sha256(predictions.encode()),
+        "arena": _sha256(model.arena.tobytes()),
+    } == {
+        "losses": "a70298a603048d046fd94e7458e61b36dc080ddad69b9eab475d7451d8cb696e",
+        "predictions": "f428ff9d69c7bf57f784c5628e3134116a7b17489059272460d3eb036ffc105c",
+        "arena": "0d1d69401315b8d4f5f834c915465210de7355bac8d9f4c3645fd36cdbd9a14c",
+    }
+
+
+def test_training_and_prediction_never_import_numpy_ma():
+    """One tiny training step and a predict leave numpy.ma (which np.unique
+    imports, 1.7 MB of resident memory) and scipy unimported."""
+    code = """
+import sys
+from vivqa.config import RunConfig
+from vivqa.data import make_synthetic
+from vivqa.train import build_model, predict_split, train_model
+cfg = RunConfig(preset="tiny", layers=1, heads=2, batch_size=8, epochs=1, seed=0)
+corpus = make_synthetic(8, 2, 2, seed=0)
+model = build_model(cfg, corpus)
+train_model(model, corpus, cfg)
+predict_split(model, corpus)
+print(sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("drop_path", [0.0, 0.5])

@@ -449,6 +449,58 @@ def test_embedding_rejects_out_of_range():
         T.embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
 
 
+ADD_ROWS_IDS = [[0, 1, 2, 3, 4], [3, 0, 4, 1], [0, 0, 0, 1, 1], [1, 0, 1, 2]]
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("ids", ADD_ROWS_IDS)
+def test_add_rows_is_bitwise_the_broadcast_lookup_oracle(ids, batch):
+    """Output, x.grad and table.grad carry the bits of adding a lookup of the
+    batch-broadcast ids, whose table gradient is np.add.at's; an upstream
+    column of -0.0 keeps its signs too."""
+    r = np.random.default_rng(len(ids) * 10 + batch)
+    rows, width = len(ids), 6
+    x, table = r.normal(size=(batch, rows, width)), r.normal(size=(5, width))
+    proj = r.normal(size=(batch, rows, width)) * 1e3
+    proj[..., 0] = -0.0
+
+    def run(op):
+        xt, tt = Tensor(x, requires_grad=True), Tensor(table, requires_grad=True)
+        out = op(xt, tt)
+        backward(T.sum_all(T.mul(out, Tensor(proj))))
+        return [a.tobytes() for a in (out.data, xt.grad, tt.grad)]
+
+    oracle = run(lambda xt, tt: T.add(
+        xt, T.embedding_lookup(tt, np.broadcast_to(ids, (batch, rows)))))
+    assert run(lambda xt, tt: T.add_rows(xt, tt, ids)) == oracle
+
+
+@pytest.mark.parametrize("ids", ADD_ROWS_IDS)
+def test_grad_add_rows(ids):
+    r = np.random.default_rng(sum(ids))
+    x, table = r.normal(size=(3, len(ids), 4)), r.normal(size=(5, 4))
+    proj = r.normal(size=(3, len(ids), 4))
+    f = scalarize(lambda t: T.add_rows(t, Tensor(table), ids))(proj)
+    assert grad_check(f, Tensor(x)) < GRAD_TOL
+    f = scalarize(lambda t: T.add_rows(Tensor(x), t, ids))(proj)
+    assert grad_check(f, Tensor(table)) < GRAD_TOL
+
+
+def test_add_rows_rejects_bad_shapes_and_ids():
+    x, table = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4)))
+    for bad_x, bad_table, ids in [
+        (x, table, [0, 1]),                                # ids shorter than the rows
+        (x, table, [[0, 1, 2]]),                           # ids not one list
+        (x, Tensor(np.zeros((5, 3))), [0, 1, 2]),          # widths disagree
+        (Tensor(np.zeros((3, 4))), table, [0, 1, 2]),      # no batch axis
+    ]:
+        with pytest.raises(ShapeError):
+            T.add_rows(bad_x, bad_table, ids)
+    for ids in ([0, 1, 5], [0, -1, 2]):
+        with pytest.raises(IndexError):
+            T.add_rows(x, table, ids)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_multi_head_attention(seed):
     r = np.random.default_rng(500 + seed)
