@@ -51,9 +51,7 @@ def _run_arm(cfg: RunConfig, train_split, test_split, store: dict):
     """(report, model, accuracy on the test split, else the train split)."""
     model = train.build_model(cfg, train_split, store)
     if cfg.freeze_extractors:
-        examples = list(train_split) + list(test_split or [])
-        for start in range(0, len(examples), cfg.batch_size):
-            model.fill_store(examples[start:start + cfg.batch_size])
+        model.fill_store(list(train_split) + list(test_split or []))
     report = train.train_model(model, train_split, cfg)
     records = train.predict_split(model, test_split or train_split)
     return report, model, metrics_report(records).accuracy

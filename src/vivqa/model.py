@@ -4,7 +4,7 @@ stack, pooler and classifier; plus the parameter arena and checkpoints.
 
 Frozen extractor outputs are constants of the image, kept in a feature store
 (a plain dict the harness shares across an experiment's arms): `fill_store`
-extracts only the images the store lacks, and adapts them in one pass.
+extracts the images the store lacks in `batch_size` chunks, one pass each.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .multiway import (
 )
 from .optim import pack
 from .rng import RngStream
-from .tensor import Tensor, stack
+from .tensor import Tensor, concat
 from .text import (
     ProjectionParams, TextEncoderParams, Vocabulary, encode as text_encode, project, tokenize,
 )
@@ -108,6 +108,7 @@ class VivqaModel:
         # (global, adapted local) tokens.  The id fixes the pixel-noise seed
         # and the ref the image, so the key fixes the tokens for any model.
         self.store = {} if store is None else store
+        self._tokens = {}       # question -> its read-only TokenizedQuestion
 
     # -- parameters ---------------------------------------------------------
 
@@ -133,41 +134,55 @@ class VivqaModel:
     # -- features -----------------------------------------------------------
 
     def visual_features(self, example: Example) -> tuple[Tensor, Tensor]:
-        """Raw (global, local) extractor outputs of one example, rendered
-        from a `synthetic:` ref or read from the ref's VVQF pair, whose
-        shapes must be the preset's extractor output shapes."""
+        """Raw (global, local) extractor outputs of one example: the N=1 case
+        of `extract`, without its leading axis."""
+        return tuple(Tensor(part.data[0]) for part in self.extract([example]))
+
+    def extract(self, examples) -> tuple[Tensor, Tensor]:
+        """Raw (global, local) extractor outputs of N examples, (N, ...) each: `synthetic:`
+        refs rendered through each stub in one call (on its graph if all are), the
+        others read from their VVQF pairs, which must have the preset's shapes."""
         d = self.vision_dims
-        if example.image.startswith("synthetic:"):
-            img = render_synthetic(SyntheticSpec.parse(example.image), d,
-                                   noise_seed=example_noise_seed(example.id))
-            return extract_global_stub(img, self.extractor), extract_local_stub(img, self.extractor)
-        pair = []
-        for suffix, want in ((".global.vvqf", (d.n_tokens, d.token_dim)),
-                             (".local.vvqf", (d.local_channels, d.grid, d.grid))):
-            t = read_feature_file(example.image + suffix)
-            if t.shape != want:
-                raise DataError(f"{example.image}{suffix}: shape {t.shape}, expected {want}")
-            pair.append(Tensor(t.data.astype(np.float64)))
-        return tuple(pair)
+        rendered = [ex.image.startswith("synthetic:") for ex in examples]
+        out = [np.empty((len(examples),) + shape) for shape in (
+            (d.n_tokens, d.token_dim), (d.local_channels, d.grid, d.grid))]
+        if any(rendered):
+            imgs = np.stack([render_synthetic(SyntheticSpec.parse(ex.image), d,
+                                              noise_seed=example_noise_seed(ex.id))
+                             for ex, r in zip(examples, rendered) if r])
+            feats = extract_global_stub(imgs, self.extractor), extract_local_stub(imgs, self.extractor)
+            if all(rendered):
+                return feats
+            for part, f in zip(out, feats):
+                part[rendered] = f.data
+        for i in [i for i, r in enumerate(rendered) if not r]:
+            for part, suffix in zip(out, (".global.vvqf", ".local.vvqf")):
+                t = read_feature_file(examples[i].image + suffix)
+                if t.shape != part.shape[1:]:
+                    raise DataError(f"{examples[i].image}{suffix}: shape {t.shape}, "
+                                    f"expected {part.shape[1:]}")
+                part[i] = t.data
+        return tuple(Tensor(part) for part in out)
 
     def fill_store(self, examples) -> list:
         """The store keys of `examples`, after extracting the distinct ones the
-        store lacks and adapting them in one pass (frozen extractors only)."""
+        store lacks in `batch_size` chunks, one `extract` and one adapter pass
+        each (frozen extractors only)."""
         keys = [(self.vision_dims, self.cfg.extractor_seed, ex.id, ex.image) for ex in examples]
-        misses = {k: ex for k, ex in zip(keys, examples) if k not in self.store}
-        if misses:
-            feats = [self.visual_features(ex) for ex in misses.values()]
-            rows = adapt_local(Tensor(np.stack([l.data for _, l in feats])), self.vision_dims)
-            self.store.update(zip(misses, zip([g.data for g, _ in feats], rows.data)))
+        misses = list({k: ex for k, ex in zip(keys, examples) if k not in self.store}.items())
+        for start in range(0, len(misses), self.cfg.batch_size):
+            chunk = dict(misses[start:start + self.cfg.batch_size])
+            glob, local = self.extract(list(chunk.values()))
+            self.store.update(zip(chunk, zip(glob.data, adapt_local(local, self.vision_dims).data)))
         return keys
 
     def vision_tokens(self, examples) -> Tensor:
         """(B, k, hidden) tokens of B examples, adapted and fused once per batch:
-        frozen tokens through the store, unfrozen ones (which train) never."""
+        frozen tokens through the store, unfrozen ones (one graph per example) never."""
         if not self.cfg.freeze_extractors:
-            feats = [self.visual_features(ex) for ex in examples]
-            glob = stack([g for g, _ in feats])
-            local = adapt_local(stack([l for _, l in feats]), self.vision_dims)
+            feats = [self.extract([ex]) for ex in examples]
+            glob = concat([g for g, _ in feats], axis=0)
+            local = adapt_local(concat([l for _, l in feats], axis=0), self.vision_dims)
         else:
             entries = [self.store[k] for k in self.fill_store(examples)]
             glob, local = (Tensor(np.stack(part)) for part in zip(*entries))
@@ -183,7 +198,10 @@ class VivqaModel:
         rngs[i] being item i's stream for its drop-path draws.  The last block
         computes only row 0, which `pool_cls` reads: `weights_sink` gets its
         (B, heads, 1, rows) weights after each inner block's (B, heads, rows, rows)."""
-        tokens = [tokenize(ex.question, self.vocab, self.cfg.l_max) for ex in examples]
+        for question in {ex.question for ex in examples} - self._tokens.keys():
+            t = self._tokens[question] = tokenize(question, self.vocab, self.cfg.l_max)
+            t.ids.flags.writeable = t.mask.flags.writeable = False
+        tokens = [self._tokens[ex.question] for ex in examples]
         v = self.vision_tokens(examples)
         q = project(text_encode(np.stack([t.ids for t in tokens]), self.text_params),
                     self.projection)

@@ -85,7 +85,7 @@ def _keep_heap() -> None:
 
 
 def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
-    """Run the optimization loop on an already-built model."""
+    """Run the optimization loop on an already-built model, frozen features stored first."""
     _keep_heap()
     optimizer = AdamW(model.trainable_params(), model.arena[:model.n_trainable],
                       betas=cfg.adam_betas, eps=cfg.adam_eps,
@@ -95,6 +95,8 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
                               warmup_ratio=cfg.warmup_ratio, floor_lr=cfg.floor_lr)
     run_rng = RngStream(cfg.seed).split("train")
     report = RunReport(seed=cfg.seed, config=json.loads(cfg.to_json()))
+    if cfg.freeze_extractors:       # extraction is not training time
+        model.fill_store(train_split)
     visits_before = T.backward_node_visits()
     started = time.perf_counter()
     step = 0

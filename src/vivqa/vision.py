@@ -15,8 +15,8 @@ grid at paper scale):
   the local stub.  This exact complementarity is what the synthetic
   ablation corpus relies on.
 
-Both stubs are linear in the pixels and deterministic per seed; frozen
-weights record no gradient tape.
+Both stubs take an (N, channels, H, W) stack of images, are linear in the
+pixels and deterministic per seed; frozen weights record no gradient tape.
 """
 from __future__ import annotations
 
@@ -114,53 +114,50 @@ class StubExtractorParams:
         return h.digest()
 
 
-def _check_image(img: np.ndarray, dims: VisionDims) -> None:
+def _check_images(imgs: np.ndarray, dims: VisionDims) -> None:
     want = (dims.channels, dims.image_size, dims.image_size)
-    if img.shape != want:
-        raise ShapeError(f"image shape {img.shape} != expected {want}")
+    if imgs.ndim != 4 or imgs.shape[1:] != want:
+        raise ShapeError(f"image stack shape {imgs.shape} != (N, *{want})")
 
 
-def _block_means(img: np.ndarray, dims: VisionDims) -> np.ndarray:
-    """(grid*grid, channels) means over non-overlapping block x block patches."""
-    c, g, b = dims.channels, dims.grid, dims.block
-    blocks = img.reshape(c, g, b, g, b)
-    return blocks.mean(axis=(2, 4)).transpose(1, 2, 0).reshape(g * g, c)
+def _block_means(imgs: np.ndarray, dims: VisionDims) -> np.ndarray:
+    """(N, grid*grid, channels) means over non-overlapping block x block patches."""
+    n, c, g, b = len(imgs), dims.channels, dims.grid, dims.block
+    blocks = imgs.reshape(n, c, g, b, g, b)
+    return blocks.mean(axis=(3, 5)).transpose(0, 2, 3, 1).reshape(n, g * g, c)
 
 
-def _image_summary(img: np.ndarray, p: StubExtractorParams) -> np.ndarray:
+def _image_summary(imgs: np.ndarray, p: StubExtractorParams) -> np.ndarray:
     d = p.dims
-    c, g, b = d.channels, d.grid, d.block
-    patches = (
-        img.reshape(c, g, b, g, b)
-        .transpose(1, 3, 0, 2, 4)
-        .reshape(g * g, c * b * b)
-    )
-    # np.repeat broadcasts each patch's channel mean over that channel's pixels
-    centered = patches - np.repeat(_block_means(img, d), b * b, axis=1)
-    texture = centered @ p.patch_proj.T                     # (grid^2, texture_dim)
-    return np.concatenate([img.mean(axis=(1, 2)), texture.reshape(-1)])
+    n, c, g, b = len(imgs), d.channels, d.grid, d.block
+    patches = imgs.reshape(n, c, g, b, g, b).transpose(0, 2, 4, 1, 3, 5).reshape(n, g * g, c, -1)
+    centered = patches - _block_means(imgs, d)[..., None]   # less each patch channel's mean
+    texture = centered.reshape(n, g * g, -1) @ p.patch_proj.T   # (N, grid^2, texture_dim)
+    return np.concatenate([imgs.mean(axis=(2, 3)), texture.reshape(n, -1)], axis=1)
 
 
-def extract_global_stub(img: np.ndarray, p: StubExtractorParams) -> Tensor:
-    """Global-contract features: (n_tokens, token_dim)."""
-    _check_image(img, p.dims)
-    summary = Tensor(_image_summary(img, p).reshape(1, -1))
+def extract_global_stub(imgs: np.ndarray, p: StubExtractorParams) -> Tensor:
+    """Global-contract features of N images: (N, n_tokens, token_dim).  The
+    projection is N one-row products, (N, 1, S) @ W: an (N, S) product
+    would round some rows differently from a stack of one."""
+    _check_images(imgs, p.dims)
+    summary = Tensor(_image_summary(imgs, p)[:, None, :])
     out = linear(summary, p.global_weight, p.global_bias)
-    return reshape(out, (p.dims.n_tokens, p.dims.token_dim))
+    return reshape(out, (len(imgs), p.dims.n_tokens, p.dims.token_dim))
 
 
-def extract_local_stub(img: np.ndarray, p: StubExtractorParams) -> Tensor:
-    """Local-contract features: (local_channels, grid, grid).
+def extract_local_stub(imgs: np.ndarray, p: StubExtractorParams) -> Tensor:
+    """Local-contract features of N images: (N, local_channels, grid, grid).
 
     Block means are expressed as contrast against the fixed MID_GRAY level
     before projection so the features are not dominated by a shared
     brightness background; the map stays affine in the pixels, per-cell
     local, and still depends on nothing finer than block means."""
-    _check_image(img, p.dims)
+    _check_images(imgs, p.dims)
     d = p.dims
-    means = Tensor(_block_means(img, d) - MID_GRAY)         # (grid^2, channels)
+    means = Tensor(_block_means(imgs, d) - MID_GRAY)        # (N, grid^2, channels)
     cells = linear(means, p.local_weight, p.local_bias)
-    return permute(reshape(cells, (d.grid, d.grid, d.local_channels)), (2, 0, 1))
+    return permute(reshape(cells, (len(imgs), d.grid, d.grid, d.local_channels)), (0, 3, 1, 2))
 
 
 def adapt_local(v: Tensor, dims: VisionDims) -> Tensor:

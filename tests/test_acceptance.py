@@ -64,10 +64,12 @@ def test_c1_shape_chain_paper_preset():
                            noise_seed=example_noise_seed(ex.id))
     assert img.shape == (3, 224, 224)
 
-    g = extract_global_stub(img, model.extractor)
-    assert g.shape == (32, 768)
-    l = extract_local_stub(img, model.extractor)
-    assert l.shape == (2560, 7, 7)
+    # the stubs take a stack of images: here one
+    g = extract_global_stub(img[None], model.extractor)
+    assert g.shape == (1, 32, 768)
+    l = extract_local_stub(img[None], model.extractor)
+    assert l.shape == (1, 2560, 7, 7)
+    g, l = T.Tensor(g.data[0]), T.Tensor(l.data[0])
 
     # adapter chain, step by step
     step = T.adaptive_avg_pool(l, (1, dims.n_tokens))

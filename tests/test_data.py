@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from vivqa.config import preset_dims
 from vivqa.data import (
-    AnswerVocab, Example, FoldPlan, OOV_TARGET, SyntheticSpec,
+    AnswerVocab, Example, FoldPlan, MAX_GLOBAL_CUES, OOV_TARGET, SyntheticSpec,
     batch_iter, corpus_stats, example_noise_seed, kfold, load_jsonl,
     make_synthetic, render_synthetic, save_jsonl, split_train_test,
     synthetic_answer, _local_positions,
 )
 from vivqa.errors import DataError, ParseError
+from vivqa.vision import VisionDims
 
 TINY = preset_dims("tiny").vision
 
@@ -241,6 +242,54 @@ def test_render_deterministic_per_noise_seed():
     c = render_synthetic(SyntheticSpec(0, 1), TINY, noise_seed=2)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _render_uncached(spec, dims, noise_seed):
+    """render_synthetic as it was before the texture cache, with the Walsh
+    sign pattern built per pixel."""
+    from vivqa.data import BASE_LEVEL, LOCAL_DELTA, NOISE_AMP, TEXTURE_AMP
+    from vivqa.rng import RngStream
+    c, size, b, grid = dims.channels, dims.image_size, dims.block, dims.grid
+    m, sub = spec.global_cue + 1, b // 4
+    tile = np.empty((b, b))
+    for y in range(b):
+        for x in range(b):
+            u, v = y // sub, x // sub
+            bits = (m & 1) * (u & 1) + (m >> 1 & 1) * (u >> 1 & 1) \
+                + (m >> 2 & 1) * (v & 1) + (m >> 3 & 1) * (v >> 1 & 1)
+            tile[y, x] = (-1.0) ** bits
+    img = np.full((c, size, size), BASE_LEVEL)
+    img += TEXTURE_AMP * np.tile(tile, (grid, grid))[None, :, :]
+    bi, bj = _local_positions(grid, grid * grid)[spec.local_cue]
+    for ch in range(c):
+        img[ch, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += LOCAL_DELTA[ch % 3]
+    noise = RngStream(noise_seed).split("pixel-noise").uniform(-NOISE_AMP, NOISE_AMP,
+                                                               (c, size, size))
+    return np.clip(img + noise, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("dims", [TINY, VisionDims(image_size=56, block=8)],
+                         ids=["tiny", "56px-block8"])
+def test_render_with_cached_texture_is_bitwise_the_uncached_render(dims):
+    for g in range(MAX_GLOBAL_CUES):
+        for l in (0, g, dims.grid ** 2 - 1):
+            spec = SyntheticSpec(g, l)
+            got = render_synthetic(spec, dims, noise_seed=100 * g + l)
+            assert got.tobytes() == _render_uncached(spec, dims, 100 * g + l).tobytes()
+
+
+def test_texture_cache_is_read_only_and_renders_are_not():
+    from vivqa.data import _walsh_texture
+    tex = _walsh_texture(3, TINY)
+    assert _walsh_texture(3, TINY) is tex and not tex.flags.writeable
+    assert tex.shape == (TINY.image_size, TINY.image_size)
+    with pytest.raises(ValueError):
+        tex[0, 0] = 0.0
+    before = tex.copy()
+    img = render_synthetic(SyntheticSpec(3, 1), TINY, noise_seed=2)
+    img[...] = 0.0              # each render is its own writable array
+    np.testing.assert_array_equal(_walsh_texture(3, TINY), before)
+    assert render_synthetic(SyntheticSpec(3, 1), TINY, noise_seed=2).any()
 
 
 def test_global_texture_zero_mean_per_block():

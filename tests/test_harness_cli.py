@@ -53,20 +53,31 @@ def test_ablate_fusion_outputs(tmp_path, splits):
 
 def test_ablate_extractors_extracts_each_image_once(splits, monkeypatch):
     """The arms of one call share a frozen-feature store: 2 seeds x 3 arms
-    render and extract each distinct image once, not six times."""
+    render and extract each distinct image once, not six times, in stacks of
+    at most `batch_size` images."""
     import vivqa.model as model_mod
+    from vivqa.data import example_noise_seed
 
     train, test = splits
-    calls = []
-    extract = model_mod.extract_global_stub
+    rendered, stacks = [], []
+    render, extract = model_mod.render_synthetic, model_mod.extract_global_stub
 
-    def counting(img, params):
-        calls.append(1)
-        return extract(img, params)
+    def counting_render(spec, dims, noise_seed):
+        rendered.append((spec.image_ref(), noise_seed))
+        return render(spec, dims, noise_seed=noise_seed)
 
-    monkeypatch.setattr(model_mod, "extract_global_stub", counting)
-    ablate_extractors(mini_cfg(), train, test, seeds=[0, 1])
-    assert len(calls) == len({(ex.id, ex.image) for ex in train + test})
+    def counting_extract(imgs, params):
+        stacks.append(len(imgs))
+        return extract(imgs, params)
+
+    monkeypatch.setattr(model_mod, "render_synthetic", counting_render)
+    monkeypatch.setattr(model_mod, "extract_global_stub", counting_extract)
+    cfg = mini_cfg()
+    ablate_extractors(cfg, train, test, seeds=[0, 1])
+    distinct = {(ex.image, example_noise_seed(ex.id)) for ex in train + test}
+    assert sorted(rendered) == sorted(distinct)
+    assert sum(stacks) == len(distinct) and max(stacks) <= cfg.batch_size
+    assert len(stacks) == -(-len(distinct) // cfg.batch_size)
 
 
 def _digest(result) -> str:
@@ -341,6 +352,29 @@ def test_cli_json_line_not_an_object_exits_3(tmp_path, capsys, command, line):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}:2: expected a JSON object")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_train_extracts_nothing_inside_a_step(tmp_path, monkeypatch):
+    """`vivqa train` renders and extracts its frozen features before the
+    first `AdamW.zero_grad`, never between a `zero_grad` and its `step`."""
+    import vivqa.model as model_mod
+    from vivqa.optim import AdamW
+
+    events = []
+    for owner, name in ((AdamW, "zero_grad"), (AdamW, "step"),
+                        (model_mod, "render_synthetic"), (model_mod, "extract_global_stub"),
+                        (model_mod, "extract_local_stub"), (model_mod, "adapt_local")):
+        def recording(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+            events.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    cfg = write_config(tmp_path, write_corpus(tmp_path), epochs=2)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    steps = [i for i, name in enumerate(events) if name in ("zero_grad", "step")]
+    assert steps and len(steps) % 2 == 0
+    for start, end in zip(steps[::2], steps[1::2]):
+        assert events[start:end + 1] == ["zero_grad", "step"]
+    assert "render_synthetic" in events[:steps[0]]
 
 
 @pytest.mark.parametrize("ref", [

@@ -134,34 +134,111 @@ def test_store_shared_across_extractor_seeds_matches_fresh_stores(corpus):
 
 def test_vision_tokens_adapt_store_misses_once_per_batch(corpus, monkeypatch):
     """A batch of store hits, misses and a repeated example extracts each
-    distinct missing image once, runs one adapter pass, and gives every
-    item the tokens it gets alone."""
+    distinct missing image once, in one stub call and one adapter pass, and
+    gives every item the tokens it gets alone."""
     import vivqa.model as model_mod
+    from vivqa.data import example_noise_seed
 
     cfg = tiny_cfg(vision_mode="both", fusion_op="concatenate")
     model = build_model(cfg, corpus)
     model.vision_tokens(corpus[:3])
     batch = [corpus[0], corpus[3], corpus[1], corpus[4], corpus[3]]
-    adapts, extracted = [], []
-    adapt, features = model_mod.adapt_local, model.visual_features
+    adapts, stacks, rendered = [], [], []
+    adapt, extract, render = (model_mod.adapt_local, model_mod.extract_global_stub,
+                              model_mod.render_synthetic)
 
     def counting_adapt(v, dims):
         adapts.append(v.shape)
         return adapt(v, dims)
 
-    def counting_features(ex):
-        extracted.append(ex.id)
-        return features(ex)
+    def counting_extract(imgs, params):
+        stacks.append(len(imgs))
+        return extract(imgs, params)
+
+    def counting_render(spec, dims, noise_seed):
+        rendered.append(noise_seed)
+        return render(spec, dims, noise_seed=noise_seed)
 
     monkeypatch.setattr(model_mod, "adapt_local", counting_adapt)
-    monkeypatch.setattr(model, "visual_features", counting_features)
+    monkeypatch.setattr(model_mod, "extract_global_stub", counting_extract)
+    monkeypatch.setattr(model_mod, "render_synthetic", counting_render)
     out = model.vision_tokens(batch).data
     assert len(adapts) == 1 and adapts[0][0] == 2
-    assert sorted(extracted) == sorted([corpus[3].id, corpus[4].id])
+    assert stacks == [2]
+    assert sorted(rendered) == sorted(example_noise_seed(ex.id) for ex in corpus[3:5])
     monkeypatch.undo()
     fresh = build_model(cfg, corpus)
     alone = np.concatenate([fresh.vision_tokens([ex]).data for ex in batch])
     np.testing.assert_array_equal(out, alone)
+
+
+def test_fill_store_chunk_mixing_hits_repeats_synthetic_and_vvqf(corpus, tmp_path,
+                                                                 monkeypatch):
+    """One fill over store hits, a repeated example, `synthetic:` refs and
+    VVQF pairs, chunked at `batch_size`: every entry is bitwise what the
+    example gets alone from a fresh store, and only misses are extracted."""
+    cfg = tiny_cfg(vision_mode="both", fusion_op="add", batch_size=3)
+    source = build_model(cfg, corpus)
+    files = []
+    for ex in corpus[10:13]:
+        base = str(tmp_path / ex.id)
+        g, l = source.visual_features(ex)
+        write_feature_file(base + ".global.vvqf", g)
+        write_feature_file(base + ".local.vvqf", l)
+        files.append(dataclasses.replace(ex, id=f"file-{ex.id}", image=base))
+    model = build_model(cfg, corpus)
+    model.fill_store(corpus[:2])
+    examples = [corpus[0], files[0], corpus[2], corpus[2], files[1], corpus[1], corpus[3],
+                files[2], files[0]]
+    stacks = []
+    extract = model_mod.extract_global_stub
+
+    def counting(imgs, params):
+        stacks.append(len(imgs))
+        return extract(imgs, params)
+
+    monkeypatch.setattr(model_mod, "extract_global_stub", counting)
+    keys = model.fill_store(examples)
+    monkeypatch.undo()
+    assert stacks == [1, 1]     # misses in order: f0 c2 f1 | c3 f2
+    assert len(model.store) == 2 + 5
+    for ex, key in zip(examples, keys):
+        alone = build_model(cfg, corpus)
+        alone.fill_store([ex])
+        for got, want in zip(model.store[key], alone.store[key]):
+            assert got.tobytes() == want.tobytes()
+    for ex, src in zip(files, corpus[10:13]):
+        g, l = model.visual_features(ex)
+        sg, sl = source.visual_features(src)
+        np.testing.assert_array_equal(g.data, sg.data.astype(np.float32))
+        np.testing.assert_array_equal(l.data, sl.data.astype(np.float32))
+
+
+def test_each_question_is_tokenized_once_per_model(corpus, monkeypatch):
+    """Two epochs of training and a predict tokenize each distinct question
+    once; the cached ids and mask are read-only and the logits are bitwise
+    those of a fresh tokenization."""
+    calls = []
+
+    def counting(question, vocab, l_max):
+        calls.append(question)
+        return tokenize(question, vocab, l_max)
+
+    monkeypatch.setattr(model_mod, "tokenize", counting)
+    cfg = tiny_cfg(epochs=2)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    predict_split(model, corpus)
+    assert sorted(calls) == sorted({ex.question for ex in corpus})
+    for question, tq in model._tokens.items():
+        assert not tq.ids.flags.writeable and not tq.mask.flags.writeable
+        fresh = tokenize(question, model.vocab, cfg.l_max)
+        np.testing.assert_array_equal(tq.ids, fresh.ids)
+        np.testing.assert_array_equal(tq.mask, fresh.mask)
+    with T.no_grad():
+        cached = model.forward(corpus[:8]).data
+        model._tokens.clear()
+        assert model.forward(corpus[:8]).data.tobytes() == cached.tobytes()
 
 
 @pytest.fixture(scope="module")

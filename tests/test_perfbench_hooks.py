@@ -13,7 +13,7 @@ import numpy as np
 import vivqa.model as vmodel
 from vivqa import harness, tensor, train
 from vivqa.config import RunConfig
-from vivqa.data import make_synthetic
+from vivqa.data import example_noise_seed, make_synthetic
 from vivqa.model import VivqaModel
 from vivqa.optim import AdamW, pack
 from vivqa.tensor import Tensor
@@ -131,7 +131,8 @@ def test_tiny_ablate_arms_train_and_predict_once_from_a_filled_store():
     corpus and 2 seeds) under the probe and every traced wrapper: each arm
     calls `train_model` and `predict_split` once, through the names the
     probe wraps, and predicts the test split only.  Each distinct image is
-    extracted once, and never inside training or prediction."""
+    rendered and extracted once, in stacks of `batch_size`, and never inside
+    training or prediction."""
     probes = _load_probes()
     probe, tracer = probes.Probe(), probes.Tracer()
     seed = 3    # the arms' accuracies spread at every seed: Welch's test can run
@@ -150,16 +151,24 @@ def test_tiny_ablate_arms_train_and_predict_once_from_a_filled_store():
                 depth[0] -= 1
         return run
 
-    def visual_features(orig):
-        def run(model, example):
-            inside.append(depth[0] > 0)
-            return orig(model, example)
+    def extract(orig):
+        def run(imgs, params):
+            inside.extend([depth[0] > 0] * len(imgs))
+            return orig(imgs, params)
         return run
 
+    def render(orig):
+        def run(spec, dims, noise_seed):
+            rendered.append((spec.image_ref(), noise_seed))
+            return orig(spec, dims, noise_seed=noise_seed)
+        return run
+
+    rendered = []
     wrappers = probe.wrappers() + tracer.wrappers() + [
         (("vivqa.train", "train_model"), entering),
         (("vivqa.train", "predict_split"), entering),
-        (("vivqa.model", "VivqaModel.visual_features"), visual_features)]
+        (("vivqa.model", "extract_global_stub"), extract),
+        (("vivqa.model", "render_synthetic"), render)]
     with probes.patched(wrappers):
         harness.ablate_extractors(cfg, tr, te, seeds=[seed, seed + 1])
     arms = 2 * len(harness.EXTRACTOR_ARMS)
@@ -167,6 +176,8 @@ def test_tiny_ablate_arms_train_and_predict_once_from_a_filled_store():
     assert timed["train.train_model"][0] == len(probe.epoch_losses) == arms
     assert timed["train.predict_split"][0] == arms
     assert probe.eval_examples == arms * len(te) and not probe.coverage_failures
-    distinct = len({(ex.id, ex.image) for ex in tr + te})
-    assert timed["vision.extract_global_stub"][0] == len(inside) == distinct
+    distinct = {(ex.image, example_noise_seed(ex.id)) for ex in tr + te}
+    assert sorted(rendered) == sorted(distinct)
+    assert timed["data.render_synthetic"][0] == len(inside) == len(distinct)
+    assert timed["vision.extract_global_stub"][0] == -(-len(distinct) // cfg.batch_size)
     assert not any(inside)

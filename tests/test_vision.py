@@ -8,7 +8,7 @@ from vivqa.data import SyntheticSpec, render_synthetic
 from vivqa.errors import ShapeError
 from vivqa.tensor import Tensor, backward, grad_check, sum_all, mul
 from vivqa.vision import (
-    FUSION_OPS, StubExtractorParams, VisionDims, _block_means, adapt_local,
+    FUSION_OPS, MID_GRAY, StubExtractorParams, VisionDims, _block_means, adapt_local,
     extract_global_stub, extract_local_stub, fuse, fused_token_count,
     sparsity_stats,
 )
@@ -28,34 +28,37 @@ def params():
 
 
 # ---------------------------------------------------------------------------
-# Contracts and determinism
+# Contracts and determinism.  The stubs take an (N, c, H, W) stack.
 
 
 def test_output_contract_shapes(params):
-    img = tiny_image()
-    assert extract_global_stub(img, params).shape == (TINY.n_tokens, TINY.token_dim)
-    assert extract_local_stub(img, params).shape == (TINY.local_channels, TINY.grid,
-                                                     TINY.grid)
+    imgs = np.stack([tiny_image(0), tiny_image(1)])
+    assert extract_global_stub(imgs, params).shape == (2, TINY.n_tokens, TINY.token_dim)
+    assert extract_local_stub(imgs, params).shape == (2, TINY.local_channels, TINY.grid,
+                                                      TINY.grid)
 
 
 def test_extractors_deterministic_per_seed():
-    img = tiny_image()
+    imgs = tiny_image()[None]
     a = StubExtractorParams(TINY, seed=5)
     b = StubExtractorParams(TINY, seed=5)
     c = StubExtractorParams(TINY, seed=6)
-    np.testing.assert_array_equal(extract_global_stub(img, a).data,
-                                  extract_global_stub(img, b).data)
-    assert not np.array_equal(extract_global_stub(img, a).data,
-                              extract_global_stub(img, c).data)
+    np.testing.assert_array_equal(extract_global_stub(imgs, a).data,
+                                  extract_global_stub(imgs, b).data)
+    assert not np.array_equal(extract_global_stub(imgs, a).data,
+                              extract_global_stub(imgs, c).data)
     assert a.byte_digest() == b.byte_digest()
     assert a.byte_digest() != c.byte_digest()
 
 
 def test_extractors_reject_wrong_image_shape(params):
     with pytest.raises(ShapeError):
-        extract_global_stub(np.ones((3, 8, 8)), params)
+        extract_global_stub(np.ones((1, 3, 8, 8)), params)
     with pytest.raises(ShapeError):
-        extract_local_stub(np.ones((1, TINY.image_size, TINY.image_size)), params)
+        extract_local_stub(np.ones((1, 1, TINY.image_size, TINY.image_size)), params)
+    for extract in (extract_global_stub, extract_local_stub):
+        with pytest.raises(ShapeError):     # one image, not a stack of one
+            extract(tiny_image(), params)
 
 
 def test_stubs_are_linear_in_pixels(params):
@@ -64,10 +67,8 @@ def test_stubs_are_linear_in_pixels(params):
     x, y = tiny_image(1), tiny_image(2)
     a, b = 0.3, 1.7
     for extract in (extract_global_stub, extract_local_stub):
-        fx = extract(x, params).data
-        fy = extract(y, params).data
-        f0 = extract(np.zeros_like(x), params).data
-        fmix = extract(a * x + b * y, params).data
+        fx, fy, f0, fmix = extract(np.stack([x, y, np.zeros_like(x), a * x + b * y]),
+                                   params).data
         np.testing.assert_allclose(fmix - f0, a * (fx - f0) + b * (fy - f0),
                                    atol=1e-9)
 
@@ -80,8 +81,8 @@ def test_local_stub_sees_only_block_means(params):
     block = shuffled[:, :b, :b].reshape(TINY.channels, -1)
     perm = np.random.default_rng(0).permutation(b * b)
     shuffled[:, :b, :b] = block[:, perm].reshape(TINY.channels, b, b)
-    np.testing.assert_allclose(extract_local_stub(img, params).data,
-                               extract_local_stub(shuffled, params).data, atol=1e-12)
+    out = extract_local_stub(np.stack([img, shuffled]), params).data
+    np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
 
 def test_local_stub_single_block_change_is_local(params):
@@ -91,9 +92,8 @@ def test_local_stub_single_block_change_is_local(params):
     bi, bj = 1, 3
     b = TINY.block
     other[:, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += 0.25
-    diff = (extract_local_stub(other, params).data
-            - extract_local_stub(img, params).data)
-    changed = np.abs(diff) > 1e-12
+    out = extract_local_stub(np.stack([other, img]), params).data
+    changed = np.abs(out[0] - out[1]) > 1e-12
     cells = np.argwhere(changed.any(axis=0))
     assert cells.tolist() == [[bi, bj]]
 
@@ -107,8 +107,8 @@ def test_global_stub_blind_to_block_mean_offsets(params):
     v1[:, :b, :b] += 0.2          # block (0,0)
     v2 = img.copy()
     v2[:, b:2 * b, b:2 * b] += 0.2  # block (1,1): same image mean shift
-    np.testing.assert_allclose(extract_global_stub(v1, params).data,
-                               extract_global_stub(v2, params).data, atol=1e-9)
+    out = extract_global_stub(np.stack([v1, v2]), params).data
+    np.testing.assert_allclose(out[0], out[1], atol=1e-9)
 
 
 def test_local_stub_blind_to_zero_mean_texture(params):
@@ -118,33 +118,100 @@ def test_local_stub_blind_to_zero_mean_texture(params):
     pattern = np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]),
                       np.ones((b // 2, b // 2)))
     textured = img + 0.1 * np.tile(pattern, (TINY.grid, TINY.grid))[None, :, :]
-    np.testing.assert_allclose(extract_local_stub(img, params).data,
-                               extract_local_stub(textured, params).data, atol=1e-9)
+    imgs = np.stack([img, textured])
+    local = extract_local_stub(imgs, params).data
+    np.testing.assert_allclose(local[0], local[1], atol=1e-9)
     # ...but the global stub does see it
-    assert np.abs(extract_global_stub(img, params).data
-                  - extract_global_stub(textured, params).data).max() > 1e-3
+    glob = extract_global_stub(imgs, params).data
+    assert np.abs(glob[0] - glob[1]).max() > 1e-3
 
 
 def test_block_means_oracle(params):
-    img = tiny_image(7)
-    got = _block_means(img, TINY)
+    imgs = np.stack([tiny_image(7), tiny_image(8)])
+    got = _block_means(imgs, TINY)
     b, g = TINY.block, TINY.grid
-    for bi in range(g):
-        for bj in range(g):
-            want = img[:, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b].mean(axis=(1, 2))
-            np.testing.assert_allclose(got[bi * g + bj], want, atol=1e-12)
+    for n, img in enumerate(imgs):
+        for bi in range(g):
+            for bj in range(g):
+                want = img[:, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b].mean(axis=(1, 2))
+                np.testing.assert_allclose(got[n, bi * g + bj], want, atol=1e-12)
 
 
 def test_unfrozen_stub_params_receive_gradients():
     p = StubExtractorParams(TINY, seed=1, trainable=True)
-    img = tiny_image(8)
-    out = extract_local_stub(img, p)
+    imgs = tiny_image(8)[None]
+    out = extract_local_stub(imgs, p)
     backward(sum_all(out))
     assert p.local_weight.grad is not None
     assert p.local_bias.grad is not None
-    out = extract_global_stub(img, p)
+    out = extract_global_stub(imgs, p)
     backward(sum_all(out))
     assert p.global_weight.grad is not None
+
+
+# ---------------------------------------------------------------------------
+# Batch-first stubs against the one-image code they replace
+
+# A second geometry: 56 px in 8 px blocks, still a 7x7 grid.
+WIDE = VisionDims(image_size=56, block=8, n_tokens=4, token_dim=12, local_channels=10,
+                  texture_dim=3)
+
+
+def _one_image_stubs(img, p):
+    """The per-image stubs as they were before they took a stack: a one-row
+    global projection and the block means of a single (c, H, W) image."""
+    d = p.dims
+    c, g, b = d.channels, d.grid, d.block
+    means = img.reshape(c, g, b, g, b).mean(axis=(2, 4)).transpose(1, 2, 0).reshape(g * g, c)
+    patches = img.reshape(c, g, b, g, b).transpose(1, 3, 0, 2, 4).reshape(g * g, c * b * b)
+    texture = (patches - np.repeat(means, b * b, axis=1)) @ p.patch_proj.T
+    summary = np.concatenate([img.mean(axis=(1, 2)), texture.reshape(-1)]).reshape(1, -1)
+    glob = (summary @ p.global_weight.data + p.global_bias.data).reshape(
+        d.n_tokens, d.token_dim)
+    cells = (means - MID_GRAY) @ p.local_weight.data + p.local_bias.data
+    return glob, cells.reshape(g, g, d.local_channels).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("dims", [TINY, WIDE], ids=["tiny", "56px-block8"])
+def test_stub_stack_rows_are_bitwise_one_image_calls(dims):
+    """Every row of a stack's features is bitwise the one-image code's and a
+    stack of one's: rendered images and uniform noise, N = 9."""
+    p = StubExtractorParams(dims, seed=31)
+    r = np.random.default_rng(4)
+    imgs = np.stack([render_synthetic(SyntheticSpec(g, l), dims, noise_seed=g + 10 * l)
+                     for g, l in ((0, 0), (3, 5), (14, 48), (7, 20))]
+                    + [r.uniform(0, 1, (dims.channels, dims.image_size, dims.image_size))
+                       for _ in range(5)])
+    glob, local = extract_global_stub(imgs, p).data, extract_local_stub(imgs, p).data
+    for i, img in enumerate(imgs):
+        want_g, want_l = _one_image_stubs(img, p)
+        assert glob[i].tobytes() == want_g.tobytes()
+        assert local[i].tobytes() == want_l.tobytes()
+        assert extract_global_stub(imgs[i:i + 1], p).data[0].tobytes() == want_g.tobytes()
+        assert extract_local_stub(imgs[i:i + 1], p).data[0].tobytes() == want_l.tobytes()
+
+
+# Small enough that central differences run over every weight.
+GRAD_DIMS = VisionDims(image_size=16, block=8, n_tokens=2, token_dim=3, local_channels=4,
+                       texture_dim=2)
+
+
+@pytest.mark.parametrize("stub,name", [(extract_global_stub, "global_weight"),
+                                       (extract_global_stub, "global_bias"),
+                                       (extract_local_stub, "local_weight"),
+                                       (extract_local_stub, "local_bias")])
+def test_stub_gradient_in_weights_at_n3(stub, name):
+    p = StubExtractorParams(GRAD_DIMS, seed=2, trainable=True)
+    r = np.random.default_rng(5)
+    imgs = r.uniform(0, 1, (3, GRAD_DIMS.channels, GRAD_DIMS.image_size,
+                            GRAD_DIMS.image_size))
+    proj = Tensor(r.normal(size=stub(imgs, p).shape))
+
+    def f(w):
+        setattr(p, name, w)
+        return sum_all(mul(stub(imgs, p), proj))
+
+    assert grad_check(f, getattr(p, name)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
