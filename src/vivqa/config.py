@@ -9,6 +9,7 @@ stochastic regularizer.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
@@ -34,6 +35,7 @@ class PresetDims:
     default_l_max: int
 
 
+@functools.cache    # one shared, frozen PresetDims per preset: store keys compare by identity
 def preset_dims(preset: str) -> PresetDims:
     if preset == "paper":
         return PresetDims(

@@ -289,8 +289,9 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
             raise FormatError(f"{path}: checkpoint has no readable meta entry") from exc
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: checkpoint meta is not an object")
-        if meta.get("version") not in (1, CHECKPOINT_VERSION):
-            raise ConfigError(f"unsupported checkpoint version {meta.get('version')}")
+        version = meta.get("version")
+        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):   # not True, 2.0
+            raise ConfigError(f"unsupported checkpoint version {version}")
         try:
             config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
         except KeyError as exc:
@@ -306,7 +307,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
                            AnswerVocab(answers, ranked=True), drawn=False)
         want = model.layout()
         want_names = [name for name, _ in want]
-        if meta["version"] == 1:
+        if version == 1:
             with _readable(path):
                 arrays = {key: np.lib.format.read_array(io.BytesIO(zf.read(name)))
                           for key, name in members.items()}
@@ -331,7 +332,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
                                   f"the model expects {tuple(expected)}")
         # Into the model's own arena: forwards over arrays on the file's bytes
         # ran tiny-eval 15 % slower.  Version 1's entries already match it.
-        if meta["version"] == 1:
+        if version == 1:
             model.arena[...] = params
             return model, meta
         # An npy 1.0 header (np.savez's; a later version's wider header fails

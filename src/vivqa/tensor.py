@@ -4,8 +4,13 @@ The graph is define-by-run: every differentiable op attaches its parents and
 a local backward closure to the output tensor.  `backward(loss)` walks the
 graph once in reverse topological order, accumulates total derivatives into
 requires_grad leaves, then clears the graph so a second backward on the same
-loss is a usage error.  Inside `with no_grad():` ops compute their values
-but record no graph, so inference keeps no closures or activations alive.
+loss is a usage error.  The walk keeps its state on the nodes: `_mark` holds
+the number of the last walk that reached a node, `_g` its pending gradient.
+The order is a depth-first postorder that enters each node's parents last to
+first; it fixes the order in which a shared node's gradients are summed, and
+so every bit of the result.  Inside `with no_grad():` ops compute their
+values but record no graph, so inference keeps no closures or activations
+alive.
 
 A minibatch travels as one leading batch axis: the model's activations are
 (B, rows, width), `matmul` and `linear` take (..., n, k) @ (k, m),
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +45,8 @@ _grad_enabled = True
 
 # Nodes visited across all backward passes; the freeze ablation compares this.
 _backward_node_visits = 0
+# Backward walks so far; a node's `_mark` is the number of the last that reached it.
+_walks = 0
 
 
 @contextlib.contextmanager
@@ -58,7 +66,8 @@ def backward_node_visits() -> int:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_backward_done",
+                 "_g", "_mark")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -70,6 +79,7 @@ class Tensor:
         self._parents: tuple = ()
         self._backward_fn: Callable | None = None
         self._backward_done = False
+        self._g, self._mark = None, 0     # backward's pending gradient and walk number
 
     @property
     def shape(self) -> tuple:
@@ -86,17 +96,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _node(data, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    out = Tensor.__new__(Tensor)    # op outputs are float arrays: no coercion
+    out.data, out.grad, out._g, out._mark, out._backward_done = data, None, None, 0, False
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad, out._parents, out._backward_fn = True, parents, backward_fn
+                return out
+    out.requires_grad, out._parents, out._backward_fn = False, (), None
     return out
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
@@ -134,7 +147,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., n, k) @ (k, m); the leading axes of `a` are batch axes."""
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects (..., n, k) @ (k, m), got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
     return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, _rows(ad).T @ _rows(g)))
@@ -143,21 +156,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map in one node: (..., n, k) @ (k, m) + the bias row b[m],
     the one permitted broadcast."""
-    if x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: expects (..., n, k) @ (k, m) + (m,), got "
                          f"{x.shape} @ {w.shape} + {b.shape}")
-    xd, wd = x.data, w.data
 
     def bwd(g):
         g2 = _rows(g)
-        return (g @ wd.T, _rows(xd).T @ g2, g2.sum(axis=0))
+        return (g @ wd.T, _rows(xd).T @ g2, np.add.reduce(g2, axis=0))
 
     return _node(xd @ wd + b.data, (x, w, b), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
+    shape = a.data.shape
     return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
@@ -169,9 +181,9 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
     """Equal-shaped tensors -> one tensor with a new leading batch axis."""
     if not parts:
         raise ShapeError("stack: empty part list")
-    ref = parts[0].shape
+    ref = parts[0].data.shape
     for p in parts[1:]:
-        if p.shape != ref:
+        if p.data.shape != ref:
             raise ShapeError(f"stack: shape mismatch {ref} vs {p.shape}")
     # backward: tuple(g) splits g along the new axis, one slice per part
     return _node(np.stack([p.data for p in parts]), tuple(parts), tuple)
@@ -180,31 +192,33 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat: empty part list")
-    ref = parts[0].shape
+    ref = parts[0].data.shape
     if not -len(ref) <= axis < len(ref):
         raise ShapeError(f"concat: axis {axis} outside a {len(ref)}-d shape")
     axis %= len(ref)
     for p in parts[1:]:
-        if len(p.shape) != len(ref) or any(
-            p.shape[i] != ref[i] for i in range(len(ref)) if i != axis
+        if len(p.data.shape) != len(ref) or any(
+            p.data.shape[i] != ref[i] for i in range(len(ref)) if i != axis
         ):
             raise ShapeError(f"concat: incompatible shapes {ref} vs {p.shape} on axis {axis}")
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    lead, start, slices = (slice(None),) * axis, 0, []
+    for p in parts:
+        slices.append(lead + (slice(start, start + p.data.shape[axis]),))
+        start += p.data.shape[axis]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(g[s] for s in slices)
 
     return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if start < 0 or start + length > t.shape[axis]:
+    if start < 0 or start + length > t.data.shape[axis]:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside axis {axis} of {t.shape}")
     idx = [slice(None)] * t.data.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    shape = t.shape
+    shape = t.data.shape
 
     def bwd(g):
         full = np.zeros(shape, dtype=g.dtype)
@@ -223,7 +237,7 @@ def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    old = t.shape
+    old = t.data.shape
     return _node(t.data.reshape(shape).copy(), (t,), lambda g: (g.reshape(old).copy(),))
 
 
@@ -262,7 +276,8 @@ def adaptive_avg_pool(t: Tensor, out_sizes: Sequence[int]) -> Tensor:
     if len(out_sizes) > rank:
         raise ShapeError(f"adaptive_avg_pool: {len(out_sizes)} target axes on rank-{rank} tensor")
     first = rank - len(out_sizes)
-    mats = [_pool_matrix(t.shape[first + j], m) for j, m in enumerate(out_sizes)]
+    mats = [_pool_matrix(t.shape[first + j], m).astype(t.data.dtype, copy=False)
+            for j, m in enumerate(out_sizes)]
 
     def apply(x, transposed: bool):
         for j, w in enumerate(mats):
@@ -353,7 +368,7 @@ def erf(x) -> np.ndarray:
 def gelu(t: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = t.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = (0.5 * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype, copy=False)
     return _node(x * cdf, (t,),
                  lambda g: (g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))),))
 
@@ -372,7 +387,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    d = t.shape[-1]
+    d = t.data.shape[-1]
     if gamma.data.reshape(-1).shape[0] != d or beta.data.reshape(-1).shape[0] != d:
         raise ShapeError(
             f"layer_norm: last axis {t.shape} vs gamma {gamma.shape} / beta {beta.shape}"
@@ -387,8 +402,8 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def bwd(g):
         lead = tuple(range(x.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead).reshape(gamma.shape)
-        dbeta = g.sum(axis=lead).reshape(beta.shape)
+        dgamma = np.add.reduce(g * xhat, axis=lead).reshape(gamma.data.shape)
+        dbeta = np.add.reduce(g, axis=lead).reshape(beta.data.shape)
         dxhat = g * gd
         dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
                     - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
@@ -408,16 +423,16 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
     negative bias drives a key's weight to exactly zero.  `weights_sink`,
     when given, receives the (B, heads, n, rows) attention-weight array.
     """
-    if q.data.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
+    if q.data.ndim != 3 or k.data.shape != v.data.shape or q.data.shape[::2] != k.data.shape[::2]:
         raise ShapeError(f"multi_head_attention: q/k/v shapes {q.shape}/{k.shape}/{v.shape}")
-    batch, rows, width = k.shape
+    batch, rows, width = k.data.shape
     if width % heads != 0:
         raise ShapeError(f"multi_head_attention: width {width} not divisible by {heads} heads")
     d = width // heads
-    bias = np.asarray(key_bias, dtype=np.float64)
+    bias = np.asarray(key_bias, dtype=q.data.dtype)
     if bias.shape != (batch, rows):
         raise ShapeError(f"multi_head_attention: key bias {bias.shape} vs {(batch, rows)}")
-    inv_sqrt_d = 1.0 / np.sqrt(d)
+    inv_sqrt_d = 1.0 / math.sqrt(d)     # a Python float keeps float32 scores float32
 
     def split_heads(arr):
         return arr.reshape(batch, -1, heads, d).transpose(0, 2, 1, 3)     # (B, H, S, d)
@@ -459,10 +474,10 @@ def _indices(ids, size: int, what: str) -> np.ndarray:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of `table` for an id array of any shape, e.g. (B, S) -> (B, S, d)."""
-    ids = _indices(ids, table.shape[0], "embedding_lookup: id")
+    ids = _indices(ids, table.data.shape[0], "embedding_lookup: id")
 
     def bwd(g):
-        dt = np.zeros(table.shape, dtype=g.dtype)
+        dt = np.zeros(table.data.shape, dtype=g.dtype)
         np.add.at(dt, ids, g)
         return (dt,)
 
@@ -473,18 +488,19 @@ def add_rows(x: Tensor, table: Tensor, ids) -> Tensor:
     """x + table[ids] on every item of x (B, rows, d), one (rows,) id list for
     the batch.  The table's gradient sums each id's rows item-major: np.add.at's
     bits without its element loop (at d > 1; numpy sums one column pairwise)."""
-    ids = _indices(ids, table.shape[0], "add_rows: id")
-    if x.data.ndim != 3 or ids.shape != x.shape[1:2] or table.shape[1:] != x.shape[2:]:
+    ids = _indices(ids, table.data.shape[0], "add_rows: id")
+    xs = x.data.shape
+    if len(xs) != 3 or ids.shape != xs[1:2] or table.data.shape[1:] != xs[2:]:
         raise ShapeError(f"add_rows: x {x.shape}, table {table.shape}, ids {ids.shape}")
 
     def bwd(g):
-        dt = np.zeros(table.shape, dtype=g.dtype)
+        dt = np.zeros(table.data.shape, dtype=g.dtype)
         distinct = set(ids.tolist())
         if len(distinct) == ids.size:
             dt[ids] = g.sum(axis=0)
         else:
             for i in distinct:
-                dt[i] = g[:, ids == i].reshape(-1, table.shape[1]).sum(axis=0)
+                dt[i] = g[:, ids == i].reshape(-1, table.data.shape[1]).sum(axis=0)
         return (g, dt)
 
     return _node(x.data + table.data[ids], (x, table), bwd)
@@ -494,9 +510,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Batch mean of -log softmax(logits[i])[targets[i]], in log space.
     logits: (B, C); targets: (B,) class indices."""
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
+    if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1]:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
-    batch, c = logits.shape
+    batch, c = logits.data.shape
     targets = _indices(targets, c, "cross_entropy: target")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
@@ -521,10 +537,10 @@ def drop_path(x: Tensor, rate: float, rngs: Sequence[RngStream] | None = None) -
         raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
     if rngs is None or rate == 0.0:
         return x
-    if len(rngs) != x.shape[0]:
+    if len(rngs) != x.data.shape[0]:
         raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
     kept = 1.0 / (1.0 - rate)
-    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs])
+    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs], dtype=x.data.dtype)
     mask = mask.reshape((-1,) + (1,) * (x.data.ndim - 1))       # (B, 1, 1)
     return _node(x.data * mask, (x,), lambda g: (g * mask,))
 
@@ -534,47 +550,43 @@ def drop_path(x: Tensor, rate: float, rngs: Sequence[RngStream] | None = None) -
 
 
 def backward(loss: Tensor) -> None:
-    global _backward_node_visits
-    if loss.size != 1:
+    global _backward_node_visits, _walks
+    if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss._backward_done:
         raise UsageError("backward: already called on this loss; run a new forward pass")
-    # iterative reverse topological order
+    # postorder of an iterative depth-first search, parents entered last to
+    # first; entering a node clears any gradient a failed walk left on it
+    _walks += 1
+    mark = loss._mark = _walks
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack = [(loss, reversed(loss._parents))]
     while stack:
-        node, processed = stack.pop()
-        if processed:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and p._mark != mark:
+                p._mark, p._g = mark, None
+                stack.append((p, reversed(p._parents)))
+                break
+        else:
+            stack.pop()
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    loss._g = np.ones_like(loss.data)
     for node in reversed(topo):
-        _backward_node_visits += 1
-        g = grads.pop(id(node), None)
+        g, node._g = node._g, None
         if g is None:
             continue
         if node._backward_fn is not None:
-            parent_grads = node._backward_fn(g)
-            for p, pg in zip(node._parents, parent_grads):
-                if not p.requires_grad or pg is None:
-                    continue
-                acc = grads.get(id(p))
-                grads[id(p)] = pg if acc is None else acc + pg
-            node._backward_fn = None
-            node._parents = ()
+            for p, pg in zip(node._parents, node._backward_fn(g)):
+                if p.requires_grad and pg is not None:
+                    p._g = pg if p._g is None else p._g + pg
+            node._backward_fn, node._parents = None, ()
         elif node.grad is None:     # a leaf owns its grad buffer: `g` may be shared
             node.grad = g.copy()
         else:
             node.grad += g
+    _backward_node_visits += len(topo)
     loss._backward_done = True
 
 

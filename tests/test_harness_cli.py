@@ -168,6 +168,20 @@ def test_fill_store_in_chunks_matches_a_store_filled_by_vision_tokens(splits, ch
                                   by_batches.vision_tokens(examples).data)
 
 
+def test_arms_share_one_preset_dims(splits):
+    """Every config of a preset holds the same frozen dims, so the store keys
+    of different arms' models hold the same VisionDims object."""
+    assert RunConfig(preset="tiny").dims is RunConfig(preset="tiny").dims
+    assert RunConfig(preset="paper").dims is RunConfig(preset="paper").dims
+    train, _ = splits
+    store = {}
+    arms = [build_model(mini_cfg(seed=seed, vision_mode=mode), train, store)
+            for seed, mode in ((0, "both"), (1, "global"))]
+    assert arms[0].vision_dims is arms[1].vision_dims
+    keys = [arm.fill_store(train[:2]) for arm in arms]
+    assert all(a[0] is b[0] for a, b in zip(*keys))
+
+
 def test_ablate_freeze_contract(tmp_path, splits):
     train, test = splits
     results = ablate_freeze(mini_cfg(), train, test, out_dir=str(tmp_path))

@@ -769,7 +769,7 @@ def test_checkpoint_version_guard(tmp_path, corpus):
     with np.load(path) as z:
         arrays = dict(z)
     assert sorted(arrays) == ["meta", "params"] and _meta(arrays)["version"] == 2
-    for version in (0, 3, 99):
+    for version in (0, 3, 99, True, 1.0, 2.0, "2"):
         _rewrite(path, arrays, dict(_meta(arrays), version=version))
         with pytest.raises(ConfigError, match=f"version {version}"):
             load_checkpoint(path)

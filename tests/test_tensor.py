@@ -1,6 +1,7 @@
 """Autodiff engine tests: hand-evaluated forward oracles, finite-difference
 gradient oracles for every op (batched ops at B > 1), brute-force pooling
-and per-item oracles, the erf oracle, and graph lifecycle rules."""
+and per-item oracles, the erf oracle, graph lifecycle rules, and the
+backward walk against the id()-keyed walk it replaced."""
 import math
 
 import numpy as np
@@ -724,11 +725,55 @@ def test_backward_node_visit_counter_increases(rng):
     assert T.backward_node_visits() > before
 
 
+def _every_op(dtype):
+    """One call of each differentiable op on `dtype` inputs that require grad."""
+    r = np.random.default_rng(77)
+
+    def leaf(*shape):
+        return Tensor(r.normal(size=shape).astype(dtype), requires_grad=True)
+
+    x, y, w, b = leaf(2, 3, 4), leaf(2, 3, 4), leaf(4, 5), leaf(5)
+    q, kv, table = leaf(2, 1, 4), leaf(2, 3, 4), leaf(5, 4)
+    gamma, beta, logits = leaf(4), leaf(4), leaf(2, 5)
+    bias = np.array([[0.0, 0.0, T.MASK_VALUE], [0.0, 0.0, 0.0]])
+    return {
+        "add": lambda: T.add(x, y), "sub": lambda: T.sub(x, y), "mul": lambda: T.mul(x, y),
+        "scale": lambda: T.scale(x, 0.3), "matmul": lambda: T.matmul(x, w),
+        "linear": lambda: T.linear(x, w, b), "sum_all": lambda: T.sum_all(x),
+        "stack": lambda: T.stack([x, y]), "concat": lambda: T.concat([x, y], axis=1),
+        "narrow": lambda: T.narrow(x, 2, 1, 2), "permute": lambda: T.permute(x, (2, 0, 1)),
+        "reshape": lambda: T.reshape(x, (6, 4)), "flatten": lambda: T.flatten(x, keep_axis=1),
+        "adaptive_avg_pool": lambda: T.adaptive_avg_pool(x, (2, 3)),
+        "tanh": lambda: T.tanh(x), "gelu": lambda: T.gelu(x), "softmax": lambda: T.softmax(x),
+        "layer_norm": lambda: T.layer_norm(x, gamma, beta),
+        "multi_head_attention": lambda: T.multi_head_attention(q, kv, kv, bias, 2),
+        "embedding_lookup": lambda: T.embedding_lookup(table, [[0, 4], [2, 2]]),
+        "add_rows": lambda: T.add_rows(x, table, [1, 0, 1]),
+        "cross_entropy": lambda: T.cross_entropy(logits, [1, 4]),
+        "drop_path": lambda: T.drop_path(x, 0.5, [RngStream(1), RngStream(2)]),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_op_outputs_are_arrays_of_the_input_dtype(dtype):
+    """Op outputs skip Tensor.__init__'s coercion, so every op must already
+    hand back a plain array of its inputs' float dtype."""
+    for name, op in _every_op(dtype).items():
+        out = op()
+        assert type(out.data) is np.ndarray and out.data.dtype == dtype, name
+        assert out.requires_grad and out._backward_fn is not None and out._parents, name
+        assert out.grad is None and out._g is None and not out._backward_done, name
+
+
 def test_no_grad_records_nothing(rng):
     x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     with T.no_grad():
         y = T.sum_all(T.mul(x, x))
-    assert not y.requires_grad and y._parents == () and y._backward_fn is None
+        outs = {(name, dtype): op() for dtype in (np.float64, np.float32)
+                for name, op in _every_op(dtype).items()}
+    for (name, dtype), out in [(("sum_all", np.float64), y)] + list(outs.items()):
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None, name
+        assert type(out.data) is np.ndarray and out.data.dtype == dtype, name
     assert float(y.data) == pytest.approx(float((x.data ** 2).sum()))
     # recording resumes after the block, also when the block raised
     with pytest.raises(RuntimeError):
@@ -737,6 +782,160 @@ def test_no_grad_records_nothing(rng):
     z = T.sum_all(T.mul(x, x))
     backward(z)
     np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The backward walk against its oracle
+
+
+def _reference_backward(loss: Tensor) -> int:
+    """The id()-keyed walk the slot-based `backward` replaced: pending
+    gradients in a dict, visits in a set.  Returns the nodes it visited."""
+    if loss._backward_done:
+        raise UsageError("backward: already called on this loss; run a new forward pass")
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward_fn is not None:
+            for p, pg in zip(node._parents, node._backward_fn(g)):
+                if not p.requires_grad or pg is None:
+                    continue
+                acc = grads.get(id(p))
+                grads[id(p)] = pg if acc is None else acc + pg
+            node._backward_fn = None
+            node._parents = ()
+        elif node.grad is None:
+            node.grad = g.copy()
+        else:
+            node.grad += g
+    loss._backward_done = True
+    return len(topo)
+
+
+def _assert_walks_agree(build):
+    """`build()` returns (loss, leaves) of a fresh graph; `backward` must leave
+    every leaf gradient byte for byte where the reference walk does, and
+    count as many node visits."""
+    loss, leaves = build()
+    before = T.backward_node_visits()
+    backward(loss)
+    visits = T.backward_node_visits() - before
+    ref_loss, ref_leaves = build()
+    assert visits == _reference_backward(ref_loss)
+    for i, (leaf, ref) in enumerate(zip(leaves, ref_leaves)):
+        if ref.grad is None:
+            assert leaf.grad is None, i
+        else:
+            assert leaf.grad.dtype == ref.grad.dtype and leaf.grad.tobytes() == ref.grad.tobytes(), i
+        assert leaf._g is None, i
+
+
+def _random_dag(seed: int):
+    """A seeded DAG of add, mul, concat, narrow, linear and drop_path over
+    (2, 3) values, drawing operands from every node so far (shared
+    intermediates and diamonds).  Leaves mix requires_grad on and off, and
+    one starts with a preset gradient."""
+    r = np.random.default_rng(seed)
+    leaves = [Tensor(r.normal(size=(2, 3)), requires_grad=bool(i % 3)) for i in range(5)]
+    leaves[1].grad = r.normal(size=(2, 3))
+    w, b = Tensor(r.normal(size=(3, 3)), requires_grad=True), Tensor(r.normal(size=3))
+    nodes = list(leaves)
+    for step in range(40):
+        a, c = (nodes[i] for i in r.integers(0, len(nodes), size=2))
+        kind = r.integers(0, 6)
+        if kind == 0:
+            out = T.add(a, c)
+        elif kind == 1:
+            out = T.mul(a, c)
+        elif kind == 2:
+            out = T.narrow(T.concat([a, c, a], axis=1), 1, int(r.integers(0, 7)), 3)
+        elif kind == 3:
+            out = T.linear(a, w, b)
+        elif kind == 4:
+            out = T.drop_path(a, 0.5, [RngStream(seed * 100 + step), RngStream(step)])
+        else:
+            out = T.scale(a, 0.5)
+        nodes.append(out)
+    proj = Tensor(r.normal(size=(2, 3)))
+    total = nodes[-1]
+    for node in nodes[-15:-1]:
+        total = T.add(total, node)
+    return T.sum_all(T.mul(total, proj)), leaves + [w, b]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_backward_is_bitwise_the_reference_walk_on_random_dags(seed):
+    _assert_walks_agree(lambda: _random_dag(seed))
+
+
+def test_backward_is_bitwise_the_reference_walk_on_small_graphs():
+    r = np.random.default_rng(5)
+    x0, g0 = r.normal(size=(2, 3)), r.normal(size=(2, 3))
+
+    def square():                        # mul(a, a): one parent twice
+        a = Tensor(x0, requires_grad=True)
+        return T.sum_all(T.mul(a, a)), [a]
+
+    def preset_and_unset():              # a preset grad accumulates; None is set
+        a, c = Tensor(x0, requires_grad=True), Tensor(g0, requires_grad=True)
+        a.grad = g0.copy()
+        return T.sum_all(T.mul(T.add(a, c), T.mul(a, c))), [a, c]
+
+    def dropped():
+        a = Tensor(x0, requires_grad=True)
+        out = T.drop_path(T.mul(a, a), 0.5, [RngStream(3), RngStream(4)])
+        return T.sum_all(T.add(out, a)), [a]
+
+    for build in (square, preset_and_unset, dropped):
+        _assert_walks_agree(build)
+
+
+def test_backward_walks_a_20000_node_chain():
+    """The walk is iterative: a chain far deeper than the recursion limit,
+    two nodes per step."""
+    r = np.random.default_rng(6)
+    x0, steps = r.normal(size=4), r.normal(size=(10_000, 4)) * 1e-3
+
+    def chain():
+        a = Tensor(x0, requires_grad=True)
+        t = a
+        for s in steps:
+            t = T.add(T.scale(t, 0.999), Tensor(s))
+        return T.sum_all(T.mul(t, a)), [a]
+
+    _assert_walks_agree(chain)
+
+
+def test_failed_backward_leaves_no_pending_gradient(rng):
+    """A backward closure that raises leaves pending gradients on the nodes;
+    the next walk that reaches them starts from zero."""
+    a = Tensor(rng.normal(size=3), requires_grad=True)
+    shared = T.mul(a, a)
+
+    def boom(g):
+        raise RuntimeError("backward closure failed")
+
+    broken = T._node(shared.data * 2.0, (shared, a), boom)
+    with pytest.raises(RuntimeError):
+        backward(T.sum_all(T.add(broken, shared)))
+    loss = T.sum_all(shared)
+    backward(loss)
+    np.testing.assert_array_equal(a.grad, 2.0 * a.data)
 
 
 def test_detach_stops_gradient(rng):
