@@ -1,14 +1,16 @@
 """The VQA model behind one `VivqaModel.forward(examples, rngs=None)`: visual
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
-stack, pooler and classifier; plus the parameter arena and checkpoints.
-
-Frozen extractor outputs are constants of the image, kept in a feature store
-(a plain dict the harness shares across an experiment's arms): `fill_store`
-extracts the images the store lacks in `batch_size` chunks, one pass each.
+stack, pooler and classifier; plus the arena and checkpoints, which hold no
+frozen extractor.  Its outputs are constants of the image, kept in a feature
+store (a dict the harness shares across an experiment's arms, a table per
+vision dims and extractor seed): `fill_store` extracts what a table lacks in
+`batch_size` chunks.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import io
 import json
 import os
@@ -32,13 +34,23 @@ from .text import (
 )
 from .vision import (
     StubExtractorParams, adapt_local, extract_global_stub, extract_local_stub, extractor_stream,
-    fuse, fused_token_count,
+    frozen_extractor, fuse, fused_token_count,
 )
 from .vvqf import read_feature_file
 
 CHECKPOINT_VERSION = 2
 _EXEMPT = (".bias", ".gamma", ".beta")      # decay-exempt name suffixes
 _CHUNK = 1 << 24                            # bytes per read of `params` into the arena
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Once per process: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) at 32 MiB."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 32 << 20)
+        mallopt(-3, 32 << 20)
 
 
 class _Draws:
@@ -73,9 +85,10 @@ class VivqaModel:
         notes = []
         init_rng = _Draws(RngStream(cfg.seed).split("model-init") if drawn else None, notes)
 
-        self.extractor = StubExtractorParams(
-            dims.vision, seed=cfg.extractor_seed, trainable=not cfg.freeze_extractors,
-            rng=_Draws(extractor_stream(cfg.extractor_seed) if drawn else None, notes))
+        if not cfg.freeze_extractors:     # else the class's `extractor`, drawn on first use
+            self.extractor = StubExtractorParams(
+                dims.vision, seed=cfg.extractor_seed, trainable=True,
+                rng=_Draws(extractor_stream(cfg.extractor_seed) if drawn else None, notes))
         self.text_params = TextEncoderParams(
             len(vocab), dims.text_width, cfg.l_max, init_rng.split("text"))
         self.projection = ProjectionParams(dims.text_width, dims.hidden,
@@ -88,48 +101,48 @@ class VivqaModel:
         self.fusion = FusionStackParams(cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
-        # One flat arena holds every parameter, as views: trainable decayed
-        # parameters, then trainable exempt ones, then the frozen extractor.
-        # The optimizer steps the leading trainable slice in place.  The
-        # constants are copied in; the draws go straight into their views.
+        # One flat arena holds every trainable parameter, as views: decayed
+        # parameters, then exempt ones.  The optimizer steps it in place.
+        # The constants are copied in; the draws go straight into their views.
         named = {**self.text_params.named_params(), **self.projection.named_params(),
                  **self.fusion.named_params(), **self.classifier.named_params(),
-                 **self.extractor.named_params()}
-        self._params = dict(sorted(named.items(), key=lambda item: (
-            2 if not item[1].requires_grad else int(item[0].endswith(_EXEMPT)))))
+                 **({} if cfg.freeze_extractors else self.extractor.named_params())}
+        self._params = dict(sorted(named.items(), key=lambda item: item[0].endswith(_EXEMPT)))
         recipe = {id(out): (stream, scale) for out, stream, scale in notes}
         draws = [(p, *recipe[id(p.data)]) for p in named.values() if id(p.data) in recipe]
         assert len(draws) == len(notes), "an init draw is not a parameter's array as drawn"
         self.arena = pack(self._params, fill=drawn)
         for p, stream, scale in draws:
             stream.normal_into(p.data, scale)
-        self.n_trainable = sum(p.size for p in self._params.values() if p.requires_grad)
-        # (vision dims, extractor seed, example id, image ref) -> frozen
-        # (global, adapted local) tokens.  The id fixes the pixel-noise seed
-        # and the ref the image, so the key fixes the tokens for any model.
-        self.store = {} if store is None else store
+        # (example id, image ref) -> frozen (global, adapted local) tokens, in the
+        # store's table of this (vision dims, extractor seed).  The id fixes the
+        # pixel-noise seed and the ref the image, so the key fixes the tokens.
+        self.store = ({} if store is None or not cfg.freeze_extractors
+                      else store.setdefault((dims.vision, cfg.extractor_seed), {}))
         self._tokens = {}       # question -> its read-only TokenizedQuestion
+        _keep_heap()        # glibc keeps freed graphs for the next step, see README
+
+    @functools.cached_property
+    def extractor(self) -> StubExtractorParams:
+        """A frozen model's stubs, drawn on first use (an unfrozen one's are its own)."""
+        return frozen_extractor(self.vision_dims, self.cfg.extractor_seed)
 
     # -- parameters ---------------------------------------------------------
 
-    def all_params(self) -> dict[str, Tensor]:
-        """Every parameter, in arena order."""
+    def trainable_params(self) -> dict[str, Tensor]:
+        """Every parameter in the arena, in arena order: all are trainable."""
         return dict(self._params)
 
-    def trainable_params(self) -> dict[str, Tensor]:
-        """The parameters over `arena[:n_trainable]`, in arena order."""
-        return {name: p for name, p in self._params.items() if p.requires_grad}
-
     def decay_exempt_names(self) -> set[str]:
-        return {name for name in self.trainable_params() if name.endswith(_EXEMPT)}
+        return {name for name in self._params if name.endswith(_EXEMPT)}
 
     def layout(self) -> list:
         """[name, shape] of every parameter, in arena order."""
         return [[name, list(p.shape)] for name, p in self._params.items()]
 
-    def param_counts(self) -> dict[str, int]:
-        return {"total": self.arena.size, "trainable": self.n_trainable,
-                "frozen": self.arena.size - self.n_trainable}
+    def param_counts(self) -> dict[str, int]:      # a frozen extractor's from its dims, undrawn
+        frozen = self.vision_dims.extractor_size if self.cfg.freeze_extractors else 0
+        return {"total": self.arena.size + frozen, "trainable": self.arena.size, "frozen": frozen}
 
     # -- features -----------------------------------------------------------
 
@@ -168,7 +181,7 @@ class VivqaModel:
         """The store keys of `examples`, after extracting the distinct ones the
         store lacks in `batch_size` chunks, one `extract` and one adapter pass
         each (frozen extractors only)."""
-        keys = [(self.vision_dims, self.cfg.extractor_seed, ex.id, ex.image) for ex in examples]
+        keys = [(ex.id, ex.image) for ex in examples]
         misses = list({k: ex for k, ex in zip(keys, examples) if k not in self.store}.items())
         for start in range(0, len(misses), self.cfg.batch_size):
             chunk = dict(misses[start:start + self.cfg.batch_size])
@@ -216,6 +229,7 @@ class VivqaModel:
 # the parameter arena as one `params` array, and a `meta` entry with the
 # config echo, both vocabularies, the arena's layout and a format version.
 # Version 1 held one `param::<name>` entry per parameter; it still loads.
+# Files from before the frozen extractor left the arena still load, too.
 # Save/load round-trips bitwise.
 
 
@@ -253,11 +267,11 @@ def _is_layout(layout) -> bool:
 
 def _version1_entries(path, arrays: dict, order: list) -> tuple[list, np.ndarray]:
     """The (layout, params) a version-1 file's `param::<name>` entries
-    describe: the names the model has in its order, any others after.  The
-    entries leave `arrays`, so they are freed once assembled."""
+    describe: the model's names in its order, any others after in the file's.
+    The entries leave `arrays`, so they are freed once assembled."""
     entries = {}
-    while arrays:
-        key, arr = arrays.popitem()
+    for key in list(arrays):
+        arr = arrays.pop(key)
         if not key.startswith("param::"):
             raise FormatError(f"{path}: unknown checkpoint entry {key!r}")
         if arr.dtype != np.float64:
@@ -319,6 +333,11 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
             if set(members) != {"params"}:
                 raise FormatError(f"{path}: checkpoint holds {sorted(members)} beside meta, "
                                   f"not ['params']")
+        tail = b""      # older files hold a frozen extractor last: the process's draw
+        if model.cfg.freeze_extractors and len(layout) > len(want):
+            held = model.extractor.named_params()
+            if layout[len(want):] == [[name, list(p.shape)] for name, p in held.items()]:
+                layout, tail = layout[:len(want)], b"".join(p.data.tobytes() for p in held.values())
         names = [name for name, _ in layout]
         mismatched = sorted(set(names) ^ set(want_names))
         if mismatched:
@@ -333,21 +352,25 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         # Into the model's own arena: forwards over arrays on the file's bytes
         # ran tiny-eval 15 % slower.  Version 1's entries already match it.
         if version == 1:
-            model.arena[...] = params
+            model.arena[...] = params[:model.arena.size]
+            if params[model.arena.size:].tobytes() != tail:
+                raise FormatError(f"{path}: the extractor entries are not the frozen draw")
             return model, meta
         # An npy 1.0 header (np.savez's; a later version's wider header fails
-        # its parse), then the data `_CHUNK` bytes at a time and on to the
-        # member's end, where zipfile checks its CRC.
+        # its parse), then the data `_CHUNK` bytes at a time, any frozen tail,
+        # and on to the member's end, where zipfile checks its CRC.
+        size = (model.arena.size + len(tail) // 8,)
         with _readable(path), zf.open(members["params"]) as member:
             np.lib.format.read_magic(member)
             shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-            if dtype != np.float64 or shape != model.arena.shape:
+            if dtype != np.float64 or shape != size:
                 raise FormatError(f"{path}: params is {dtype} {shape}, "
-                                  f"the layout needs float64 {model.arena.shape}")
+                                  f"the layout needs float64 {size}")
             view = memoryview(model.arena).cast("B")
             done = sum(member.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
-            if done != len(view) or member.read(1):
-                raise FormatError(f"{path}: params does not hold the {shape} its header gives")
+            if done != len(view) or member.read(len(tail)) != tail or member.read(1):
+                raise FormatError(f"{path}: params does not hold the {shape} its header gives"
+                                  + (", the frozen extractor's draw last" if tail else ""))
     return model, meta
 
 

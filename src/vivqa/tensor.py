@@ -35,7 +35,7 @@ from .errors import ShapeError, UsageError
 from .rng import RngStream
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)   # a Python float keeps float32 gradients
 
 # Additive attention-mask value: exp(x - max) underflows to exactly 0.0.
 MASK_VALUE = -1e30

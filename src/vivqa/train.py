@@ -10,7 +10,6 @@ machines.
 """
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -74,20 +73,9 @@ def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
     return records
 
 
-def _keep_heap() -> None:
-    """Process-wide, glibc keeps each step's freed graph for the next step instead of
-    faulting it in again: M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) at 32 MiB."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-1, 32 << 20)
-        mallopt(-3, 32 << 20)
-
-
 def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     """Run the optimization loop on an already-built model, frozen features stored first."""
-    _keep_heap()
-    optimizer = AdamW(model.trainable_params(), model.arena[:model.n_trainable],
+    optimizer = AdamW(model.trainable_params(), model.arena,
                       betas=cfg.adam_betas, eps=cfg.adam_eps,
                       weight_decay=cfg.weight_decay, exempt=model.decay_exempt_names())
     n_batches = math.ceil(len(train_split) / cfg.batch_size)

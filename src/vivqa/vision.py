@@ -57,6 +57,11 @@ class VisionDims:
     def summary_dim(self) -> int:
         return self.channels + self.grid * self.grid * self.texture_dim
 
+    @property
+    def extractor_size(self) -> int:    # entries of the stubs' weights and biases
+        return (self.summary_dim + 1) * self.n_tokens * self.token_dim + (
+            self.channels + 1) * self.local_channels
+
 
 def extractor_stream(seed: int) -> RngStream:
     """The stream both stubs' parameters and the texture projector draw from."""
@@ -112,6 +117,15 @@ class StubExtractorParams:
         for t in (self.global_weight, self.global_bias, self.local_weight, self.local_bias):
             h.update(np.ascontiguousarray(t.data).tobytes())
         return h.digest()
+
+
+@functools.cache
+def frozen_extractor(dims: VisionDims, seed: int) -> StubExtractorParams:
+    """The frozen stubs of every model with (dims, seed): one read-only draw."""
+    p = StubExtractorParams(dims, seed)
+    for t in p.named_params().values():
+        t.data.flags.writeable = False
+    return p
 
 
 def _check_images(imgs: np.ndarray, dims: VisionDims) -> None:

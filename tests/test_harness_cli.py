@@ -158,8 +158,7 @@ def test_fill_store_in_chunks_matches_a_store_filled_by_vision_tokens(splits, ch
     by_batches = build_model(cfg, train, {})
     for start in range(0, len(examples), cfg.batch_size):
         by_batches.vision_tokens(examples[::-1][start:start + cfg.batch_size])
-    assert keys == [(filled.vision_dims, cfg.extractor_seed, ex.id, ex.image)
-                    for ex in examples]
+    assert keys == [(ex.id, ex.image) for ex in examples]
     assert filled.store.keys() == by_batches.store.keys() == set(keys)
     for key in keys:
         for a, b in zip(filled.store[key], by_batches.store[key]):
@@ -169,8 +168,8 @@ def test_fill_store_in_chunks_matches_a_store_filled_by_vision_tokens(splits, ch
 
 
 def test_arms_share_one_preset_dims(splits):
-    """Every config of a preset holds the same frozen dims, so the store keys
-    of different arms' models hold the same VisionDims object."""
+    """Every config of a preset holds the same frozen dims, so arms with one
+    extractor seed share one table of the store, keyed by that dims object."""
     assert RunConfig(preset="tiny").dims is RunConfig(preset="tiny").dims
     assert RunConfig(preset="paper").dims is RunConfig(preset="paper").dims
     train, _ = splits
@@ -178,8 +177,8 @@ def test_arms_share_one_preset_dims(splits):
     arms = [build_model(mini_cfg(seed=seed, vision_mode=mode), train, store)
             for seed, mode in ((0, "both"), (1, "global"))]
     assert arms[0].vision_dims is arms[1].vision_dims
-    keys = [arm.fill_store(train[:2]) for arm in arms]
-    assert all(a[0] is b[0] for a, b in zip(*keys))
+    [(dims, _)] = store
+    assert dims is arms[0].vision_dims and arms[0].store is arms[1].store
 
 
 def test_ablate_freeze_contract(tmp_path, splits):

@@ -30,7 +30,7 @@ from vivqa.rng import RngStream
 from vivqa.tensor import Tensor
 from vivqa.text import encode as text_encode, project, tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
-from vivqa.vision import FUSION_OPS
+from vivqa.vision import FUSION_OPS, frozen_extractor
 from vivqa.vvqf import write_feature_file
 
 
@@ -93,7 +93,7 @@ def test_frozen_features_cached_and_detached(corpus):
     assert not a.requires_grad
     b = model.vision_tokens([ex])
     np.testing.assert_array_equal(a.data, b.data)
-    assert (model.vision_dims, model.cfg.extractor_seed, ex.id, ex.image) in model.store
+    assert (ex.id, ex.image) in model.store
 
 
 def test_reused_example_id_with_new_image_gets_new_tokens():
@@ -129,7 +129,40 @@ def test_store_shared_across_extractor_seeds_matches_fresh_stores(corpus):
     fresh = [build_model(cfg, corpus).vision_tokens(corpus[:4]).data for cfg in cfgs]
     for a, b in zip(shared, fresh):
         np.testing.assert_array_equal(a, b)
-    assert len(store) == 2 * 4
+    assert [len(table) for table in store.values()] == [4, 4]
+
+
+def test_store_tables_keep_extractor_seeds_apart(corpus):
+    """Two configs that differ only in extractor_seed, sharing one store, are
+    bound to a table each and get different tokens for the same examples."""
+    store = {}
+    a, b = (build_model(tiny_cfg(extractor_seed=s), corpus, store) for s in (777, 778))
+    tokens = [model.vision_tokens(corpus[:4]).data for model in (a, b)]
+    assert a.store is not b.store and list(store) == [(a.vision_dims, 777), (a.vision_dims, 778)]
+    assert np.abs(tokens[0] - tokens[1]).max() > 1e-6
+
+
+def test_store_table_is_looked_up_once_per_model_build(corpus, monkeypatch):
+    """A model finds its table of the store when it is built; training and
+    prediction over stored examples then hash no VisionDims: one hash per
+    build, none per example."""
+    from vivqa.vision import VisionDims
+
+    cfg = tiny_cfg()
+    store = {}
+    build_model(cfg, corpus, store).fill_store(corpus)
+    hashes, vision_hash = [], VisionDims.__hash__
+
+    def counting_hash(dims):
+        hashes.append(dims)
+        return vision_hash(dims)
+
+    monkeypatch.setattr(VisionDims, "__hash__", counting_hash)
+    for _ in range(2):
+        model = build_model(cfg, corpus, store)
+        train_model(model, corpus, cfg)
+        predict_split(model, corpus)
+    assert len(hashes) <= 2
 
 
 def test_vision_tokens_adapt_store_misses_once_per_batch(corpus, monkeypatch):
@@ -280,7 +313,7 @@ def test_tiny_train_is_bitwise_the_pinned_run(tiny_train_run):
     } == {
         "losses": "a70298a603048d046fd94e7458e61b36dc080ddad69b9eab475d7451d8cb696e",
         "predictions": "f428ff9d69c7bf57f784c5628e3134116a7b17489059272460d3eb036ffc105c",
-        "arena": "0d1d69401315b8d4f5f834c915465210de7355bac8d9f4c3645fd36cdbd9a14c",
+        "arena": "7a0466b8ff8c6a8f53b06504a920172baa5a259b6fd2ded6601d03d047a75597",
     }
 
 
@@ -357,8 +390,7 @@ def test_last_block_language_expert_never_runs(corpus, monkeypatch):
         return ffn(x, p, expert)
 
     monkeypatch.setattr(multiway_mod, "_expert_ffn", recording_ffn)
-    opt = AdamW(model.trainable_params(), model.arena[:model.n_trainable],
-                exempt=model.decay_exempt_names())
+    opt = AdamW(model.trainable_params(), model.arena, exempt=model.decay_exempt_names())
     lang = {name: p for name, p in model.fusion.blocks[-1].params.items() if ".language" in name}
     assert len(lang) == 6
     before = {name: p.data.copy() for name, p in lang.items()}
@@ -532,22 +564,22 @@ def test_decay_exempt_names(corpus):
 
 @pytest.mark.parametrize("freeze", [True, False])
 def test_parameters_are_views_of_the_model_arena_in_order(corpus, freeze):
-    """One float64 arena: trainable decayed parameters, then trainable
-    exempt ones, then the frozen extractor, each a view at its offset."""
+    """One float64 arena of trainable parameters: decayed ones, then exempt
+    ones, each a view at its offset.  Only an unfrozen extractor is in it."""
     model = build_model(tiny_cfg(layers=2, freeze_extractors=freeze), corpus)
     exempt = model.decay_exempt_names()
     start, groups = 0, []
-    for name, p in model.all_params().items():
+    for name, p in model.trainable_params().items():
+        assert p.requires_grad, name
         assert p.data.base is model.arena, name
         assert p.data.ctypes.data == model.arena.ctypes.data + 8 * start, name
-        groups.append(2 if not p.requires_grad else int(name in exempt))
+        groups.append(int(name in exempt))
         start += p.size
     assert model.arena.dtype == np.float64 and start == model.arena.size
-    assert groups == sorted(groups) and set(groups) == ({0, 1, 2} if freeze else {0, 1})
-    trainable = model.trainable_params()
-    assert list(trainable) == list(model.all_params())[:len(trainable)]
-    assert model.n_trainable == sum(p.size for p in trainable.values())
-    assert model.layout() == [[n, list(p.shape)] for n, p in model.all_params().items()]
+    assert groups == sorted(groups) and set(groups) == {0, 1}
+    extractor = set(model.extractor.named_params())
+    assert extractor & set(model.trainable_params()) == (set() if freeze else extractor)
+    assert model.layout() == [[n, list(p.shape)] for n, p in model.trainable_params().items()]
 
 
 # sha256 over (name, bytes) in name order of every drawn parameter, taken
@@ -570,7 +602,8 @@ def test_normal_into_draws_what_normal_draws(scale):
 def test_arena_holds_the_per_parameter_draws_bitwise(corpus, kw, digest):
     model = build_model(tiny_cfg(**kw), corpus)
     h = hashlib.sha256()
-    for name, p in sorted(model.all_params().items()):
+    for name, p in sorted({**model.trainable_params(),
+                           **model.extractor.named_params()}.items()):
         h.update(name.encode())
         h.update(p.data.tobytes())
     assert h.hexdigest() == digest
@@ -579,26 +612,33 @@ def test_arena_holds_the_per_parameter_draws_bitwise(corpus, kw, digest):
 @pytest.mark.parametrize("freeze", [True, False])
 def test_training_steps_the_model_arena_in_place(corpus, freeze):
     """The optimizer copies no parameter: after training every parameter
-    is still the same view of the arena.  The trainable slice moved; the
-    frozen extractor did not, and an unfrozen one trained."""
+    is still the same array.  The arena moved; the frozen extractor did
+    not, and an unfrozen one, in the arena, trained."""
     cfg = tiny_cfg(epochs=1, freeze_extractors=freeze)
     model = build_model(cfg, corpus)
-    addresses = {name: p.data.ctypes.data for name, p in model.all_params().items()}
-    before = {name: p.data.copy() for name, p in model.all_params().items()}
+    params = {**model.trainable_params(), **model.extractor.named_params()}
+    addresses = {name: p.data.ctypes.data for name, p in params.items()}
+    before = {name: p.data.copy() for name, p in params.items()}
     train_model(model, corpus, cfg)
-    assert {name: p.data.ctypes.data for name, p in model.all_params().items()} == addresses
-    moved = {name for name, p in model.all_params().items() if (p.data != before[name]).any()}
+    assert {name: p.data.ctypes.data for name, p in params.items()} == addresses
+    moved = {name for name, p in params.items() if (p.data != before[name]).any()}
     assert moved and moved <= set(model.trainable_params())
     extractor = set(model.extractor.named_params())
     assert extractor & moved == (set() if freeze else extractor)
 
 
 def test_training_frozen_extractor_bytes_unchanged(corpus):
+    """A frozen model's extractor is the process's one read-only draw: no
+    model can write into it."""
     cfg = tiny_cfg(epochs=1)
     model = build_model(cfg, corpus)
     before = model.extractor.byte_digest()
     train_model(model, corpus, cfg)
     assert model.extractor.byte_digest() == before
+    assert model.extractor is frozen_extractor(model.vision_dims, cfg.extractor_seed)
+    for name, p in model.extractor.named_params().items():
+        with pytest.raises(ValueError, match="read-only"):
+            p.data[...] = 0.0
 
 
 def test_training_unfrozen_extractor_changes(corpus):
@@ -729,8 +769,8 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model)
     model2, extra = load_checkpoint(path)
-    for name, p in model.all_params().items():
-        np.testing.assert_array_equal(p.data, model2.all_params()[name].data)
+    for name, p in model.trainable_params().items():
+        np.testing.assert_array_equal(p.data, model2.trainable_params()[name].data)
     assert model2.answer_vocab.answers == model.answer_vocab.answers
     assert model2.vocab.tokens == model.vocab.tokens
     # predictions identical after reload
@@ -741,22 +781,34 @@ def test_checkpoint_round_trip(tmp_path, corpus):
 
 def test_checkpoint_load_draws_no_init_values(tmp_path, corpus, monkeypatch):
     """The checkpoint fills every parameter, so loading draws nothing from
-    the init streams, and the round trip stays bitwise."""
+    the init streams, and the round trip stays bitwise.  Predicting from
+    VVQF feature files never draws the frozen extractor either."""
     cfg = tiny_cfg(epochs=1)
     model = build_model(cfg, corpus)
     train_model(model, corpus, cfg)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model)
+    files = []
+    for ex in corpus:
+        base = str(tmp_path / ex.id)
+        g, l = model.visual_features(ex)
+        write_feature_file(base + ".global.vvqf", g)
+        write_feature_file(base + ".local.vvqf", l)
+        files.append(dataclasses.replace(ex, image=base))
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_checkpoint drew from an init stream")
 
+    frozen_extractor.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(RngStream, "normal", refuse)
         m.setattr(RngStream, "normal_into", refuse)
         loaded, _ = load_checkpoint(path)
-    for name, p in model.all_params().items():
-        np.testing.assert_array_equal(p.data, loaded.all_params()[name].data)
+        from_files = predict_split(loaded, files)
+    assert frozen_extractor.cache_info().currsize == 0
+    for name, p in model.trainable_params().items():
+        np.testing.assert_array_equal(p.data, loaded.trainable_params()[name].data)
+    assert from_files == predict_split(model, files)
     assert predict_split(loaded, corpus) == predict_split(model, corpus)
 
 
@@ -1110,6 +1162,93 @@ def test_version1_checkpoint_loads_and_predicts_like_version2(tmp_path, corpus, 
     with T.no_grad():
         assert a.forward(corpus).data.tobytes() == b.forward(corpus).data.tobytes()
     assert predict_split(a, corpus) == predict_split(b, corpus) == predict_split(model, corpus)
+
+
+def _save_with_extractor_tail(path, model):
+    """The version-2 file a frozen model was saved as while the extractor was
+    in its arena: the four extractor entries last, in the layout and in
+    `params`."""
+    tail = model.extractor.named_params()
+    meta = {"version": 2, "config": json.loads(model.cfg.to_json()),
+            "vocab": model.vocab.tokens, "answers": model.answer_vocab.answers,
+            "layout": model.layout() + [[name, list(p.shape)] for name, p in tail.items()]}
+    params = np.concatenate([model.arena] + [p.data.reshape(-1) for p in tail.values()])
+    _rewrite(path, {"params": params}, meta)
+
+
+@pytest.mark.parametrize("write", [_save_with_extractor_tail, _save_version1])
+def test_file_holding_the_frozen_extractor_loads_like_a_fresh_save(tmp_path, corpus, write):
+    """Files written while the frozen extractor was in the arena (version 2
+    with its tail, version 1 with its entries) fill the same arena as a fresh
+    save, which holds no extractor entry, and predict the same."""
+    cfg = tiny_cfg(epochs=1)
+    model = build_model(cfg, corpus)
+    train_model(model, corpus, cfg)
+    fresh, old = tmp_path / "fresh.npz", tmp_path / "old.npz"
+    save_checkpoint(fresh, model)
+    write(old, model)
+    with np.load(fresh) as z:
+        arrays = dict(z)
+    assert arrays["params"].size == model.param_counts()["trainable"]
+    assert not [name for name, _ in _meta(arrays)["layout"] if name.startswith("extractor.")]
+    assert fresh.stat().st_size < old.stat().st_size
+    (a, _), (b, _) = load_checkpoint(fresh), load_checkpoint(old)
+    assert a.arena.tobytes() == b.arena.tobytes() == model.arena.tobytes()
+    assert predict_split(a, corpus) == predict_split(b, corpus) == predict_split(model, corpus)
+
+
+def _tail_bit_flipped(path, arrays):
+    arrays["params"] = arrays["params"].copy()
+    arrays["params"].view(np.uint64)[-1] ^= 1
+    _rewrite(path, arrays)
+
+
+def _tail_three_of_four(path, arrays):
+    _edit_layout(path, arrays, lambda entries: entries[:-1])
+
+
+def _tail_cut_short(path, arrays):
+    _write_params_member(path, arrays, arrays["params"].tobytes()[:-8])
+
+
+def _tail_on_unfrozen_config(path, arrays):
+    meta = _meta(arrays)
+    _rewrite(path, arrays, dict(meta, config=dict(meta["config"], freeze_extractors=False)))
+
+
+def _v1_extractor_bit_flipped(path, arrays):
+    key = "param::extractor.global.weight"
+    arrays[key] = arrays[key].copy()
+    arrays[key].view(np.uint64)[0, 0] ^= 1
+    _rewrite(path, arrays)
+
+
+def _v1_three_of_four(path, arrays):
+    del arrays["param::extractor.local.bias"]
+    _rewrite(path, arrays)
+
+
+def _v1_extractor_entry_short(path, arrays):
+    arrays["param::extractor.local.bias"] = arrays["param::extractor.local.bias"][:-1]
+    _rewrite(path, arrays)
+
+
+@pytest.mark.parametrize("write, corrupt", [
+    (_save_with_extractor_tail, _tail_bit_flipped),
+    (_save_with_extractor_tail, _tail_three_of_four),
+    (_save_with_extractor_tail, _tail_cut_short),
+    (_save_with_extractor_tail, _tail_on_unfrozen_config),
+    (_save_version1, _v1_extractor_bit_flipped),
+    (_save_version1, _v1_three_of_four),
+    (_save_version1, _v1_extractor_entry_short)])
+def test_file_holding_another_frozen_extractor_exits_3(tmp_path, corpus, write, corrupt,
+                                                       capsys):
+    """The extractor entries of an older file must be exactly the draw of the
+    config's (dims, extractor seed), all four in place, and only a frozen
+    config may carry them outside its arena."""
+    path = tmp_path / "ckpt.npz"
+    write(path, build_model(tiny_cfg(epochs=0), corpus))
+    _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -757,12 +757,26 @@ def _every_op(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_op_outputs_are_arrays_of_the_input_dtype(dtype):
     """Op outputs skip Tensor.__init__'s coercion, so every op must already
-    hand back a plain array of its inputs' float dtype."""
+    hand back a plain array of its inputs' float dtype; and a backward
+    through it hands each leaf a gradient of that dtype."""
     for name, op in _every_op(dtype).items():
         out = op()
         assert type(out.data) is np.ndarray and out.data.dtype == dtype, name
         assert out.requires_grad and out._backward_fn is not None and out._parents, name
         assert out.grad is None and out._g is None and not out._backward_done, name
+        leaves, stack = {}, [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if p.requires_grad and p._parents:
+                    stack.append(p)
+                elif p.requires_grad:
+                    leaves[id(p)] = p
+        leaves = list(leaves.values())
+        for leaf in leaves:
+            leaf.grad = None
+        backward(out if out.data.size == 1 else T.sum_all(out))
+        for leaf in leaves:
+            assert type(leaf.grad) is np.ndarray and leaf.grad.dtype == dtype, name
 
 
 def test_no_grad_records_nothing(rng):

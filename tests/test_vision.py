@@ -9,7 +9,7 @@ from vivqa.errors import ShapeError
 from vivqa.tensor import Tensor, backward, grad_check, sum_all, mul
 from vivqa.vision import (
     FUSION_OPS, MID_GRAY, StubExtractorParams, VisionDims, _block_means, adapt_local,
-    extract_global_stub, extract_local_stub, fuse, fused_token_count,
+    extract_global_stub, extract_local_stub, frozen_extractor, fuse, fused_token_count,
     sparsity_stats,
 )
 
@@ -49,6 +49,15 @@ def test_extractors_deterministic_per_seed():
                               extract_global_stub(imgs, c).data)
     assert a.byte_digest() == b.byte_digest()
     assert a.byte_digest() != c.byte_digest()
+
+
+def test_frozen_extractor_is_one_read_only_draw_per_dims_and_seed():
+    """The seed's own draw, bit for bit, taken once; its size is the dims'."""
+    frozen = frozen_extractor(TINY, 5)
+    assert frozen is frozen_extractor(TINY, 5) and frozen is not frozen_extractor(TINY, 6)
+    assert frozen.byte_digest() == StubExtractorParams(TINY, seed=5).byte_digest()
+    assert sum(p.size for p in frozen.named_params().values()) == TINY.extractor_size
+    assert not any(p.data.flags.writeable for p in frozen.named_params().values())
 
 
 def test_extractors_reject_wrong_image_shape(params):
