@@ -193,19 +193,19 @@ class SyntheticSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _walsh_texture(g: int, dims: VisionDims) -> np.ndarray:
+def _walsh_texture(g: int, block: int, grid: int) -> np.ndarray:
     """Read-only (H, W) texture of global cue g: TEXTURE_AMP times a within-
     block zero-mean sign pattern, the 2-D Walsh function (index g+1) on a 4x4
     sub-grid tiled over every block.  Index 16 would be the constant function,
-    hence MAX_GLOBAL_CUES, which also bounds the cache per dims."""
+    hence MAX_GLOBAL_CUES, which also bounds the cache per (block, grid)."""
     m = g + 1
-    sub = dims.block // 4
+    sub = block // 4
     u = np.arange(4)
     bits_u = ((m >> 0) & 1) * (u & 1) + ((m >> 1) & 1) * ((u >> 1) & 1)
     v = np.arange(4)
     bits_v = ((m >> 2) & 1) * (v & 1) + ((m >> 3) & 1) * ((v >> 1) & 1)
     signs = (-1.0) ** (bits_u[:, None] + bits_v[None, :])
-    out = TEXTURE_AMP * np.tile(np.kron(signs, np.ones((sub, sub))), (dims.grid, dims.grid))
+    out = TEXTURE_AMP * np.tile(np.kron(signs, np.ones((sub, sub))), (grid, grid))
     out.flags.writeable = False
     return out
 
@@ -224,7 +224,7 @@ def render_synthetic(spec: SyntheticSpec, dims: VisionDims,
     c, size, b, grid = dims.channels, dims.image_size, dims.block, dims.grid
     if not 0 <= spec.local_cue < grid * grid:
         raise DataError(f"local cue {spec.local_cue} outside the {grid}x{grid} block grid")
-    img = np.add(_walsh_texture(spec.global_cue, dims), BASE_LEVEL, out=np.empty((c, size, size)))
+    img = np.add(_walsh_texture(spec.global_cue, b, grid), BASE_LEVEL, out=np.empty((c, size, size)))
     bi, bj = _local_positions(grid, grid * grid)[spec.local_cue]
     for ch in range(c):
         img[ch, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += LOCAL_DELTA[ch % 3]

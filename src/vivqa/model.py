@@ -13,6 +13,7 @@ import ctypes
 import functools
 import io
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -28,7 +29,7 @@ from .multiway import (
 )
 from .optim import pack
 from .rng import RngStream
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, embedding_lookup
 from .text import (
     ProjectionParams, TextEncoderParams, Vocabulary, encode as text_encode, project, tokenize,
 )
@@ -152,30 +153,32 @@ class VivqaModel:
         return tuple(Tensor(part.data[0]) for part in self.extract([example]))
 
     def extract(self, examples) -> tuple[Tensor, Tensor]:
-        """Raw (global, local) extractor outputs of N examples, (N, ...) each: `synthetic:`
-        refs rendered through each stub in one call (on its graph if all are), the
+        """Raw (global, local) extractor outputs of N examples, (N, ...) each, on the
+        stubs' graph: `synthetic:` refs rendered through each stub in one call, the
         others read from their VVQF pairs, which must have the preset's shapes."""
         d = self.vision_dims
-        rendered = [ex.image.startswith("synthetic:") for ex in examples]
-        out = [np.empty((len(examples),) + shape) for shape in (
+        rendered = np.array([ex.image.startswith("synthetic:") for ex in examples], dtype=bool)
+        files = [ex for ex, r in zip(examples, rendered) if not r]
+        out = [np.empty((len(files),) + shape) for shape in (
             (d.n_tokens, d.token_dim), (d.local_channels, d.grid, d.grid))]
-        if any(rendered):
-            imgs = np.stack([render_synthetic(SyntheticSpec.parse(ex.image), d,
-                                              noise_seed=example_noise_seed(ex.id))
-                             for ex, r in zip(examples, rendered) if r])
-            feats = extract_global_stub(imgs, self.extractor), extract_local_stub(imgs, self.extractor)
-            if all(rendered):
-                return feats
-            for part, f in zip(out, feats):
-                part[rendered] = f.data
-        for i in [i for i, r in enumerate(rendered) if not r]:
+        for i, ex in enumerate(files):
             for part, suffix in zip(out, (".global.vvqf", ".local.vvqf")):
-                t = read_feature_file(examples[i].image + suffix)
+                t = read_feature_file(ex.image + suffix)
                 if t.shape != part.shape[1:]:
-                    raise DataError(f"{examples[i].image}{suffix}: shape {t.shape}, "
+                    raise DataError(f"{ex.image}{suffix}: shape {t.shape}, "
                                     f"expected {part.shape[1:]}")
                 part[i] = t.data
-        return tuple(Tensor(part) for part in out)
+        if not rendered.any():
+            return tuple(Tensor(part) for part in out)
+        imgs = np.stack([render_synthetic(SyntheticSpec.parse(ex.image), d,
+                                          noise_seed=example_noise_seed(ex.id))
+                         for ex, r in zip(examples, rendered) if r])
+        feats = extract_global_stub(imgs, self.extractor), extract_local_stub(imgs, self.extractor)
+        if not files:
+            return feats
+        rows = np.argsort(np.argsort(~rendered, kind="stable"))     # stub rows, then files'
+        return tuple(embedding_lookup(concat([f, Tensor(part)], axis=0), rows)
+                     for f, part in zip(feats, out))
 
     def fill_store(self, examples) -> list:
         """The store keys of `examples`, after extracting the distinct ones the
@@ -191,11 +194,10 @@ class VivqaModel:
 
     def vision_tokens(self, examples) -> Tensor:
         """(B, k, hidden) tokens of B examples, adapted and fused once per batch:
-        frozen tokens through the store, unfrozen ones (one graph per example) never."""
+        frozen tokens through the store, unfrozen ones (one `extract` graph) never."""
         if not self.cfg.freeze_extractors:
-            feats = [self.extract([ex]) for ex in examples]
-            glob = concat([g for g, _ in feats], axis=0)
-            local = adapt_local(concat([l for _, l in feats], axis=0), self.vision_dims)
+            glob, local = self.extract(examples)
+            local = adapt_local(local, self.vision_dims)
         else:
             entries = [self.store[k] for k in self.fill_store(examples)]
             glob, local = (Tensor(np.stack(part)) for part in zip(*entries))
@@ -228,8 +230,8 @@ class VivqaModel:
 # Checkpoints: one .npz holding what `vivqa eval` needs and nothing more --
 # the parameter arena as one `params` array, and a `meta` entry with the
 # config echo, both vocabularies, the arena's layout and a format version.
-# Version 1 held one `param::<name>` entry per parameter; it still loads.
-# Files from before the frozen extractor left the arena still load, too.
+# Version 1 held one `param::<name>` entry per parameter; it still loads,
+# as do files holding a frozen extractor or the retired parameters.
 # Save/load round-trips bitwise.
 
 
@@ -258,36 +260,55 @@ def _readable(path):
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
-def _is_layout(layout) -> bool:
-    return isinstance(layout, list) and all(
-        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-        and isinstance(entry[1], list)
-        and all(type(d) is int and d >= 0 for d in entry[1]) for entry in layout)
+def _read_params(path, zf, member: str, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """`member`'s `size` float64s in `out` (new if None): an npy 1.0 header (np.savez's), the
+    data `_CHUNK` bytes at a time, and on to the member's end, where zipfile checks its CRC."""
+    with _readable(path), zf.open(member) as fh:
+        np.lib.format.read_magic(fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        if dtype != np.float64 or shape != (size,) or zf.getinfo(member).file_size < 8 * size:
+            raise FormatError(f"{path}: params is {dtype} {shape}, "
+                              f"the layout needs float64 {(size,)}")
+        out = np.empty(size) if out is None else out
+        view = memoryview(out).cast("B")
+        done = sum(fh.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
+        if done != len(view) or fh.read(1):
+            raise FormatError(f"{path}: params does not hold the {shape} its header gives")
+    return out
 
 
-def _version1_entries(path, arrays: dict, order: list) -> tuple[list, np.ndarray]:
-    """The (layout, params) a version-1 file's `param::<name>` entries
-    describe: the model's names in its order, any others after in the file's.
-    The entries leave `arrays`, so they are freed once assembled."""
-    entries = {}
-    for key in list(arrays):
-        arr = arrays.pop(key)
-        if not key.startswith("param::"):
-            raise FormatError(f"{path}: unknown checkpoint entry {key!r}")
-        if arr.dtype != np.float64:
-            raise FormatError(f"{path}: {key!r} is {arr.dtype}, the model expects float64")
-        entries[key[len("param::"):]] = arr
-    rank = {name: i for i, name in enumerate(order)}
-    names = sorted(entries, key=lambda name: rank.get(name, len(rank)))
-    params = np.concatenate([entries[name].reshape(-1) for name in names] or [np.empty(0)])
-    return [[name, list(entries[name].shape)] for name in names], params
+def _load_by_name(path, model: VivqaModel, entries: dict, order: list | None) -> None:
+    """An older file's name -> array `entries` into the arena: a frozen model's extractor
+    entries leave if they are its draw, the retired ones (every key bias, the last block's
+    language expert) whatever they hold; the rest must be the arena's, in `order` if given."""
+    if model.cfg.freeze_extractors and any(name.startswith("extractor.") for name in entries):
+        for name, p in model.extractor.named_params().items():
+            arr = entries.pop(name, None)
+            if arr is None or arr.shape != p.shape or arr.tobytes() != p.data.tobytes():
+                raise FormatError(f"{path}: the extractor entries are not the frozen draw")
+    last = f"fusion.block{model.cfg.layers - 1}.language"
+    for name in [f"fusion.block{i}.attn.k.bias" for i in range(model.cfg.layers)] + [
+            last + part for part in ("_norm.gamma", "_norm.beta", ".fc1.weight", ".fc1.bias",
+                                     ".fc2.weight", ".fc2.bias")]:
+        entries.pop(name, None)
+    params = model.trainable_params()
+    mismatched = sorted(entries.keys() ^ params.keys())
+    if mismatched:
+        kind = "unknown" if mismatched[0] in entries else "missing"
+        raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
+    if order is not None and [name for name in order if name in entries] != list(params):
+        raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
+    for name, arr in entries.items():
+        if arr.dtype != np.float64 or arr.shape != params[name].shape:
+            raise FormatError(f"{path}: {name!r} is {arr.dtype} {arr.shape}, "
+                              f"the model expects float64 {params[name].shape}")
+        params[name].data[...] = arr
 
 
 def load_checkpoint(path) -> tuple[VivqaModel, dict]:
-    """(model, meta) from a checkpoint whose layout matches the rebuilt
-    model's exactly, by name, order and shape.  `meta` is read first and the
-    model built undrawn; a version-2 `params` then streams straight into its
-    arena, so the file's copy of the parameters is never held whole."""
+    """(model, meta) from a checkpoint, `meta` read first and the model built undrawn.  A
+    version-2 file in the model's layout streams `params` into its arena, never held
+    whole; any other file is read whole and assembled by name (`_load_by_name`)."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FormatError(f"{path}: not an npz checkpoint")
@@ -306,10 +327,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         version = meta.get("version")
         if type(version) is not int or version not in (1, CHECKPOINT_VERSION):   # not True, 2.0
             raise ConfigError(f"unsupported checkpoint version {version}")
-        try:
-            config, tokens, answers = meta["config"], meta["vocab"], meta["answers"]
-        except KeyError as exc:
-            raise FormatError(f"{path}: checkpoint meta has no {exc} field") from exc
+        config, tokens, answers = meta.get("config"), meta.get("vocab"), meta.get("answers")
         if not isinstance(config, dict):
             raise FormatError(f"{path}: checkpoint config is not an object")
         for name, strings in (("vocab", tokens), ("answers", answers)):
@@ -319,58 +337,33 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
             raise FormatError(f"{path}: checkpoint has no answers")
         model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
                            AnswerVocab(answers, ranked=True), drawn=False)
-        want = model.layout()
-        want_names = [name for name, _ in want]
-        if version == 1:
+        if version == 1:        # one `param::<name>` array per parameter, no layout
+            layout, entries = None, {}
             with _readable(path):
-                arrays = {key: np.lib.format.read_array(io.BytesIO(zf.read(name)))
-                          for key, name in members.items()}
-            layout, params = _version1_entries(path, arrays, want_names)
+                for key, name in members.items():
+                    if not key.startswith("param::"):
+                        raise FormatError(f"{path}: unknown checkpoint entry {key!r}")
+                    entries[key[7:]] = np.lib.format.read_array(io.BytesIO(zf.read(name)))
         else:
             layout = meta.get("layout")
-            if not _is_layout(layout):
+            if not isinstance(layout, list) or not all(
+                    isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list)
+                    and all(type(d) is int and d >= 0 for d in entry[1]) for entry in layout):
                 raise FormatError(f"{path}: checkpoint layout is not a list of [name, shape] pairs")
             if set(members) != {"params"}:
                 raise FormatError(f"{path}: checkpoint holds {sorted(members)} beside meta, "
                                   f"not ['params']")
-        tail = b""      # older files hold a frozen extractor last: the process's draw
-        if model.cfg.freeze_extractors and len(layout) > len(want):
-            held = model.extractor.named_params()
-            if layout[len(want):] == [[name, list(p.shape)] for name, p in held.items()]:
-                layout, tail = layout[:len(want)], b"".join(p.data.tobytes() for p in held.values())
-        names = [name for name, _ in layout]
-        mismatched = sorted(set(names) ^ set(want_names))
-        if mismatched:
-            kind = "unknown" if mismatched[0] in names else "missing"
-            raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
-        if names != want_names:
-            raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
-        for (name, shape), (_, expected) in zip(layout, want):
-            if shape != expected:
-                raise FormatError(f"{path}: {name!r} is {tuple(shape)}, "
-                                  f"the model expects {tuple(expected)}")
-        # Into the model's own arena: forwards over arrays on the file's bytes
-        # ran tiny-eval 15 % slower.  Version 1's entries already match it.
-        if version == 1:
-            model.arena[...] = params[:model.arena.size]
-            if params[model.arena.size:].tobytes() != tail:
-                raise FormatError(f"{path}: the extractor entries are not the frozen draw")
-            return model, meta
-        # An npy 1.0 header (np.savez's; a later version's wider header fails
-        # its parse), then the data `_CHUNK` bytes at a time, any frozen tail,
-        # and on to the member's end, where zipfile checks its CRC.
-        size = (model.arena.size + len(tail) // 8,)
-        with _readable(path), zf.open(members["params"]) as member:
-            np.lib.format.read_magic(member)
-            shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-            if dtype != np.float64 or shape != size:
-                raise FormatError(f"{path}: params is {dtype} {shape}, "
-                                  f"the layout needs float64 {size}")
-            view = memoryview(model.arena).cast("B")
-            done = sum(member.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
-            if done != len(view) or member.read(len(tail)) != tail or member.read(1):
-                raise FormatError(f"{path}: params does not hold the {shape} its header gives"
-                                  + (", the frozen extractor's draw last" if tail else ""))
+            if layout == model.layout():
+                # Into the model's own arena: forwards over arrays on the file's
+                # bytes ran tiny-eval 15 % slower.
+                _read_params(path, zf, members["params"], model.arena.size, model.arena)
+                return model, meta
+            sizes = [math.prod(shape) for _, shape in layout]
+            parts = np.split(_read_params(path, zf, members["params"], sum(sizes)),
+                             np.cumsum(sizes[:-1], dtype=int))
+            entries = {name: part.reshape(shape) for (name, shape), part in zip(layout, parts)}
+    _load_by_name(path, model, entries, layout and [name for name, _ in layout])
     return model, meta
 
 

@@ -8,8 +8,9 @@ pre-norm residual:
     x <- x + drop_path(Expert_modality(norm_modality(x)))   # rows routed by k
 Expert routing slices axis 1 at the vision row count k, which is fixed per
 config.  Padded text keys get an additive mask of MASK_VALUE so their
-attention weight is exactly zero.  The pooler reads row 0 only, so the model
-computes only row 0 in the last block once its keys and values are projected.
+attention weight is exactly zero; K has no bias, which softmax would ignore.
+The pooler reads row 0 only, so the last block computes only row 0 once its
+keys and values are projected, and has no language expert.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
     MASK_VALUE, Tensor, add, add_rows, concat, drop_path, gelu, layer_norm,
-    linear, multi_head_attention, narrow, reshape, tanh,
+    linear, matmul, multi_head_attention, narrow, reshape, tanh,
 )
 
 
@@ -38,10 +39,11 @@ class FusedSequence:
                 f"boundary {self.boundary} outside sequence of {self.mask.shape[1]} rows")
 
 
-def _linear_params(rng: RngStream, d_in: int, d_out: int, name: str, out: dict):
+def _linear_params(rng: RngStream, d_in: int, d_out: int, name: str, out: dict, bias=True):
     out[f"{name}.weight"] = Tensor(
         rng.split(name).normal((d_in, d_out), scale=1.0 / np.sqrt(d_in)), requires_grad=True)
-    out[f"{name}.bias"] = Tensor(np.zeros(d_out), requires_grad=True)
+    if bias:
+        out[f"{name}.bias"] = Tensor(np.zeros(d_out), requires_grad=True)
 
 
 def _norm_params(d: int, name: str, out: dict):
@@ -50,18 +52,20 @@ def _norm_params(d: int, name: str, out: dict):
 
 
 class MultiwayBlockParams:
-    """One block: shared Q/K/V/output projections, a vision-expert FFN and a
-    language-expert FFN with disjoint weights, pre-norms for each path."""
+    """One block: shared Q/K/V/output projections (K without a bias), a
+    vision-expert FFN and, unless `language` is False, a language-expert FFN
+    with disjoint weights, pre-norms for each path."""
 
-    def __init__(self, cfg: RunConfig, rng: RngStream, prefix: str = "block"):
+    def __init__(self, cfg: RunConfig, rng: RngStream, prefix: str = "block", language=True):
         self.cfg = cfg
         dims = cfg.dims
         h, w = dims.hidden, dims.expert_ffn_width
         p: dict[str, Tensor] = {}
         _norm_params(h, f"{prefix}.attn_norm", p)
         for proj in ("q", "k", "v", "o"):
-            _linear_params(rng, h, h, f"{prefix}.attn.{proj}", p)
-        for expert in ("vision", "language"):
+            _linear_params(rng, h, h, f"{prefix}.attn.{proj}", p, bias=proj != "k")
+        self.experts = ("vision", "language") if language else ("vision",)
+        for expert in self.experts:
             _norm_params(h, f"{prefix}.{expert}_norm", p)
             _linear_params(rng, h, w, f"{prefix}.{expert}.fc1", p)
             _linear_params(rng, w, h, f"{prefix}.{expert}.fc2", p)
@@ -76,10 +80,6 @@ def _linear(x: Tensor, p: MultiwayBlockParams, name: str) -> Tensor:
     return linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
 
 
-def _mask_bias(mask: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(mask) > 0.0, 0.0, MASK_VALUE)
-
-
 def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
                      cfg: RunConfig, weights_sink: list | None = None,
                      keep: int | None = None) -> Tensor:
@@ -87,10 +87,10 @@ def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
     with `keep`, only the leading `keep` rows query, and only theirs return."""
     xn = layer_norm(x, p["attn_norm.gamma"], p["attn_norm.beta"])
     q = _linear(xn if keep is None else narrow(xn, 1, 0, keep), p, "attn.q")
-    k = _linear(xn, p, "attn.k")
+    k = matmul(xn, p["attn.k.weight"])
     v = _linear(xn, p, "attn.v")
-    merged = multi_head_attention(q, k, v, _mask_bias(mask), cfg.heads,
-                                  weights_sink=weights_sink)
+    merged = multi_head_attention(q, k, v, np.where(np.asarray(mask) > 0.0, 0.0, MASK_VALUE),
+                                  cfg.heads, weights_sink=weights_sink)
     return _linear(merged, p, "attn.o")
 
 
@@ -102,13 +102,16 @@ def _expert_ffn(x: Tensor, p: MultiwayBlockParams, expert: str) -> Tensor:
 def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams) -> Tensor:
     """Pre-residual expert output: rows [0,k) of every item through the
     vision expert, rows [k,end) through the language expert, which does not
-    run when `x` holds vision rows only."""
+    run when `x` holds vision rows only.  A block without a language expert
+    (the last, whose text rows no output reads) gives text rows zeros."""
     rows = x.shape[1]
     if rows <= boundary:
         return _expert_ffn(x, p, "vision")
     xv = narrow(x, 1, 0, boundary)
     xt = narrow(x, 1, boundary, rows - boundary)
-    return concat([_expert_ffn(xv, p, "vision"), _expert_ffn(xt, p, "language")], axis=1)
+    text = (_expert_ffn(xt, p, "language") if "language" in p.experts
+            else Tensor(np.zeros_like(xt.data)))
+    return concat([_expert_ffn(xv, p, "vision"), text], axis=1)
 
 
 def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
@@ -136,9 +139,9 @@ class FusionStackParams:
         self.cfg = cfg
         self.hidden = h = cfg.dims.hidden
         self.blocks = []
-        for i in range(cfg.layers):
-            self.blocks.append(
-                MultiwayBlockParams(cfg, rng.split(f"block{i}"), prefix=f"fusion.block{i}"))
+        for i in range(cfg.layers):     # the last block computes row 0 alone, a vision row
+            self.blocks.append(MultiwayBlockParams(cfg, rng.split(f"block{i}"), f"fusion.block{i}",
+                                                   language=i < cfg.layers - 1))
         extra = {"fusion.position": rng.split("pos").normal((max_rows, h), scale=0.02),
                  "fusion.type": rng.split("type").normal((2, h), scale=0.02)}
         extra = {name: Tensor(v, requires_grad=True) for name, v in extra.items()}
@@ -186,7 +189,9 @@ def encode(f: FusedSequence, stack: FusionStackParams,
     """All blocks, the last computing only its leading `keep` rows (default
     all), with one `weights_sink` array per block.  Drop path runs only when
     `rngs` is given, one stream per item; a block with a rate above 0 draws
-    from each item's `layer<i>` child stream."""
+    from each item's `layer<i>` child stream.  The last block has no language
+    expert, so without `keep` its text rows hold the attention residual only:
+    right in shape, and never read by the pooler, which reads row 0."""
     rates = block_drop_rates(stack.cfg)
     last = len(stack.blocks) - 1
     for i, (bp, rate) in enumerate(zip(stack.blocks, rates)):

@@ -280,15 +280,15 @@ def test_render_with_cached_texture_is_bitwise_the_uncached_render(dims):
 
 def test_texture_cache_is_read_only_and_renders_are_not():
     from vivqa.data import _walsh_texture
-    tex = _walsh_texture(3, TINY)
-    assert _walsh_texture(3, TINY) is tex and not tex.flags.writeable
+    tex = _walsh_texture(3, TINY.block, TINY.grid)
+    assert _walsh_texture(3, TINY.block, TINY.grid) is tex and not tex.flags.writeable
     assert tex.shape == (TINY.image_size, TINY.image_size)
     with pytest.raises(ValueError):
         tex[0, 0] = 0.0
     before = tex.copy()
     img = render_synthetic(SyntheticSpec(3, 1), TINY, noise_seed=2)
     img[...] = 0.0              # each render is its own writable array
-    np.testing.assert_array_equal(_walsh_texture(3, TINY), before)
+    np.testing.assert_array_equal(_walsh_texture(3, TINY.block, TINY.grid), before)
     assert render_synthetic(SyntheticSpec(3, 1), TINY, noise_seed=2).any()
 
 

@@ -99,7 +99,7 @@ HARNESS_DIGESTS = {
     "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
     "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
     "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
-    "freeze": "fde7e6bf3277d9a5038de4cfbe06c0cb912589e18416aa86026ba02a6e2fe05f",
+    "freeze": "39cc32bd5776e52564783e29dbfffc9c9818e0188cf22d294e8618e317476758",
     "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
     "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
 }
@@ -179,6 +179,25 @@ def test_arms_share_one_preset_dims(splits):
     assert arms[0].vision_dims is arms[1].vision_dims
     [(dims, _)] = store
     assert dims is arms[0].vision_dims and arms[0].store is arms[1].store
+
+
+def test_tiny_ablation_hashes_vision_dims_per_model_not_per_image(monkeypatch):
+    """The benchmark's tiny-ablate shape (9 arms over 224 images) hashes
+    VisionDims at most 10 times: each build finds its table of the store and
+    the frozen extractor is looked up, but no render hashes the dims."""
+    from vivqa.vision import VisionDims
+
+    hashes, vision_hash = [], VisionDims.__hash__
+
+    def counting_hash(dims):
+        hashes.append(dims)
+        return vision_hash(dims)
+
+    monkeypatch.setattr(VisionDims, "__hash__", counting_hash)
+    train = make_synthetic(160, 4, 4, seed=0, id_prefix="tr")
+    test = make_synthetic(64, 4, 4, seed=1, id_prefix="te")
+    ablate_extractors(mini_cfg(batch_size=16, epochs=2), train, test, seeds=[0, 1, 2])
+    assert len(hashes) <= 10
 
 
 def test_ablate_freeze_contract(tmp_path, splits):

@@ -266,7 +266,9 @@ def test_named_params_cover_stack():
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(7))
     names = set(stack.named_params())
     assert "fusion.block0.attn.q.weight" in names
-    assert "fusion.block1.language.fc2.bias" in names
+    assert "fusion.block0.language.fc2.bias" in names
+    assert not [name for name in names if name.startswith("fusion.block1.language")]
+    assert not [name for name in names if name.endswith("attn.k.bias")]
     assert "fusion.position" in names
     assert "fusion.type" in names
     assert "fusion.pooler.weight" in names
