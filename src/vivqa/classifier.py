@@ -10,7 +10,9 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import RngStream
-from .tensor import Tensor, gelu, layer_norm, linear
+from .tensor import (
+    Tensor, chain, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, linear_bwd, linear_fwd,
+)
 
 
 class ClassifierParams:
@@ -43,14 +45,14 @@ class ClassifierParams:
 
 
 def classify(x: Tensor, p: ClassifierParams) -> Tensor:
-    """(B, in_width) -> (B, C) logits.  Loss and prediction both consume
-    logits directly."""
+    """(B, in_width) -> (B, C) logits, as one graph node.  Loss and
+    prediction both consume logits directly."""
     if x.data.ndim != 2 or x.shape[1] != p.in_width:
         raise ShapeError(f"classify: input shape {x.shape} != (batch, {p.in_width})")
-    h = linear(x, p.fc1_w, p.fc1_b)
-    h = layer_norm(h, p.norm_gamma, p.norm_beta)
-    h = gelu(h)
-    return linear(h, p.fc2_w, p.fc2_b)
+    return chain(x, [(linear_fwd, linear_bwd, [p.fc1_w, p.fc1_b]),
+                     (layer_norm_fwd, layer_norm_bwd, [p.norm_gamma, p.norm_beta]),
+                     (gelu_fwd, gelu_bwd, []),
+                     (linear_fwd, linear_bwd, [p.fc2_w, p.fc2_b])])
 
 
 @dataclass(frozen=True)

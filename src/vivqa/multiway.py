@@ -11,9 +11,14 @@ config.  Padded text keys get an additive mask of MASK_VALUE so their
 attention weight is exactly zero; K has no bias, which softmax would ignore.
 The pooler reads row 0 only, so the last block computes only row 0 once its
 keys and values are projected, and has no language expert.
+Each line above is one graph node, and so is the pooler: it runs the tensor
+kernels of its norm, projections or experts, drop path and residual, and
+their backwards in reverse, summing the gradients of a value read twice as
+an op-by-op graph's walk would, so every bit is that graph's.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +27,9 @@ from .config import RunConfig
 from .errors import ShapeError
 from .rng import RngStream
 from .tensor import (
-    MASK_VALUE, Tensor, add, add_rows, concat, drop_path, gelu, layer_norm,
-    linear, matmul, multi_head_attention, narrow, reshape, tanh,
+    MASK_VALUE, Tensor, add_leading, add_rows, attention_bwd, attention_fwd, chain, chain_bwd,
+    chain_fwd, chain_params, concat, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, linear_bwd,
+    linear_fwd, residual, select_bwd, select_fwd, tanh_bwd, tanh_fwd,
 )
 
 
@@ -76,59 +82,94 @@ class MultiwayBlockParams:
         return self.params[f"{self.prefix}.{key}"]
 
 
-def _linear(x: Tensor, p: MultiwayBlockParams, name: str) -> Tensor:
-    return linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
+def _ffn(p: MultiwayBlockParams, e: str) -> list:
+    """Expert `e` as `chain` steps: norm -> fc1 -> GELU -> fc2."""
+    return [(layer_norm_fwd, layer_norm_bwd, [p[f"{e}_norm.gamma"], p[f"{e}_norm.beta"]]),
+            (linear_fwd, linear_bwd, [p[f"{e}.fc1.weight"], p[f"{e}.fc1.bias"]]),
+            (gelu_fwd, gelu_bwd, []),
+            (linear_fwd, linear_bwd, [p[f"{e}.fc2.weight"], p[f"{e}.fc2.bias"]])]
+
+
+def _attention_fwd(bias, heads, keep, weights_sink, xn, wq, bq, wk, wv, bv):
+    q, s_q = linear_fwd(xn if keep is None else xn[:, :keep].copy(), wq, bq)
+    k, s_k = linear_fwd(xn, wk)
+    v, s_v = linear_fwd(xn, wv, bv)
+    out, s_attn = attention_fwd(q, k, v, bias, heads, weights_sink)
+    return out, (s_q, s_k, s_v, s_attn)
+
+
+def _attention_bwd(saved, g):
+    s_q, s_k, s_v, s_attn = saved
+    dq, dk, dv = attention_bwd(s_attn, g)
+    dq, dwq, dbq = linear_bwd(s_q, dq)
+    dxn, dwk = linear_bwd(s_k, dk)
+    dxv, dwv, dbv = linear_bwd(s_v, dv)
+    add_leading(dxn, dq)            # xn's three gradients in an op-by-op walk's order
+    dxn += dxv
+    return dxn, dwq, dbq, dwk, dwv, dbv
 
 
 def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
                      cfg: RunConfig, weights_sink: list | None = None,
-                     keep: int | None = None) -> Tensor:
-    """Pre-norm multi-head self-attention over the whole fused sequence;
-    with `keep`, only the leading `keep` rows query, and only theirs return."""
-    xn = layer_norm(x, p["attn_norm.gamma"], p["attn_norm.beta"])
-    q = _linear(xn if keep is None else narrow(xn, 1, 0, keep), p, "attn.q")
-    k = matmul(xn, p["attn.k.weight"])
-    v = _linear(xn, p, "attn.v")
-    merged = multi_head_attention(q, k, v, np.where(np.asarray(mask) > 0.0, 0.0, MASK_VALUE),
-                                  cfg.heads, weights_sink=weights_sink)
-    return _linear(merged, p, "attn.o")
+                     keep: int | None = None, drop_rate: float = 0.0,
+                     rngs: list[RngStream] | None = None) -> Tensor:
+    """x + drop_path(SharedMHSA(norm(x), mask)) over the whole fused
+    sequence, one graph node; with `keep`, only the leading `keep` rows
+    query, and only theirs return."""
+    core = functools.partial(_attention_fwd, np.where(np.asarray(mask) > 0.0, 0.0, MASK_VALUE),
+                             cfg.heads, keep, weights_sink)
+    qkv = [p[f"attn.{n}"] for n in ("q.weight", "q.bias", "k.weight", "v.weight", "v.bias")]
+    return residual(x, [
+        (layer_norm_fwd, layer_norm_bwd, [p["attn_norm.gamma"], p["attn_norm.beta"]]),
+        (core, _attention_bwd, qkv),
+        (linear_fwd, linear_bwd, [p["attn.o.weight"], p["attn.o.bias"]])], drop_rate, rngs)
 
 
-def _expert_ffn(x: Tensor, p: MultiwayBlockParams, expert: str) -> Tensor:
-    xn = layer_norm(x, p[f"{expert}_norm.gamma"], p[f"{expert}_norm.beta"])
-    return _linear(gelu(_linear(xn, p, f"{expert}.fc1")), p, f"{expert}.fc2")
+def _experts_fwd(spans, x, *_):     # each span's steps hold its expert's parameters
+    out, saved = np.zeros_like(x), []
+    for rows, steps in spans:
+        out[:, rows], s = chain_fwd(x[:, rows], steps)
+        saved.append((rows, s))
+    return out, saved
 
 
-def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams) -> Tensor:
-    """Pre-residual expert output: rows [0,k) of every item through the
-    vision expert, rows [k,end) through the language expert, which does not
-    run when `x` holds vision rows only.  A block without a language expert
-    (the last, whose text rows no output reads) gives text rows zeros."""
-    rows = x.shape[1]
-    if rows <= boundary:
-        return _expert_ffn(x, p, "vision")
-    xv = narrow(x, 1, 0, boundary)
-    xt = narrow(x, 1, boundary, rows - boundary)
-    text = (_expert_ffn(xt, p, "language") if "language" in p.experts
-            else Tensor(np.zeros_like(xt.data)))
-    return concat([_expert_ffn(xv, p, "vision"), text], axis=1)
+def _experts_bwd(saved, g):
+    dx, grads = np.zeros_like(g), []
+    for rows, s in saved:
+        dx[:, rows], *gp = chain_bwd(s, g[:, rows])
+        grads += gp
+    if len(saved) > 1:              # each expert's zero-padded gradient adds 0.0 to
+        dx += 0.0                   # the other's rows
+    return (dx, *grads)
+
+
+def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams, drop_rate: float = 0.0,
+                    rngs: list[RngStream] | None = None) -> Tensor:
+    """x + drop_path(experts(x)), one graph node: rows [0,k) of every item
+    through the vision expert, rows [k,end) through the language expert,
+    which does not run when `x` holds vision rows only.  A block without a
+    language expert (the last, whose text rows no output reads) gives text
+    rows a zero expert output."""
+    steps = _ffn(p, "vision")
+    if x.shape[1] > boundary:
+        spans = [(slice(0, boundary), steps)]
+        if "language" in p.experts:
+            spans.append((slice(boundary, None), _ffn(p, "language")))
+        params = [t for _, ss in spans for t in chain_params(ss)]
+        steps = [(functools.partial(_experts_fwd, spans), _experts_bwd, params)]
+    return residual(x, steps, drop_rate, rngs)
 
 
 def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
                    rngs: list[RngStream] | None = None, keep: int | None = None,
                    weights_sink: list | None = None) -> FusedSequence:
-    """One block; with `rngs`, rngs[i] draws item i's drop-path keeps,
-    attention branch first, then the expert branch.  With `keep`, past the
-    key/value projections only the leading `keep` rows are computed and
-    returned; `weights_sink` gets their (B, heads, keep, rows) weights."""
-    x = f.x
-    attn = shared_attention(x, f.mask, p, p.cfg, weights_sink, keep)
-    if keep is not None:
-        x = narrow(x, 1, 0, keep)
-    x = add(x, drop_path(attn, drop_rate, rngs))
-    experts = expert_sublayer(x, f.boundary, p)
-    x = add(x, drop_path(experts, drop_rate, rngs))
-    return FusedSequence(x=x, boundary=f.boundary, mask=f.mask)
+    """One block, two graph nodes; with `rngs`, rngs[i] draws item i's
+    drop-path keeps, attention branch first, then the expert branch.  With
+    `keep`, past the key/value projections only the leading `keep` rows are
+    computed and returned; `weights_sink` gets their (B, heads, keep, rows)
+    weights."""
+    x = shared_attention(f.x, f.mask, p, p.cfg, weights_sink, keep, drop_rate, rngs)
+    return FusedSequence(expert_sublayer(x, f.boundary, p, drop_rate, rngs), f.boundary, f.mask)
 
 
 class FusionStackParams:
@@ -202,9 +243,10 @@ def encode(f: FusedSequence, stack: FusionStackParams,
 
 def pool_cls(f: FusedSequence, stack: FusionStackParams) -> Tensor:
     """Classification vectors: each item's row 0 (its first visual token) ->
-    norm -> affine -> tanh, (B, hidden)."""
-    row = reshape(narrow(f.x, 1, 0, 1), (f.x.shape[0], stack.hidden))
-    row = layer_norm(row, stack.extra["fusion.pooler_norm.gamma"],
-                     stack.extra["fusion.pooler_norm.beta"])
-    row = linear(row, stack.extra["fusion.pooler.weight"], stack.extra["fusion.pooler.bias"])
-    return tanh(row)
+    norm -> affine -> tanh, (B, hidden), one graph node."""
+    e = stack.extra
+    return chain(f.x, [
+        (functools.partial(select_fwd, idx=(slice(None), 0)), select_bwd, []),
+        (layer_norm_fwd, layer_norm_bwd, [e[f"fusion.pooler_norm.{n}"] for n in ("gamma", "beta")]),
+        (linear_fwd, linear_bwd, [e["fusion.pooler.weight"], e["fusion.pooler.bias"]]),
+        (tanh_fwd, tanh_bwd, [])])

@@ -1,7 +1,11 @@
 """Dense n-dimensional tensors with reverse-mode automatic differentiation.
 
 The graph is define-by-run: every differentiable op attaches its parents and
-a local backward closure to the output tensor.  `backward(loss)` walks the
+a backward function to the output tensor.  The math of the hot ops lives in
+kernel pairs on plain arrays, `*_fwd(...) -> (out, saved)` and
+`*_bwd(saved, g) -> (one gradient per input)`: an op runs one pair as one
+node, and a fused node (`chain`, or `residual`, which adds its input) runs
+several, the forwards in turn and the backwards in reverse.  `backward(loss)` walks the
 graph once in reverse topological order, accumulates total derivatives into
 requires_grad leaves, then clears the graph so a second backward on the same
 loss is a usage error.  The walk keeps its state on the nodes: `_mark` holds
@@ -9,8 +13,7 @@ the number of the last walk that reached a node, `_g` its pending gradient.
 The order is a depth-first postorder that enters each node's parents last to
 first; it fixes the order in which a shared node's gradients are summed, and
 so every bit of the result.  Inside `with no_grad():` ops compute their
-values but record no graph, so inference keeps no closures or activations
-alive.
+values but record no graph, so inference keeps no activations alive.
 
 A minibatch travels as one leading batch axis: the model's activations are
 (B, rows, width), `matmul` and `linear` take (..., n, k) @ (k, m),
@@ -108,6 +111,63 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
+def _op(fwd, bwd, parents: tuple[Tensor, ...], *args) -> Tensor:
+    """One kernel pair as one graph node."""
+    out, saved = fwd(*[p.data for p in parents], *args)
+    return _node(out, parents, functools.partial(bwd, saved))
+
+
+def chain_fwd(x, steps):
+    """Kernels in turn; each step is (fwd, bwd, parameter tensors)."""
+    saved = []
+    for fwd, bwd, params in steps:
+        x, s = fwd(x, *[p.data for p in params])
+        saved.append((bwd, s))
+    return x, saved
+
+
+def chain_bwd(saved, g):
+    """The input's gradient, then every step's parameter gradients in step order."""
+    grads = []
+    for bwd, s in reversed(saved):
+        g, *gp = bwd(s, g)
+        grads[:0] = gp
+    return (g, *grads)
+
+
+def add_leading(dx: np.ndarray, g: np.ndarray) -> None:
+    """dx += g zero-padded along axis 1, as a walk sums the two: the
+    padding adds 0.0, which turns -0.0 into 0.0."""
+    dx[:, :g.shape[1]] += g
+    if g.shape[1] < dx.shape[1]:
+        dx[:, g.shape[1]:] += 0.0
+
+
+def chain_params(steps) -> list[Tensor]:
+    return [p for _, _, params in steps for p in params]
+
+
+def chain(x: Tensor, steps) -> Tensor:
+    """`chain_fwd` as one graph node over x and `chain_params(steps)`."""
+    out, saved = chain_fwd(x.data, steps)
+    return _node(out, (x, *chain_params(steps)), functools.partial(chain_bwd, saved))
+
+
+def residual(x: Tensor, steps, rate: float = 0.0,
+             rngs: Sequence[RngStream] | None = None) -> Tensor:
+    """x + drop_path(chain_fwd(x, steps)) as one graph node; x's leading
+    rows when the steps return fewer."""
+    out, saved = chain_fwd(x.data, steps)
+    out, mask = drop_path_fwd(out, rate, rngs)
+
+    def backward(g):
+        dx, *grads = chain_bwd(saved, drop_path_bwd(mask, g)[0])
+        add_leading(dx, g)
+        return (dx, *grads)
+
+    return _node(out + x.data[:, :out.shape[1]], (x, *chain_params(steps)), backward)
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -149,8 +209,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expects (..., n, k) @ (k, m), got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return _node(ad @ bd, (a, b), lambda g: (g @ bd.T, _rows(ad).T @ _rows(g)))
+    return _op(linear_fwd, linear_bwd, (a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -160,12 +219,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: expects (..., n, k) @ (k, m) + (m,), got "
                          f"{x.shape} @ {w.shape} + {b.shape}")
-
-    def bwd(g):
-        g2 = _rows(g)
-        return (g @ wd.T, _rows(xd).T @ g2, np.add.reduce(g2, axis=0))
-
-    return _node(xd @ wd + b.data, (x, w, b), bwd)
+    return _op(linear_fwd, linear_bwd, (x, w, b))
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -215,17 +269,8 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or start + length > t.data.shape[axis]:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside axis {axis} of {t.shape}")
-    idx = [slice(None)] * t.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    shape = t.data.shape
-
-    def bwd(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[idx] = g
-        return (full,)
-
-    return _node(t.data[idx].copy(), (t,), bwd)
+    idx = (slice(None),) * (axis % t.data.ndim) + (slice(start, start + length),)
+    return _op(select_fwd, select_bwd, (t,), idx)
 
 
 def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
@@ -290,12 +335,7 @@ def adaptive_avg_pool(t: Tensor, out_sizes: Sequence[int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Nonlinearities and normalization
-
-
-def tanh(t: Tensor) -> Tensor:
-    y = np.tanh(t.data)
-    return _node(y, (t,), lambda g: (g * (1.0 - y * y),))
+# Nonlinearities, normalization and attention: kernel pairs and their ops
 
 
 # W. J. Cody, "Rational Chebyshev approximations for the error function",
@@ -365,51 +405,155 @@ def erf(x) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def gelu(t: Tensor) -> Tensor:
+def linear_fwd(x, w, b=None):
+    """(..., n, k) @ (k, m), plus the bias row b[m] when given."""
+    return (x @ w if b is None else x @ w + b), (x, w, b is not None)
+
+
+def linear_bwd(saved, g):
+    x, w, has_bias = saved
+    g2 = _rows(g)
+    grads = (g @ w.T, _rows(x).T @ g2)
+    return grads + (np.add.reduce(g2, axis=0),) if has_bias else grads
+
+
+def select_fwd(x, idx):
+    return x[idx].copy(), (x.shape, idx)
+
+
+def select_bwd(saved, g):
+    full = np.zeros(saved[0], dtype=g.dtype)
+    full[saved[1]] = g
+    return (full,)
+
+
+def layer_norm_fwd(x, gamma, beta, eps=1e-5):
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]  # x.mean(-1), unwrapped
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / x.shape[-1] + eps)
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out, (xhat, inv, gamma)
+
+
+def layer_norm_bwd(saved, g):
+    xhat, inv, gamma = saved
+    d, lead = xhat.shape[-1], tuple(range(xhat.ndim - 1))
+    dxhat = g * gamma
+    dx = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    dxhat *= xhat
+    dx -= xhat * (np.add.reduce(dxhat, axis=-1, keepdims=True) / d)
+    dx *= inv
+    return dx, np.add.reduce(g * xhat, axis=lead), np.add.reduce(g, axis=lead)
+
+
+def tanh_fwd(x):
+    y = np.tanh(x)
+    return y, y
+
+
+def tanh_bwd(y, g):
+    return (g * (1.0 - y * y),)
+
+
+def gelu_fwd(x):
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    x = t.data
-    cdf = (0.5 * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype, copy=False)
-    return _node(x * cdf, (t,),
-                 lambda g: (g * (cdf + x * (_INV_SQRT2PI * np.exp(-0.5 * x * x))),))
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    cdf = cdf.astype(x.dtype, copy=False)
+    return x * cdf, (x, cdf)
+
+
+def gelu_bwd(saved, g):
+    x, cdf = saved      # g * (cdf + x * (_INV_SQRT2PI * exp(-0.5 * x * x))) in one temporary
+    t = -0.5 * x
+    np.exp(np.multiply(t, x, out=t), out=t)
+    np.multiply(np.multiply(t, _INV_SQRT2PI, out=t), x, out=t)
+    return (np.multiply(np.add(t, cdf, out=t), g, out=t),)
+
+
+def softmax_fwd(x, axis=-1, out=None):
+    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y, (y, axis)
+
+
+def softmax_bwd(saved, g):
+    y, axis = saved
+    return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+
+
+def _heads(arr, heads):
+    """(B, S, heads*d) -> (B, heads, S, d)."""
+    return arr.reshape(arr.shape[0], arr.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merged(arr):
+    return arr.transpose(0, 2, 1, 3).reshape(arr.shape[0], arr.shape[2], -1)
+
+
+def attention_fwd(q, k, v, key_bias, heads, weights_sink=None):
+    qd, kd, vd = _heads(q, heads), _heads(k, heads), _heads(v, heads)
+    s = 1.0 / math.sqrt(qd.shape[-1])     # a Python float keeps float32 scores float32
+    w = qd @ kd.transpose(0, 1, 3, 2)
+    w *= s
+    w += np.asarray(key_bias, dtype=q.dtype)[:, None, None, :]
+    softmax_fwd(w, out=w)                                       # (B, H, n, S)
+    if weights_sink is not None:
+        weights_sink.append(w.copy())
+    return _merged(w @ vd), (qd, kd, vd, w, s)
+
+
+def attention_bwd(saved, g):
+    qd, kd, vd, w, s = saved
+    gout = _heads(g, w.shape[1])
+    ds, = softmax_bwd((w, -1), gout @ vd.transpose(0, 1, 3, 2))
+    return (_merged((ds @ kd) * s), _merged((ds.transpose(0, 1, 3, 2) @ qd) * s),
+            _merged(w.transpose(0, 1, 3, 2) @ gout))
+
+
+def drop_path_fwd(x, rate, rngs):
+    """Stochastic depth on one residual branch, per sample: item i of the
+    leading batch axis keeps its whole branch, rescaled by 1/(1-rate) so the
+    expectation is preserved, or loses it, by one draw from rngs[i].  The
+    saved mask is None when nothing is drawn (no `rngs`, or rate 0)."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
+    if rngs is None or rate == 0.0:
+        return x, None
+    if len(rngs) != x.shape[0]:
+        raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
+    kept = 1.0 / (1.0 - rate)
+    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs], dtype=x.dtype)
+    mask = mask.reshape((-1,) + (1,) * (x.ndim - 1))            # (B, 1, 1)
+    return x * mask, mask
+
+
+def drop_path_bwd(mask, g):
+    return (g if mask is None else g * mask,)
+
+
+def tanh(t: Tensor) -> Tensor:
+    return _op(tanh_fwd, tanh_bwd, (t,))
+
+
+def gelu(t: Tensor) -> Tensor:
+    return _op(gelu_fwd, gelu_bwd, (t,))
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    x = t.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _node(y, (t,), bwd)
+    return _op(softmax_fwd, softmax_bwd, (t,), axis)
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    d = t.data.shape[-1]
-    if gamma.data.reshape(-1).shape[0] != d or beta.data.reshape(-1).shape[0] != d:
+    d = t.data.shape[-1:]
+    if gamma.data.shape != d or beta.data.shape != d:
         raise ShapeError(
             f"layer_norm: last axis {t.shape} vs gamma {gamma.shape} / beta {beta.shape}"
         )
-    x = t.data
-    gd = gamma.data.reshape(-1)
-    mu = np.add.reduce(x, axis=-1, keepdims=True) / d     # x.mean(-1) without its wrapper
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-
-    def bwd(g):
-        lead = tuple(range(x.ndim - 1))
-        dgamma = np.add.reduce(g * xhat, axis=lead).reshape(gamma.data.shape)
-        dbeta = np.add.reduce(g, axis=lead).reshape(beta.data.shape)
-        dxhat = g * gd
-        dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
-        return (dx, dgamma, dbeta)
-
-    return _node(xhat * gd + beta.data.reshape(-1), (t, gamma, beta), bwd)
+    return _op(layer_norm_fwd, layer_norm_bwd, (t, gamma, beta), eps)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
@@ -428,36 +572,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
     batch, rows, width = k.data.shape
     if width % heads != 0:
         raise ShapeError(f"multi_head_attention: width {width} not divisible by {heads} heads")
-    d = width // heads
-    bias = np.asarray(key_bias, dtype=q.data.dtype)
-    if bias.shape != (batch, rows):
-        raise ShapeError(f"multi_head_attention: key bias {bias.shape} vs {(batch, rows)}")
-    inv_sqrt_d = 1.0 / math.sqrt(d)     # a Python float keeps float32 scores float32
-
-    def split_heads(arr):
-        return arr.reshape(batch, -1, heads, d).transpose(0, 2, 1, 3)     # (B, H, S, d)
-
-    def merge_heads(arr):
-        return arr.transpose(0, 2, 1, 3).reshape(batch, -1, width)
-
-    qd, kd, vd = split_heads(q.data), split_heads(k.data), split_heads(v.data)
-    scores = qd @ kd.transpose(0, 1, 3, 2) * inv_sqrt_d + bias[:, None, None, :]
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    w = e / e.sum(axis=-1, keepdims=True)                       # (B, H, n, S)
-    if weights_sink is not None:
-        weights_sink.append(w.copy())
-
-    def bwd(g):
-        gout = split_heads(g)
-        dw = gout @ vd.transpose(0, 1, 3, 2)
-        dv = w.transpose(0, 1, 3, 2) @ gout
-        ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
-        dq = (ds @ kd) * inv_sqrt_d
-        dk = (ds.transpose(0, 1, 3, 2) @ qd) * inv_sqrt_d
-        return (merge_heads(dq), merge_heads(dk), merge_heads(dv))
-
-    return _node(merge_heads(w @ vd), (q, k, v), bwd)
+    if np.shape(key_bias) != (batch, rows):
+        raise ShapeError(f"multi_head_attention: key bias {np.shape(key_bias)} vs {(batch, rows)}")
+    return _op(attention_fwd, attention_bwd, (q, k, v), key_bias, heads, weights_sink)
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +646,10 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def drop_path(x: Tensor, rate: float, rngs: Sequence[RngStream] | None = None) -> Tensor:
-    """Stochastic depth on one residual branch, per sample: item i of the
-    leading batch axis keeps its whole branch, rescaled by 1/(1-rate) so the
-    expectation is preserved, or loses it, by one draw from rngs[i].
-    Without `rngs` (evaluation) or at rate 0, `x` itself comes back."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
-    if rngs is None or rate == 0.0:
-        return x
-    if len(rngs) != x.data.shape[0]:
-        raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
-    kept = 1.0 / (1.0 - rate)
-    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs], dtype=x.data.dtype)
-    mask = mask.reshape((-1,) + (1,) * (x.data.ndim - 1))       # (B, 1, 1)
-    return _node(x.data * mask, (x,), lambda g: (g * mask,))
+    """`drop_path_fwd` as a node.  Without `rngs` (evaluation) or at rate 0,
+    `x` itself comes back."""
+    out, mask = drop_path_fwd(x.data, rate, rngs)
+    return x if mask is None else _node(out, (x,), functools.partial(drop_path_bwd, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from vivqa.classifier import AnswerDistribution, ClassifierParams, classify, predict
 from vivqa.errors import ShapeError
 from vivqa.rng import RngStream
+from vivqa import tensor as T
 from vivqa.tensor import Tensor, backward, grad_check, cross_entropy, sum_all
 
 
@@ -39,6 +40,32 @@ def test_all_params_receive_gradient():
     backward(sum_all(classify(Tensor(np.random.default_rng(0).normal(size=(2, 6))), p)))
     for name, t in p.named_params().items():
         assert t.grad is not None, name
+
+
+def test_classify_is_one_node_bitwise_the_composed_ops():
+    """The head is one graph node whose logits and gradients equal the
+    op-by-op graph's (linear, layer_norm, gelu, linear) byte for byte."""
+    p = ClassifierParams(24, 16, RngStream(3))
+    r = np.random.default_rng(3)
+    for t in (p.fc1_b, p.norm_gamma, p.norm_beta, p.fc2_b):
+        t.data = t.data + r.normal(size=t.shape)
+    x, proj = r.normal(size=(5, 24)), Tensor(r.normal(size=(5, 16)))
+
+    def composed(x):
+        h = T.gelu(T.layer_norm(T.linear(x, p.fc1_w, p.fc1_b), p.norm_gamma, p.norm_beta))
+        return T.linear(h, p.fc2_w, p.fc2_b)
+
+    results = []
+    for head in (lambda x: classify(x, p), composed):
+        for t in p.named_params().values():
+            t.grad = None
+        leaf = Tensor(x, requires_grad=True)
+        out = head(leaf)
+        backward(sum_all(T.mul(out, proj)))
+        results.append([out.data, leaf.grad] + [t.grad for t in p.named_params().values()])
+    fused = classify(Tensor(x), p)      # one node, over the input and the six parameters
+    assert len(fused._parents) == 7 and not any(q._parents for q in fused._parents)
+    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
 
 
 def test_predict_exhaustive_argmax():

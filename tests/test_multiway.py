@@ -13,7 +13,8 @@ from vivqa.multiway import (
     pool_cls, shared_attention,
 )
 from vivqa.rng import RngStream
-from vivqa.tensor import Tensor, backward, grad_check, mul, sum_all
+from vivqa import tensor as T
+from vivqa.tensor import Tensor, backward, grad_check, mul, no_grad, sum_all
 
 
 H = 24   # the tiny preset's hidden width
@@ -273,3 +274,189 @@ def test_named_params_cover_stack():
     assert "fusion.type" in names
     assert "fusion.pooler.weight" in names
     assert "fusion.pooler_norm.gamma" in names
+
+
+# ---------------------------------------------------------------------------
+# Sublayer nodes against the op-by-op graph they replaced
+
+
+def composed_block(f, p, drop_rate, rngs=None, keep=None, weights_sink=None):
+    """The block as one op node per step (19 in an inner block): the oracle
+    for `multiway_block`'s two sublayer nodes."""
+    def lin(x, name):
+        return T.linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
+
+    def ffn(x, e):
+        xn = T.layer_norm(x, p[f"{e}_norm.gamma"], p[f"{e}_norm.beta"])
+        return lin(T.gelu(lin(xn, f"{e}.fc1")), f"{e}.fc2")
+
+    x = f.x
+    xn = T.layer_norm(x, p["attn_norm.gamma"], p["attn_norm.beta"])
+    q = lin(xn if keep is None else T.narrow(xn, 1, 0, keep), "attn.q")
+    k = T.matmul(xn, p["attn.k.weight"])
+    v = lin(xn, "attn.v")
+    merged = T.multi_head_attention(q, k, v, np.where(f.mask > 0.0, 0.0, T.MASK_VALUE),
+                                    p.cfg.heads, weights_sink=weights_sink)
+    attn = lin(merged, "attn.o")
+    if keep is not None:
+        x = T.narrow(x, 1, 0, keep)
+    x = T.add(x, T.drop_path(attn, drop_rate, rngs))
+    rows = x.shape[1]
+    if rows <= f.boundary:
+        experts = ffn(x, "vision")
+    else:
+        xv = T.narrow(x, 1, 0, f.boundary)
+        xt = T.narrow(x, 1, f.boundary, rows - f.boundary)
+        text = ffn(xt, "language") if "language" in p.experts else Tensor(np.zeros_like(xt.data))
+        experts = T.concat([ffn(xv, "vision"), text], axis=1)
+    return T.add(x, T.drop_path(experts, drop_rate, rngs))
+
+
+def composed_pool(f, stack):
+    e = stack.extra
+    row = T.reshape(T.narrow(f.x, 1, 0, 1), (f.x.shape[0], stack.hidden))
+    row = T.layer_norm(row, e["fusion.pooler_norm.gamma"], e["fusion.pooler_norm.beta"])
+    return T.tanh(T.linear(row, e["fusion.pooler.weight"], e["fusion.pooler.bias"]))
+
+
+def _randomize(params, seed, shape_of=lambda name, t: t.shape):
+    """Fresh leaves with random values (gammas near 1) in `params`, in place."""
+    r = np.random.default_rng(seed)
+    for name, t in params.items():
+        params[name] = Tensor(r.normal(size=shape_of(name, t)) * 0.5 + name.endswith("gamma"),
+                              requires_grad=True)
+
+
+def _small(name, t, h=4, w=6):
+    """Hidden 4 and expert width 6, so a grad_check of every entry stays quick."""
+    if name.endswith("fc1.weight"):
+        return (h, w)
+    if name.endswith("fc2.weight"):
+        return (w, h)
+    return (h, h) if name.endswith("weight") else (w if name.endswith("fc1.bias") else h,)
+
+
+def _streams(batch):
+    """Item 0 keeps both branches, item 1 drops its first and item 2 its
+    second draw at rate 0.5."""
+    return [RngStream(seed) for seed in (0, 3, 1)[:batch]]
+
+
+def _op_nodes(out) -> int:
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t._parents and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+def _run(block, x, params, proj):
+    """Output, sink and every gradient (x first, then params in name order)
+    of one backward through sum(block(x) * proj)."""
+    for t in params.values():
+        t.grad = None
+    leaf, sink = Tensor(x, requires_grad=True), []
+    out = block(leaf, sink)
+    backward(sum_all(mul(out, Tensor(proj))))
+    grads = [leaf.grad] + [params[name].grad for name in sorted(params)]
+    return out.data, sink, grads
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("keep", [None, 1, 5])
+@pytest.mark.parametrize("language", [True, False])
+def test_block_nodes_are_bitwise_the_composed_ops(batch, rate, keep, language):
+    """Outputs, attention weights and every gradient of the two sublayer
+    nodes equal the op-by-op graph's byte for byte (tiny dims, random
+    parameters), with the same drop-path draws."""
+    cfg = small_cfg(drop_path=rate)
+    p = MultiwayBlockParams(cfg, RngStream(9), language=language)
+    _randomize(p.params, 10 + batch)
+    r = np.random.default_rng(batch)
+    x = r.normal(size=(batch, 7, H))
+    mask = np.ones((batch, 7))
+    mask[:, 6] = mask[-1, 5] = 0.0
+    rows = 7 if keep is None else keep
+    proj = r.normal(size=(batch, rows, H))
+
+    def fused(leaf, sink):
+        f = FusedSequence(leaf, 3, mask)
+        out = multiway_block(f, p, rate, _streams(batch) if rate else None, keep, sink)
+        assert out.boundary == 3 and out.mask is mask and _op_nodes(out.x) == 2
+        return out.x
+
+    def composed(leaf, sink):
+        f = FusedSequence(leaf, 3, mask)
+        return composed_block(f, p, rate, _streams(batch) if rate else None, keep, sink)
+
+    got, want = _run(fused, x, p.params, proj), _run(composed, x, p.params, proj)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [w.tobytes() for w in got[1]] == [w.tobytes() for w in want[1]]
+    assert len(got[2]) == len(p.params) + 1
+    for g, w in zip(got[2], want[2]):
+        assert g is w is None or (g.dtype == w.dtype and g.tobytes() == w.tobytes())
+
+
+def test_pool_node_is_bitwise_the_composed_ops():
+    stack = FusionStackParams(small_cfg(), max_rows=10, rng=RngStream(12))
+    _randomize(stack.extra, 13)
+    params = {n: t for n, t in stack.extra.items() if n.startswith("fusion.pooler")}
+    r = np.random.default_rng(14)
+    x, proj = r.normal(size=(3, 7, H)), r.normal(size=(3, H))
+
+    def fused(leaf, sink):
+        out = pool_cls(FusedSequence(leaf, 3, np.ones((3, 7))), stack)
+        assert _op_nodes(out) == 1
+        return out
+
+    got = _run(fused, x, params, proj)
+    want = _run(lambda leaf, sink: composed_pool(FusedSequence(leaf, 3, np.ones((3, 7))), stack),
+                x, params, proj)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [g.tobytes() for g in got[2]] == [w.tobytes() for w in want[2]]
+
+
+def _grad_errors(node, x, params):
+    """grad_check of sum(node(x) * proj) in x and in each of `params`."""
+    with no_grad():
+        proj = Tensor(np.random.default_rng(1).normal(size=node(Tensor(x)).shape))
+    errors = {"x": grad_check(lambda t: sum_all(mul(node(t), proj)), Tensor(x))}
+    for name, leaf in list(params.items()):
+        def f(t, name=name):
+            params[name] = t
+            return sum_all(mul(node(Tensor(x)), proj))
+        errors[name] = grad_check(f, leaf)
+        params[name] = leaf
+    return errors
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("rate", [0.0, 0.5])
+@pytest.mark.parametrize("keep", [None, 1])
+@pytest.mark.parametrize("language", [True, False])
+def test_sublayer_nodes_gradient_check(batch, rate, keep, language):
+    """Each sublayer node in its input and in every parameter it reads, at
+    hidden 4 and expert width 6: full and row-0-only attention, drop path on
+    and off, and the last block's expert node without a language expert."""
+    cfg = small_cfg(drop_path=rate)
+    p = MultiwayBlockParams(cfg, RngStream(3), language=language)
+    _randomize(p.params, 20 + batch, _small)
+    r = np.random.default_rng(30 + batch)
+    mask = np.ones((batch, 5))
+    mask[:, 4] = 0.0
+    rngs = (lambda: _streams(batch)) if rate else (lambda: None)
+
+    def attention(t):
+        return shared_attention(t, mask, p, cfg, keep=keep, drop_rate=rate, rngs=rngs())
+
+    def experts(t):
+        return expert_sublayer(t, 2, p, rate, rngs())
+
+    errors = _grad_errors(attention, r.normal(size=(batch, 5, 4)), p.params)
+    rows = 5 if keep is None else keep
+    errors.update({f"experts {n}": e for n, e in
+                   _grad_errors(experts, r.normal(size=(batch, rows, 4)), p.params).items()})
+    assert max(errors.values()) <= 1e-4, errors

@@ -127,6 +127,25 @@ def test_gelu_fixed_points():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_gelu_backward_in_place_is_bitwise_the_expression(seed):
+    """The in-place backward equals g * (cdf + x * (c * exp(-0.5 * x * x)))
+    byte for byte on float64, and keeps float32 inputs float32."""
+    r = np.random.default_rng(seed)
+    x = r.normal(scale=3.0, size=(4, 5, 6))
+    x.flat[:4] = [0.0, -0.0, 40.0, -40.0]
+    g = r.normal(size=x.shape)
+    _, saved = T.gelu_fwd(x)
+    cdf = saved[1]
+    want = g * (cdf + x * (T._INV_SQRT2PI * np.exp(-0.5 * x * x)))
+    got, = T.gelu_bwd(saved, g)
+    assert got.tobytes() == want.tobytes()
+    for dtype in (np.float32, np.float64):
+        leaf = Tensor(x.astype(dtype), requires_grad=True)
+        backward(T.sum_all(T.mul(T.gelu(leaf), Tensor(g.astype(dtype)))))
+        assert leaf.grad.dtype == dtype
+
+
 def test_erf_matches_scipy_oracle():
     grid = np.linspace(-30.0, 30.0, 600_001)
     edges = np.array([0.46875, 4.0, 6.0, 26.0, 1e-300, 5e-324])
