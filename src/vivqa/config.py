@@ -20,10 +20,6 @@ from .vision import FUSION_OPS, VisionDims
 PRESETS = ("paper", "tiny")
 VISION_MODES = ("both", "global", "local")
 _FIELD_TYPES = dict(int=Integral, float=Real, bool=bool, str=str, tuple=(tuple, list))
-# Fields older config files and checkpoints carry, each at the one value
-# every run used; RunConfig.from_dict accepts them at that value and drops them.
-RETIRED_FIELDS = {"use_position_embeddings": True, "use_modality_type_embeddings": True,
-                  "cls_row": "first", "split_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        for name, value in RETIRED_FIELDS.items():
-            if name in obj and (type(obj[name]), obj[name]) != (type(value), value):
-                raise ConfigError(f"retired field {name} must be {value!r}, got {obj[name]!r}")
-        obj = {k: v for k, v in obj.items() if k not in RETIRED_FIELDS}
         unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -32,9 +32,8 @@ class ParseError(DataError):
 class FormatError(VivqaError):
     """Binary container violation: a VVQF file with bad magic, version,
     checksum or truncation, or a checkpoint that is not a readable npz, has
-    no meta entry, or whose layout is not a list of [name, shape] pairs,
-    names parameters the model lacks, lacks or misorders the model's, gives
-    one another shape, or does not match its float64 `params` in length."""
+    no meta entry, has a layout other than the model's, or whose `params`
+    is not that layout's float64 arena or fails its CRC."""
 
 
 class NumericalError(VivqaError):

@@ -1,10 +1,10 @@
 """The VQA model behind one `VivqaModel.forward(examples, rngs=None)`: visual
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
-stack, pooler and classifier; plus the arena and checkpoints, which hold no
-frozen extractor.  Its outputs are constants of the image, kept in a feature
-store (a dict the harness shares across an experiment's arms, a table per
-vision dims and extractor seed): `fill_store` extracts what a table lacks in
-`batch_size` chunks.
+stack, pooler and classifier; plus the arena and its one checkpoint format,
+which holds no frozen extractor.  Its outputs are constants of the image,
+kept in a feature store (a dict the harness shares across an experiment's
+arms, a table per vision dims and extractor seed): `fill_store` extracts
+what a table lacks in `batch_size` chunks.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import ctypes
 import functools
 import io
 import json
-import math
 import os
 import zipfile
 import zlib
@@ -230,9 +229,7 @@ class VivqaModel:
 # Checkpoints: one .npz holding what `vivqa eval` needs and nothing more --
 # the parameter arena as one `params` array, and a `meta` entry with the
 # config echo, both vocabularies, the arena's layout and a format version.
-# Version 1 held one `param::<name>` entry per parameter; it still loads,
-# as do files holding a frozen extractor or the retired parameters.
-# Save/load round-trips bitwise.
+# Loading reads only this format and round-trips bitwise.
 
 
 def save_checkpoint(path, model: VivqaModel) -> None:
@@ -260,55 +257,26 @@ def _readable(path):
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
-def _read_params(path, zf, member: str, size: int, out: np.ndarray | None = None) -> np.ndarray:
-    """`member`'s `size` float64s in `out` (new if None): an npy 1.0 header (np.savez's), the
-    data `_CHUNK` bytes at a time, and on to the member's end, where zipfile checks its CRC."""
+def _read_params(path, zf, member: str, out: np.ndarray) -> None:
+    """`member` into the flat float64 `out`: an npy 1.0 header (np.savez's) that gives
+    `out.shape`, the data `_CHUNK` bytes at a time, and on to the member's end, where
+    zipfile checks its CRC."""
     with _readable(path), zf.open(member) as fh:
         np.lib.format.read_magic(fh)
         shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-        if dtype != np.float64 or shape != (size,) or zf.getinfo(member).file_size < 8 * size:
+        if dtype != np.float64 or shape != out.shape:
             raise FormatError(f"{path}: params is {dtype} {shape}, "
-                              f"the layout needs float64 {(size,)}")
-        out = np.empty(size) if out is None else out
+                              f"the layout needs float64 {out.shape}")
         view = memoryview(out).cast("B")
         done = sum(fh.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
         if done != len(view) or fh.read(1):
             raise FormatError(f"{path}: params does not hold the {shape} its header gives")
-    return out
-
-
-def _load_by_name(path, model: VivqaModel, entries: dict, order: list | None) -> None:
-    """An older file's name -> array `entries` into the arena: a frozen model's extractor
-    entries leave if they are its draw, the retired ones (every key bias, the last block's
-    language expert) whatever they hold; the rest must be the arena's, in `order` if given."""
-    if model.cfg.freeze_extractors and any(name.startswith("extractor.") for name in entries):
-        for name, p in model.extractor.named_params().items():
-            arr = entries.pop(name, None)
-            if arr is None or arr.shape != p.shape or arr.tobytes() != p.data.tobytes():
-                raise FormatError(f"{path}: the extractor entries are not the frozen draw")
-    last = f"fusion.block{model.cfg.layers - 1}.language"
-    for name in [f"fusion.block{i}.attn.k.bias" for i in range(model.cfg.layers)] + [
-            last + part for part in ("_norm.gamma", "_norm.beta", ".fc1.weight", ".fc1.bias",
-                                     ".fc2.weight", ".fc2.bias")]:
-        entries.pop(name, None)
-    params = model.trainable_params()
-    mismatched = sorted(entries.keys() ^ params.keys())
-    if mismatched:
-        kind = "unknown" if mismatched[0] in entries else "missing"
-        raise FormatError(f"{path}: {kind} checkpoint parameter {mismatched[0]!r}")
-    if order is not None and [name for name in order if name in entries] != list(params):
-        raise FormatError(f"{path}: checkpoint layout is not in the model's parameter order")
-    for name, arr in entries.items():
-        if arr.dtype != np.float64 or arr.shape != params[name].shape:
-            raise FormatError(f"{path}: {name!r} is {arr.dtype} {arr.shape}, "
-                              f"the model expects float64 {params[name].shape}")
-        params[name].data[...] = arr
 
 
 def load_checkpoint(path) -> tuple[VivqaModel, dict]:
-    """(model, meta) from a checkpoint, `meta` read first and the model built undrawn.  A
-    version-2 file in the model's layout streams `params` into its arena, never held
-    whole; any other file is read whole and assembled by name (`_load_by_name`)."""
+    """(model, meta) from a file `save_checkpoint` wrote: `meta` read first, the model
+    built undrawn, and `params`, whose `layout` must be the model's, streamed into its
+    arena, never held whole."""
     with open(path, "rb") as fh:
         if fh.read(4) != b"PK\x03\x04":
             raise FormatError(f"{path}: not an npz checkpoint")
@@ -325,7 +293,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         if not isinstance(meta, dict):
             raise FormatError(f"{path}: checkpoint meta is not an object")
         version = meta.get("version")
-        if type(version) is not int or version not in (1, CHECKPOINT_VERSION):   # not True, 2.0
+        if type(version) is not int or version != CHECKPOINT_VERSION:   # not True, 2.0
             raise ConfigError(f"unsupported checkpoint version {version}")
         config, tokens, answers = meta.get("config"), meta.get("vocab"), meta.get("answers")
         if not isinstance(config, dict):
@@ -337,33 +305,19 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
             raise FormatError(f"{path}: checkpoint has no answers")
         model = VivqaModel(RunConfig.from_dict(config), Vocabulary(tokens),
                            AnswerVocab(answers, ranked=True), drawn=False)
-        if version == 1:        # one `param::<name>` array per parameter, no layout
-            layout, entries = None, {}
-            with _readable(path):
-                for key, name in members.items():
-                    if not key.startswith("param::"):
-                        raise FormatError(f"{path}: unknown checkpoint entry {key!r}")
-                    entries[key[7:]] = np.lib.format.read_array(io.BytesIO(zf.read(name)))
-        else:
-            layout = meta.get("layout")
-            if not isinstance(layout, list) or not all(
-                    isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-                    and isinstance(entry[1], list)
-                    and all(type(d) is int and d >= 0 for d in entry[1]) for entry in layout):
-                raise FormatError(f"{path}: checkpoint layout is not a list of [name, shape] pairs")
-            if set(members) != {"params"}:
-                raise FormatError(f"{path}: checkpoint holds {sorted(members)} beside meta, "
-                                  f"not ['params']")
-            if layout == model.layout():
-                # Into the model's own arena: forwards over arrays on the file's
-                # bytes ran tiny-eval 15 % slower.
-                _read_params(path, zf, members["params"], model.arena.size, model.arena)
-                return model, meta
-            sizes = [math.prod(shape) for _, shape in layout]
-            parts = np.split(_read_params(path, zf, members["params"], sum(sizes)),
-                             np.cumsum(sizes[:-1], dtype=int))
-            entries = {name: part.reshape(shape) for (name, shape), part in zip(layout, parts)}
-    _load_by_name(path, model, entries, layout and [name for name, _ in layout])
+        layout, want = meta.get("layout"), model.layout()
+        if layout != want:
+            got = layout if isinstance(layout, list) else [layout]
+            i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                     min(len(got), len(want)))
+            got, want = (repr(x[i]) if i < len(x) else "absent" for x in (got, want))
+            raise FormatError(f"{path}: checkpoint layout entry {i} is {got}, the model's {want}")
+        if set(members) != {"params"}:
+            raise FormatError(f"{path}: checkpoint holds {sorted(members)} beside meta, "
+                              f"not ['params']")
+        # Into the model's own arena: forwards over arrays on the file's
+        # bytes ran tiny-eval 15 % slower.
+        _read_params(path, zf, members["params"], model.arena)
     return model, meta
 
 

@@ -336,7 +336,7 @@ def test_cli_exit_code_config_error(tmp_path):
     ("heads", 5), ("layers", True), ("drop_path", False), ("weight_decay", -0.01),
     ("adam_eps", 0), ("floor_lr", -1e-6), ("floor_lr", 0.01),
     ("early_stop_train_acc", 0), ("early_stop_train_acc", 1.5),
-    # retired fields, accepted only at the one value every run used
+    # fields retired from the config, unknown whatever their value
     ("cls_row", "text"), ("use_position_embeddings", False),
     ("use_modality_type_embeddings", False), ("split_seed", 3),
 ])
