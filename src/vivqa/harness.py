@@ -21,7 +21,7 @@ from .config import RunConfig
 from .errors import ConfigError
 from .metrics import report as metrics_report, welch_t_test
 from .model import ensure_out_dir
-from .vision import FUSION_OPS, StubExtractorParams, fused_token_count, sparsity_stats
+from .vision import FUSION_OPS, frozen_extractor, fused_token_count, sparsity_stats
 
 FUSION_LABELS = {
     "multiply": "Element-wise Multiplication",
@@ -132,8 +132,8 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     """Frozen vs unfrozen extractors at identical seed.  Asserts the freeze
     contract (bitwise-constant extractor bytes, strictly fewer trainable
     parameters and backward node visits); wall clock is reported only."""
-    # Byte-identical to every arm's initial extractor.
-    digest_before = StubExtractorParams(cfg.dims.vision, seed=cfg.extractor_seed).byte_digest()
+    # The frozen arm's read-only draw: byte-identical to the unfrozen arm's initial extractor.
+    digest_before = frozen_extractor(cfg.dims.vision, cfg.extractor_seed).byte_digest()
     results, store = {}, {}
     for frozen in (True, False):
         report, model, acc = _run_arm(replace(cfg, freeze_extractors=frozen),

@@ -101,17 +101,18 @@ class VivqaModel:
         self.fusion = FusionStackParams(cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
                                            init_rng.split("classifier"))
-        # One flat arena holds every trainable parameter, as views: decayed
-        # parameters, then exempt ones.  The optimizer steps it in place.
+        # One flat arena holds every trainable parameter and one its gradient,
+        # as views: decayed parameters (`n_decay` elements), then exempt ones.
         # The constants are copied in; the draws go straight into their views.
         named = {**self.text_params.named_params(), **self.projection.named_params(),
                  **self.fusion.named_params(), **self.classifier.named_params(),
                  **({} if cfg.freeze_extractors else self.extractor.named_params())}
         self._params = dict(sorted(named.items(), key=lambda item: item[0].endswith(_EXEMPT)))
+        self.n_decay = sum(p.size for name, p in named.items() if not name.endswith(_EXEMPT))
         recipe = {id(out): (stream, scale) for out, stream, scale in notes}
         draws = [(p, *recipe[id(p.data)]) for p in named.values() if id(p.data) in recipe]
         assert len(draws) == len(notes), "an init draw is not a parameter's array as drawn"
-        self.arena = pack(self._params, fill=drawn)
+        self.arena, self.grad = pack(self._params, fill=drawn)
         for p, stream, scale in draws:
             stream.normal_into(p.data, scale)
         # (example id, image ref) -> frozen (global, adapted local) tokens, in the
@@ -132,9 +133,6 @@ class VivqaModel:
     def trainable_params(self) -> dict[str, Tensor]:
         """Every parameter in the arena, in arena order: all are trainable."""
         return dict(self._params)
-
-    def decay_exempt_names(self) -> set[str]:
-        return {name for name in self._params if name.endswith(_EXEMPT)}
 
     def layout(self) -> list:
         """[name, shape] of every parameter, in arena order."""

@@ -1,5 +1,5 @@
-"""The flat parameter arena (`pack`), AdamW with decoupled weight decay over
-it, and the cosine-with-warmup schedule."""
+"""The flat value and gradient arenas (`pack`), AdamW with decoupled weight
+decay over them, and the cosine-with-warmup schedule."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
 _CHUNK = 1 << 14     # elements per pass of AdamW.step: the fastest size measured
@@ -41,61 +40,45 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
     return cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def pack(params: dict[str, Tensor], fill: bool = True) -> np.ndarray:
-    """One flat arena holding `params` in dict order, each `p.data` rebound to
-    a reshaped view of its slice.  With `fill` each value is copied in, one
-    array at a time, each freed as it goes; without, the views are bound over
-    uninitialised memory, for a caller that fills the arena afterwards."""
-    arena = np.empty(sum(p.size for p in params.values()),
-                     np.result_type(np.float32, *{p.data.dtype for p in params.values()}))
+def pack(params: dict[str, Tensor], fill: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Flat value and gradient arenas over `params` in dict order, each
+    `p.data` and `p.grad` rebound to a reshaped view of its slice; the
+    gradients are calloc'd zeros.  With `fill` each value is copied in, one
+    array at a time, each freed as it goes; without, the value views are
+    bound over uninitialised memory, for a caller that fills them afterwards."""
+    size = sum(p.size for p in params.values())
+    arena = np.empty(size, np.result_type(np.float32, *{p.data.dtype for p in params.values()}))
+    grad = np.zeros(size, arena.dtype)
     start = 0
     for p in params.values():
         if fill:
             arena[start:start + p.size] = p.data.reshape(-1)
         p.data = arena[start:start + p.size].reshape(p.shape)
+        p.grad = grad[start:start + p.size].reshape(p.shape)
         start += p.size
-    return arena
+    return arena, grad
 
 
 class AdamW:
-    """Bias-corrected Adam plus decoupled decay p <- p - lr*wd*p.
+    """Bias-corrected Adam plus decoupled decay p <- p - lr*wd*p, in place
+    over the flat `data` and `grad` arenas that `pack` made for `params`.
+    The first `n_decay` elements are decayed, the rest (norm scales/shifts,
+    biases) exempt, so the decay is one slice; the moments `m`, `v` are flat."""
 
-    `params` are, in dict order, the views of the flat `data` arena that
-    `pack` made; AdamW copies none of their values.  Their gradients live in
-    one `grad` arena, as reshaped views; `m` and `v` are flat too.
-    Decay-exempt parameters (norm scales/shifts, biases) must come last, so
-    the decay is one slice.  `zero_grad` zeroes `grad` and rebinds every
-    view; `step` copies in a gradient bound elsewhere (None counts as zeros).
-    """
-
-    def __init__(self, params: dict[str, Tensor], data: np.ndarray, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01, exempt=None):
+    def __init__(self, params: dict[str, Tensor], data: np.ndarray, grad: np.ndarray,
+                 n_decay: int, betas=(0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.01):
         self.params = params
-        self.data = data
+        self.data, self.grad, self.n_decay = data, grad, n_decay
         self.betas = (float(betas[0]), float(betas[1]))
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.exempt = set(exempt or ())
         self.t = 0
-        self.n_decay = sum(p.size for name, p in params.items() if name not in self.exempt)
-        if sum(p.size for p in params.values()) != data.size:
-            raise UsageError(f"the parameters do not fill the arena's {data.size} elements")
         # calloc'd zeros stay unmapped until written
-        self.grad, self.m, self.v = (np.zeros(data.size, data.dtype) for _ in range(3))
-        self._views = []
-        start = 0
-        for name, p in params.items():
-            if (p.data.ctypes.data != data.ctypes.data + start * data.itemsize
-                    or (start < self.n_decay) == (name in self.exempt)):
-                raise UsageError(f"{name} is not the arena's view at offset {start}, "
-                                 f"decayed parameters first")
-            self._views.append((name, p, self.grad[start:start + p.size].reshape(p.shape)))
-            start += p.size
+        self.m, self.v = (np.zeros(data.size, data.dtype) for _ in range(2))
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
-        for _, p, view in self._views:
-            p.grad = view
 
     def nonfinite_grad(self) -> str | None:
         """The first parameter, in arena order, whose `grad` slice holds a
@@ -109,12 +92,6 @@ class AdamW:
     def step(self, lr: float) -> None:
         if lr < 0:
             raise ValueError(f"lr must be nonnegative, got {lr}")
-        for name, p, view in self._views:
-            if p.grad is not view:
-                if p.grad is not None and p.grad.shape != view.shape:
-                    raise ShapeError(f"grad shape {p.grad.shape} != {view.shape} for {name}")
-                view[...] = 0.0 if p.grad is None else p.grad
-                p.grad = view
         b1, b2 = self.betas
         self.t += 1
         bc1 = 1.0 - b1 ** self.t

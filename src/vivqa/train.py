@@ -75,9 +75,8 @@ def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
 
 def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     """Run the optimization loop on an already-built model, frozen features stored first."""
-    optimizer = AdamW(model.trainable_params(), model.arena,
-                      betas=cfg.adam_betas, eps=cfg.adam_eps,
-                      weight_decay=cfg.weight_decay, exempt=model.decay_exempt_names())
+    optimizer = AdamW(model.trainable_params(), model.arena, model.grad, model.n_decay,
+                      betas=cfg.adam_betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     n_batches = math.ceil(len(train_split) / cfg.batch_size)
     schedule = ScheduleConfig(peak_lr=cfg.lr, total_steps=max(1, cfg.epochs * n_batches),
                               warmup_ratio=cfg.warmup_ratio, floor_lr=cfg.floor_lr)

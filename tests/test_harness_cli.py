@@ -218,6 +218,24 @@ def test_ablate_freeze_contract(tmp_path, splits):
     assert "| Trainable Params | Backward Node Visits |" in markdown
 
 
+def test_ablate_freeze_draws_each_extractor_once(splits, monkeypatch):
+    """The reference digest is the frozen arm's own cached draw: one call
+    draws the stubs twice, once frozen and once into the unfrozen arena."""
+    from vivqa.vision import StubExtractorParams, frozen_extractor
+
+    inits, init = [], StubExtractorParams.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StubExtractorParams, "__init__", counting_init)
+    frozen_extractor.cache_clear()
+    train, test = splits
+    ablate_freeze(mini_cfg(), train, test)
+    assert len(inits) == 2
+
+
 def test_sweep_axis(tmp_path, splits):
     train, test = splits
     curve = sweep(mini_cfg(), "heads", [1, 2], train, test, out_dir=str(tmp_path))

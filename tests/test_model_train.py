@@ -354,12 +354,10 @@ def test_row0_forward_matches_all_rows_oracle(corpus, monkeypatch, vision_mode, 
     params = model.trainable_params()
 
     def logits_and_grads():
-        for p in params.values():
-            p.grad = None
+        model.grad.fill(0.0)
         logits = model.forward(batch, [RngStream(7).split(f"item-{ex.id}") for ex in batch])
         T.backward(T.cross_entropy(logits, targets))
-        return logits.data, {name: np.zeros(p.shape) if p.grad is None else p.grad.copy()
-                             for name, p in params.items()}
+        return logits.data, {name: p.grad.copy() for name, p in params.items()}
 
     logits, grads = logits_and_grads()
     full = model_mod.fusion_encode          # the oracle: all rows, then pool row 0
@@ -389,8 +387,7 @@ def test_every_trainable_parameter_is_read_by_the_loss(corpus, layers, freeze):
     batch = corpus[:8]
     logits = model.forward(batch)
     T.backward(T.cross_entropy(logits, [model.answer_vocab.index[ex.answer] for ex in batch]))
-    grads = {name: 0.0 if p.grad is None else np.abs(p.grad).max()
-             for name, p in model.trainable_params().items()}
+    grads = {name: np.abs(p.grad).max() for name, p in model.trainable_params().items()}
     top = max(grads.values())
     assert top > 0
     assert not [name for name, g in grads.items() if not g > READ_BY_THE_LOSS * top]
@@ -542,33 +539,46 @@ def test_param_counts_freeze_contract(corpus):
     assert ext_names <= set(unfrozen.trainable_params())
 
 
-def test_decay_exempt_names(corpus):
-    model = build_model(tiny_cfg(), corpus)
-    exempt = model.decay_exempt_names()
-    assert any(n.endswith(".bias") for n in exempt)
-    assert any(n.endswith(".gamma") for n in exempt)
-    assert all(n.endswith((".bias", ".gamma", ".beta")) for n in exempt)
-    assert not any(n.endswith(".weight") for n in exempt)
+def _assert_arena_views(model):
+    """Each `p.data` and `p.grad` is the view of `model.arena` and
+    `model.grad` at the parameter's offset, and `arena[:n_decay]` holds
+    exactly the parameters without a decay-exempt suffix."""
+    start, decayed, exempt = 0, 0, []
+    for name, p in model.trainable_params().items():
+        assert p.requires_grad, name
+        for view, arena in ((p.data, model.arena), (p.grad, model.grad)):
+            assert view.base is arena and view.shape == p.shape, name
+            assert view.ctypes.data == arena.ctypes.data + 8 * start, name
+        exempt.append(name.endswith((".bias", ".gamma", ".beta")))
+        assert (start < model.n_decay) != exempt[-1], name
+        decayed += 0 if exempt[-1] else p.size
+        start += p.size
+    assert decayed == model.n_decay
+    assert model.arena.dtype == model.grad.dtype == np.float64
+    assert start == model.arena.size == model.grad.size
+    assert exempt == sorted(exempt) and set(exempt) == {False, True}
+    names = set(model.trainable_params())
+    assert any(n.endswith(".bias") for n in names) and any(n.endswith(".gamma") for n in names)
 
 
 @pytest.mark.parametrize("freeze", [True, False])
-def test_parameters_are_views_of_the_model_arena_in_order(corpus, freeze):
-    """One float64 arena of trainable parameters: decayed ones, then exempt
-    ones, each a view at its offset.  Only an unfrozen extractor is in it."""
-    model = build_model(tiny_cfg(layers=2, freeze_extractors=freeze), corpus)
-    exempt = model.decay_exempt_names()
-    start, groups = 0, []
-    for name, p in model.trainable_params().items():
-        assert p.requires_grad, name
-        assert p.data.base is model.arena, name
-        assert p.data.ctypes.data == model.arena.ctypes.data + 8 * start, name
-        groups.append(int(name in exempt))
-        start += p.size
-    assert model.arena.dtype == np.float64 and start == model.arena.size
-    assert groups == sorted(groups) and set(groups) == {0, 1}
+def test_parameters_are_views_of_the_model_arena_in_order(tmp_path, corpus, freeze):
+    """One float64 arena of trainable parameters and one of their gradients:
+    decayed ones, then exempt ones, each a view at its offset, from build
+    through training, and in a loaded model, whose gradients are zeros.
+    Only an unfrozen extractor is in it."""
+    cfg = tiny_cfg(layers=2, epochs=1, freeze_extractors=freeze)
+    model = build_model(cfg, corpus)
+    _assert_arena_views(model)
     extractor = set(model.extractor.named_params())
     assert extractor & set(model.trainable_params()) == (set() if freeze else extractor)
     assert model.layout() == [[n, list(p.shape)] for n, p in model.trainable_params().items()]
+    train_model(model, corpus, cfg)
+    _assert_arena_views(model)
+    save_checkpoint(tmp_path / "ckpt.npz", model)
+    loaded, _ = load_checkpoint(tmp_path / "ckpt.npz")
+    _assert_arena_views(loaded)
+    assert loaded.n_decay == model.n_decay and not loaded.grad.any()
 
 
 # sha256 over (name, bytes) in name order of every drawn parameter, taken
@@ -673,12 +683,10 @@ def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(tm
     params = model.trainable_params()
 
     def logits_and_grads():
-        for p in params.values():
-            p.grad = None
+        model.grad.fill(0.0)
         logits = model.forward(batch)
         T.backward(T.cross_entropy(logits, [model.answer_vocab.index[ex.answer] for ex in batch]))
-        return logits.data, {name: np.zeros(p.shape) if p.grad is None else p.grad.copy()
-                             for name, p in params.items()}
+        return logits.data, {name: p.grad.copy() for name, p in params.items()}
 
     logits, grads = logits_and_grads()
     extract = model.extract

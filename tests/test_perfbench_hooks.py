@@ -63,7 +63,7 @@ def test_benchmark_optimizer_hooks_bind():
     inspect.signature(AdamW.step).bind("opt", 1e-3)
     params = {"w.weight": Tensor(np.ones((3, 4)), requires_grad=True),
               "w.bias": Tensor(np.ones(4), requires_grad=True)}
-    opt = AdamW(params, pack(params), exempt={"w.bias"})
+    opt = AdamW(params, *pack(params), n_decay=12)
     assert sum(p.size for p in opt.params.values()) == len(opt.data) == len(opt.grad) == 16
 
 
