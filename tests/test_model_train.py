@@ -561,6 +561,18 @@ def _assert_arena_views(model):
     assert any(n.endswith(".bias") for n in names) and any(n.endswith(".gamma") for n in names)
 
 
+def test_decay_exempt_names(corpus):
+    """The parameters past `arena[:n_decay]` are the biases and the norm
+    scales and shifts, and no weight."""
+    model = build_model(tiny_cfg(), corpus)
+    exempt = [n for n, p in model.trainable_params().items()
+              if p.data.ctypes.data >= model.arena.ctypes.data + 8 * model.n_decay]
+    assert any(n.endswith(".bias") for n in exempt)
+    assert any(n.endswith(".gamma") for n in exempt)
+    assert all(n.endswith((".bias", ".gamma", ".beta")) for n in exempt)
+    assert not any(n.endswith(".weight") for n in exempt)
+
+
 @pytest.mark.parametrize("freeze", [True, False])
 def test_parameters_are_views_of_the_model_arena_in_order(tmp_path, corpus, freeze):
     """One float64 arena of trainable parameters and one of their gradients:
