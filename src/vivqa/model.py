@@ -1,4 +1,4 @@
-"""The VQA model behind one `VivqaModel.forward(examples, rngs=None)`: visual
+"""The VQA model behind one `VivqaModel.forward(examples, drop=None)`: visual
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
 stack, pooler and classifier; plus the arena and its one checkpoint format,
 which holds no frozen extractor.  Its outputs are constants of the image,
@@ -204,12 +204,13 @@ class VivqaModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, examples: list[Example], rngs: list[RngStream] | None = None,
+    def forward(self, examples: list[Example], drop: np.ndarray | None = None,
                 weights_sink: list | None = None) -> Tensor:
-        """B examples -> (B, C) logits.  Drop path runs only with `rngs`,
-        rngs[i] being item i's stream for its drop-path draws.  The last block
-        computes only row 0, which `pool_cls` reads: `weights_sink` gets its
-        (B, heads, 1, rows) weights after each inner block's (B, heads, rows, rows)."""
+        """B examples -> (B, C) logits.  Drop path runs only with `drop`, a
+        (B, 2 * layers) `rng.keep_table` whose row i holds item i's masks.
+        The last block computes only row 0, which `pool_cls` reads:
+        `weights_sink` gets its (B, heads, 1, rows) weights after each inner
+        block's (B, heads, rows, rows)."""
         for question in {ex.question for ex in examples} - self._tokens.keys():
             t = self._tokens[question] = tokenize(question, self.vocab, self.cfg.l_max)
             t.ids.flags.writeable = t.mask.flags.writeable = False
@@ -218,7 +219,7 @@ class VivqaModel:
         q = project(text_encode(np.stack([t.ids for t in tokens]), self.text_params),
                     self.projection)
         fused = concat_modalities(v, q, np.stack([t.mask for t in tokens]), self.fusion)
-        fused = fusion_encode(fused, self.fusion, rngs, keep=1, weights_sink=weights_sink)
+        fused = fusion_encode(fused, self.fusion, drop, keep=1, weights_sink=weights_sink)
         pooled = pool_cls(fused, self.fusion)
         return classify(pooled, self.classifier)
 

@@ -111,9 +111,8 @@ def _attention_bwd(saved, g):
 
 def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
                      cfg: RunConfig, weights_sink: list | None = None,
-                     keep: int | None = None, drop_rate: float = 0.0,
-                     rngs: list[RngStream] | None = None) -> Tensor:
-    """x + drop_path(SharedMHSA(norm(x), mask)) over the whole fused
+                     keep: int | None = None, drop: np.ndarray | None = None) -> Tensor:
+    """x + drop_path(SharedMHSA(norm(x), mask), drop) over the whole fused
     sequence, one graph node; with `keep`, only the leading `keep` rows
     query, and only theirs return."""
     core = functools.partial(_attention_fwd, np.where(np.asarray(mask) > 0.0, 0.0, MASK_VALUE),
@@ -122,7 +121,7 @@ def shared_attention(x: Tensor, mask: np.ndarray, p: MultiwayBlockParams,
     return residual(x, [
         (layer_norm_fwd, layer_norm_bwd, [p["attn_norm.gamma"], p["attn_norm.beta"]]),
         (core, _attention_bwd, qkv),
-        (linear_fwd, linear_bwd, [p["attn.o.weight"], p["attn.o.bias"]])], drop_rate, rngs)
+        (linear_fwd, linear_bwd, [p["attn.o.weight"], p["attn.o.bias"]])], drop)
 
 
 def _experts_fwd(spans, x, *_):     # each span's steps hold its expert's parameters
@@ -143,9 +142,9 @@ def _experts_bwd(saved, g):
     return (dx, *grads)
 
 
-def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams, drop_rate: float = 0.0,
-                    rngs: list[RngStream] | None = None) -> Tensor:
-    """x + drop_path(experts(x)), one graph node: rows [0,k) of every item
+def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams,
+                    drop: np.ndarray | None = None) -> Tensor:
+    """x + drop_path(experts(x), drop), one graph node: rows [0,k) of every item
     through the vision expert, rows [k,end) through the language expert,
     which does not run when `x` holds vision rows only.  A block without a
     language expert (the last, whose text rows no output reads) gives text
@@ -157,19 +156,18 @@ def expert_sublayer(x: Tensor, boundary: int, p: MultiwayBlockParams, drop_rate:
             spans.append((slice(boundary, None), _ffn(p, "language")))
         params = [t for _, ss in spans for t in chain_params(ss)]
         steps = [(functools.partial(_experts_fwd, spans), _experts_bwd, params)]
-    return residual(x, steps, drop_rate, rngs)
+    return residual(x, steps, drop)
 
 
-def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop_rate: float,
-                   rngs: list[RngStream] | None = None, keep: int | None = None,
-                   weights_sink: list | None = None) -> FusedSequence:
-    """One block, two graph nodes; with `rngs`, rngs[i] draws item i's
-    drop-path keeps, attention branch first, then the expert branch.  With
-    `keep`, past the key/value projections only the leading `keep` rows are
-    computed and returned; `weights_sink` gets their (B, heads, keep, rows)
-    weights."""
-    x = shared_attention(f.x, f.mask, p, p.cfg, weights_sink, keep, drop_rate, rngs)
-    return FusedSequence(expert_sublayer(x, f.boundary, p, drop_rate, rngs), f.boundary, f.mask)
+def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop: np.ndarray | None = None,
+                   keep: int | None = None, weights_sink: list | None = None) -> FusedSequence:
+    """One block, two graph nodes; with a (B, 2) `drop`, its columns are the
+    attention and the expert branch's drop-path masks.  With `keep`, past
+    the key/value projections only the leading `keep` rows are computed and
+    returned; `weights_sink` gets their (B, heads, keep, rows) weights."""
+    attn_drop, expert_drop = (None, None) if drop is None else drop.T
+    x = shared_attention(f.x, f.mask, p, p.cfg, weights_sink, keep, attn_drop)
+    return FusedSequence(expert_sublayer(x, f.boundary, p, expert_drop), f.boundary, f.mask)
 
 
 class FusionStackParams:
@@ -224,20 +222,20 @@ def block_drop_rates(cfg: RunConfig) -> list[float]:
     return [cfg.drop_path * i / (cfg.layers - 1) for i in range(cfg.layers)]
 
 
-def encode(f: FusedSequence, stack: FusionStackParams,
-           rngs: list[RngStream] | None = None, keep: int | None = None,
-           weights_sink: list | None = None) -> FusedSequence:
+def encode(f: FusedSequence, stack: FusionStackParams, drop: np.ndarray | None = None,
+           keep: int | None = None, weights_sink: list | None = None) -> FusedSequence:
     """All blocks, the last computing only its leading `keep` rows (default
-    all), with one `weights_sink` array per block.  Drop path runs only when
-    `rngs` is given, one stream per item; a block with a rate above 0 draws
-    from each item's `layer<i>` child stream.  The last block has no language
-    expert, so without `keep` its text rows hold the attention residual only:
-    right in shape, and never read by the pooler, which reads row 0."""
+    all), with one `weights_sink` array per block.  Drop path runs only with
+    a (B, 2 * layers) `drop` table (`rng.keep_table`): block i's attention
+    and expert branches take columns 2i and 2i + 1, and a block whose rate
+    is 0 takes none.  The last block has no language expert, so without
+    `keep` its text rows hold the attention residual only: right in shape,
+    and never read by the pooler, which reads row 0."""
     rates = block_drop_rates(stack.cfg)
     last = len(stack.blocks) - 1
     for i, (bp, rate) in enumerate(zip(stack.blocks, rates)):
-        layer_rngs = [r.split(f"layer{i}") for r in rngs] if rngs and rate > 0 else None
-        f = multiway_block(f, bp, rate, layer_rngs, keep if i == last else None, weights_sink)
+        cols = drop[:, 2 * i:2 * i + 2] if drop is not None and rate > 0 else None
+        f = multiway_block(f, bp, cols, keep if i == last else None, weights_sink)
     return f
 
 

@@ -19,11 +19,12 @@ A minibatch travels as one leading batch axis: the model's activations are
 (B, rows, width), `matmul` and `linear` take (..., n, k) @ (k, m),
 `layer_norm` normalizes the last axis of any rank, `multi_head_attention`
 takes (B, S, width) with a (B, S) key bias, `cross_entropy` takes (B, C)
-logits and (B,) targets with mean reduction, and `drop_path` draws one
-keep-or-kill per item.  Broadcasting is otherwise deliberately restricted:
-elementwise ops demand identical shapes, save the bias row in `linear` and
-the batch-shared table rows in `add_rows`.  64-bit is the default dtype;
-32-bit is allowed for training speed but all gradient checks assume 64-bit.
+logits and (B,) targets with mean reduction, and drop path scales each
+item's residual branch by its entry of a (B,) mask column.  Broadcasting is
+otherwise deliberately restricted: elementwise ops demand identical shapes,
+save the bias row in `linear` and the batch-shared table rows in `add_rows`.
+64-bit is the default dtype; 32-bit is allowed for training speed but all
+gradient checks assume 64-bit.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .rng import RngStream
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)   # a Python float keeps float32 gradients
@@ -153,12 +153,11 @@ def chain(x: Tensor, steps) -> Tensor:
     return _node(out, (x, *chain_params(steps)), functools.partial(chain_bwd, saved))
 
 
-def residual(x: Tensor, steps, rate: float = 0.0,
-             rngs: Sequence[RngStream] | None = None) -> Tensor:
-    """x + drop_path(chain_fwd(x, steps)) as one graph node; x's leading
-    rows when the steps return fewer."""
+def residual(x: Tensor, steps, keep: np.ndarray | None = None) -> Tensor:
+    """x + drop_path(chain_fwd(x, steps), keep) as one graph node; x's
+    leading rows when the steps return fewer."""
     out, saved = chain_fwd(x.data, steps)
-    out, mask = drop_path_fwd(out, rate, rngs)
+    out, mask = drop_path_fwd(out, keep)
 
     def backward(g):
         dx, *grads = chain_bwd(saved, drop_path_bwd(mask, g)[0])
@@ -514,20 +513,16 @@ def attention_bwd(saved, g):
             _merged(w.transpose(0, 1, 3, 2) @ gout))
 
 
-def drop_path_fwd(x, rate, rngs):
+def drop_path_fwd(x, keep):
     """Stochastic depth on one residual branch, per sample: item i of the
-    leading batch axis keeps its whole branch, rescaled by 1/(1-rate) so the
-    expectation is preserved, or loses it, by one draw from rngs[i].  The
-    saved mask is None when nothing is drawn (no `rngs`, or rate 0)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"drop_path: rate must be in [0, 1), got {rate}")
-    if rngs is None or rate == 0.0:
+    leading batch axis scales its whole branch by keep[i], 0 or 1/(1-rate)
+    (a column of `rng.keep_table`).  Without a column (evaluation, or a
+    rate-0 block) the branch passes as it is, and the saved mask is None."""
+    if keep is None:
         return x, None
-    if len(rngs) != x.shape[0]:
-        raise ShapeError(f"drop_path: {len(rngs)} streams for a batch of {x.shape[0]}")
-    kept = 1.0 / (1.0 - rate)
-    mask = np.array([kept if r.bernoulli(1.0 - rate) else 0.0 for r in rngs], dtype=x.dtype)
-    mask = mask.reshape((-1,) + (1,) * (x.ndim - 1))            # (B, 1, 1)
+    if np.shape(keep) != x.shape[:1]:
+        raise ShapeError(f"drop_path: a {np.shape(keep)} mask for a batch of {x.shape[0]}")
+    mask = np.asarray(keep, dtype=x.dtype).reshape((-1,) + (1,) * (x.ndim - 1))   # (B, 1, 1)
     return x * mask, mask
 
 
@@ -643,13 +638,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         return (d * (float(g) / batch),)
 
     return _node(np.asarray(loss), (logits,), bwd)
-
-
-def drop_path(x: Tensor, rate: float, rngs: Sequence[RngStream] | None = None) -> Tensor:
-    """`drop_path_fwd` as a node.  Without `rngs` (evaluation) or at rate 0,
-    `x` itself comes back."""
-    out, mask = drop_path_fwd(x.data, rate, rngs)
-    return x if mask is None else _node(out, (x,), functools.partial(drop_path_bwd, mask))
 
 
 # ---------------------------------------------------------------------------

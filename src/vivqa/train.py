@@ -1,8 +1,9 @@
 """Training protocol and evaluation: cross-entropy over the answer classes,
 AdamW with the cosine-warmup schedule, deterministic batching per seed.
-Each minibatch is one forward graph, fed one drop-path stream per example,
-one backward and one optimizer step; evaluation runs batch_size chunks with
-no streams and without recording a graph.
+Each minibatch is one forward graph, fed its drop-path masks as one table
+(a pure function of seed, epoch, example id and site), one backward and one
+optimizer step; evaluation runs batch_size chunks with no drop path and
+without recording a graph.
 
 Reports are split into a deterministic part (report.json — a pure function
 of config, seed, corpus) and a timing file that is allowed to vary between
@@ -25,8 +26,9 @@ from .data import AnswerVocab, batch_iter
 from .errors import NumericalError
 from .metrics import PredictionRecord, report as metrics_report, write_predictions
 from .model import VivqaModel, ensure_out_dir, save_checkpoint
+from .multiway import block_drop_rates
 from .optim import AdamW, ScheduleConfig, lr_at
-from .rng import RngStream
+from .rng import RngStream, keep_table
 from .text import build_vocab
 
 
@@ -80,7 +82,10 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     n_batches = math.ceil(len(train_split) / cfg.batch_size)
     schedule = ScheduleConfig(peak_lr=cfg.lr, total_steps=max(1, cfg.epochs * n_batches),
                               warmup_ratio=cfg.warmup_ratio, floor_lr=cfg.floor_lr)
-    run_rng = RngStream(cfg.seed).split("train")
+    if cfg.drop_path > 0:           # each block's rate at its attention and expert sites
+        drop = RngStream(cfg.seed).split("drop-path")
+        item_keys = {ex.id: drop.split(ex.id).seed for ex in train_split}
+        site_rates = np.repeat(block_drop_rates(cfg), 2)
     report = RunReport(seed=cfg.seed, config=json.loads(cfg.to_json()))
     if cfg.freeze_extractors:       # extraction is not training time
         model.fill_store(train_split)
@@ -88,16 +93,15 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     started = time.perf_counter()
     step = 0
     for epoch in range(cfg.epochs):
-        epoch_rng = run_rng.split(f"epoch-{epoch}")
         loss_sum = 0.0
         hits = 0
         total = 0
         for examples, targets in batch_iter(train_split, cfg.batch_size, model.answer_vocab,
                                             cfg.seed, epoch, is_train=True):
             optimizer.zero_grad()
-            rngs = ([epoch_rng.split(f"item-{ex.id}") for ex in examples]
-                    if cfg.drop_path > 0 else None)
-            logits = model.forward(examples, rngs)
+            table = (keep_table(drop.seed, epoch, [item_keys[ex.id] for ex in examples],
+                                site_rates) if cfg.drop_path > 0 else None)
+            logits = model.forward(examples, table)
             loss = T.cross_entropy(logits, targets)
             value = float(loss.data)
             if not math.isfinite(value):

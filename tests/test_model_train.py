@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import vivqa.model as model_mod
+import vivqa.multiway as multiway_mod
 import vivqa.tensor as T
+import vivqa.train as train_mod
 from vivqa.classifier import classify
 from vivqa.cli import main
 from vivqa.config import RunConfig
@@ -23,9 +25,9 @@ from vivqa.data import make_synthetic, save_jsonl, split_train_test
 from vivqa.errors import ConfigError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
-from vivqa.multiway import concat_modalities, encode, pool_cls
+from vivqa.multiway import block_drop_rates, concat_modalities, encode, pool_cls
 from vivqa.optim import AdamW
-from vivqa.rng import RngStream
+from vivqa.rng import RngStream, keep_table
 from vivqa.tensor import Tensor
 from vivqa.text import encode as text_encode, project, tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
@@ -38,6 +40,14 @@ def tiny_cfg(**kw):
                 drop_path=0.0, seed=0)
     base.update(kw)
     return RunConfig(**base)
+
+
+def drop_table(cfg, batch, epoch=0):
+    """The batch's (B, 2 * layers) drop-path table in `epoch`, as train_model
+    builds it."""
+    drop = RngStream(cfg.seed).split("drop-path")
+    return keep_table(drop.seed, epoch, [drop.split(ex.id).seed for ex in batch],
+                      np.repeat(block_drop_rates(cfg), 2))
 
 
 @pytest.fixture(scope="module")
@@ -55,24 +65,22 @@ def test_forward_logit_shape(corpus):
 @pytest.mark.parametrize("training", [False, True])
 def test_batch_forward_equals_single_item_forwards(corpus, training):
     """B items in one graph give the logits of B one-item graphs; in
-    training, each item's drop-path keeps come from its own stream."""
+    training, each item's drop-path masks are its own row of the table."""
     cfg = tiny_cfg(layers=3, drop_path=0.5, vision_mode="both", freeze_extractors=False)
     model = build_model(cfg, corpus)
     batch = corpus[:6]
+    table = drop_table(cfg, batch)
 
-    def forward(items, rngs):
-        return model.forward(items, rngs if training else None).data
+    def forward(items, drop):
+        return model.forward(items, drop if training else None).data
 
-    def streams():
-        return [RngStream(5).split(f"item-{ex.id}") for ex in batch]
-
-    together = forward(batch, streams())
-    alone = [forward([item], [rng]) for item, rng in zip(batch, streams())]
+    together = forward(batch, table)
+    alone = [forward([item], table[i:i + 1]) for i, item in enumerate(batch)]
     np.testing.assert_allclose(together, np.concatenate(alone), rtol=0, atol=1e-12)
     if training:
         # at rate 0.5 over 3 layers some branch is dropped, so handing the
-        # items each other's streams changes the logits
-        swapped = forward(batch, streams()[::-1])
+        # items each other's rows changes the logits
+        swapped = forward(batch, table[::-1])
         assert np.abs(swapped - together).max() > 1e-6
 
 
@@ -309,9 +317,9 @@ def test_tiny_train_is_bitwise_the_pinned_run(tiny_train_run):
         "predictions": _sha256(predictions.encode()),
         "arena": _sha256(model.arena.tobytes()),
     } == {
-        "losses": "e4ec05d387bc4cc06cdc36b5b6d8ef3752c211cacac2002af5f2e07ea7cee55d",
-        "predictions": "f428ff9d69c7bf57f784c5628e3134116a7b17489059272460d3eb036ffc105c",
-        "arena": "c63c19683dda5132ea146412d74a35875205d9407acf717703f79357613fa609",
+        "losses": "0b010d8e49b39e802d2465eaa76775ddd15ff4792f228b1fc4c844454db099eb",
+        "predictions": "62c9455ff7619c23fd6b23bffeb5ee5728ba4107344c7c59d52a883ae6b650d9",
+        "arena": "027a8931692cf02a786940cf34df0a2ccff2b796845536bb95f28e3ed48e18ba",
     }
 
 
@@ -355,15 +363,15 @@ def test_row0_forward_matches_all_rows_oracle(corpus, monkeypatch, vision_mode, 
 
     def logits_and_grads():
         model.grad.fill(0.0)
-        logits = model.forward(batch, [RngStream(7).split(f"item-{ex.id}") for ex in batch])
+        logits = model.forward(batch, drop_table(cfg, batch))
         T.backward(T.cross_entropy(logits, targets))
         return logits.data, {name: p.grad.copy() for name, p in params.items()}
 
     logits, grads = logits_and_grads()
     full = model_mod.fusion_encode          # the oracle: all rows, then pool row 0
     monkeypatch.setattr(model_mod, "fusion_encode",
-                        lambda f, stack, rngs=None, keep=None, weights_sink=None:
-                        full(f, stack, rngs))
+                        lambda f, stack, drop=None, keep=None, weights_sink=None:
+                        full(f, stack, drop))
     want_logits, want_grads = logits_and_grads()
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
     for name, want in want_grads.items():
@@ -442,31 +450,65 @@ def test_weights_sink_gets_each_layers_attention(corpus):
     np.testing.assert_array_equal(logits, model.forward(batch).data)
 
 
-def test_no_drop_path_streams_split_that_are_never_drawn(corpus, monkeypatch):
-    """At rate 0 a training step splits no per-item or per-layer stream, and
-    block 0 of a ramp (rate 0) gets none either; a forward given streams it
-    does not draw from equals one without them, bitwise."""
-    labels = []
-    split = RngStream.split
-
-    def recording_split(self, label):
-        labels.append(label)
-        return split(self, label)
-
-    monkeypatch.setattr(RngStream, "split", recording_split)
+def test_no_drop_path_table_at_rate_0(corpus, monkeypatch):
+    """At rate 0 a training run builds no table and every forward gets None;
+    a forward handed a table equals one without it, bitwise.  Block 0 of a
+    ramp (rate 0) is given no column, so its columns are never read."""
+    tables, drops = [], []
+    monkeypatch.setattr(train_mod, "keep_table", lambda *args: tables.append(args))
     cfg = tiny_cfg(layers=2, epochs=1)
     model = build_model(cfg, corpus)
-    labels.clear()
+    forward = model.forward
+
+    def recording_forward(examples, drop=None):
+        drops.append(drop)
+        return forward(examples, drop)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
     train_model(model, corpus, cfg)
-    assert labels and not [l for l in labels if l.startswith(("item-", "layer"))]
+    assert not tables and drops == [None] * 3
 
     batch = corpus[:4]
-    streams = [RngStream(3).split(f"item-{ex.id}") for ex in batch]
-    np.testing.assert_array_equal(model.forward(batch, streams).data, model.forward(batch).data)
+    noise = np.full((4, 4), np.nan)
+    np.testing.assert_array_equal(forward(batch, noise).data, forward(batch).data)
     ramp = build_model(tiny_cfg(layers=2, drop_path=0.5), corpus)
-    labels.clear()
-    ramp.forward(batch, streams)
-    assert labels.count("layer1") == len(batch) and "layer0" not in labels
+    block = multiway_mod.multiway_block
+
+    def recording_block(f, p, drop=None, *args):
+        drops.append(drop)
+        return block(f, p, drop, *args)
+
+    monkeypatch.setattr(multiway_mod, "multiway_block", recording_block)
+    drops.clear()
+    table = drop_table(ramp.cfg, batch)
+    logits = ramp.forward(batch, table).data
+    assert drops[0] is None and drops[1].shape == (4, 2)
+    table[:, :2] = np.nan
+    np.testing.assert_array_equal(ramp.forward(batch, table).data, logits)
+
+
+def test_drop_path_masks_do_not_depend_on_the_batch(corpus, monkeypatch):
+    """train_model gives an example its `drop_table` row of the epoch
+    whatever batch it sits in, at any position: batch sizes 3 and 8 (one
+    ordering of the split per epoch) put it elsewhere."""
+    cfg = tiny_cfg(layers=2, epochs=2, drop_path=0.5)
+    want = [dict(zip([ex.id for ex in corpus], drop_table(cfg, corpus, epoch)))
+            for epoch in range(cfg.epochs)]
+    assert want[0].keys() == {ex.id for ex in corpus}
+    for batch_size in (3, 8):
+        cfg = dataclasses.replace(cfg, batch_size=batch_size)
+        model = build_model(cfg, corpus)
+        forward, rows = model.forward, []
+
+        def recording_forward(examples, drop=None, forward=forward, rows=rows):
+            rows.extend(zip(examples, drop.copy()))
+            return forward(examples, drop)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        train_model(model, corpus, cfg)
+        assert len(rows) == cfg.epochs * len(corpus)
+        for i, (ex, row) in enumerate(rows):
+            assert row.tobytes() == want[i // len(corpus)][ex.id].tobytes(), (batch_size, i)
 
 
 def test_train_model_feeds_every_split_position_once_per_epoch():
@@ -479,9 +521,9 @@ def test_train_model_feeds_every_split_position_once_per_epoch():
     seen = []
     forward = model.forward
 
-    def recording_forward(examples, rngs=None):
+    def recording_forward(examples, drop=None):
         seen.extend(examples)
-        return forward(examples, rngs)
+        return forward(examples, drop)
 
     model.forward = recording_forward
     train_model(model, split, cfg)

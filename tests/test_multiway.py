@@ -12,7 +12,7 @@ from vivqa.multiway import (
     block_drop_rates, concat_modalities, encode, expert_sublayer, multiway_block,
     pool_cls, shared_attention,
 )
-from vivqa.rng import RngStream
+from vivqa.rng import RngStream, keep_table
 from vivqa import tensor as T
 from vivqa.tensor import Tensor, backward, grad_check, mul, no_grad, sum_all
 
@@ -44,7 +44,7 @@ def test_block_preserves_shape():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(0))
     f = make_seq()
-    out = multiway_block(f, p, drop_rate=0.0)
+    out = multiway_block(f, p)
     assert out.x.shape == f.x.shape
     assert out.boundary == f.boundary
 
@@ -52,21 +52,19 @@ def test_block_preserves_shape():
 @pytest.mark.parametrize("keep", [1, 3, 5])
 def test_block_keep_computes_the_leading_rows(keep):
     """With `keep`, a block returns the leading rows of its full output, with
-    the same drop-path draws; with vision rows only, the language expert
+    the same drop-path masks; with vision rows only, the language expert
     does not run."""
     cfg = small_cfg(drop_path=0.5)
     p = MultiwayBlockParams(cfg, RngStream(8))
     f = make_seq(k=3, t=4, masked=(6,))
-
-    def streams():
-        return [RngStream(1), RngStream(2)]
+    drop = np.array([[2.0, 0.0], [0.0, 2.0]])
 
     full_sink, sink = [], []
-    full = multiway_block(f, p, 0.5, streams(), weights_sink=full_sink)
+    full = multiway_block(f, p, drop, weights_sink=full_sink)
     lang = p["language.fc1.weight"].data
     if keep <= f.boundary:
         p["language.fc1.weight"].data = np.full_like(lang, np.nan)
-    out = multiway_block(f, p, 0.5, streams(), keep=keep, weights_sink=sink)
+    out = multiway_block(f, p, drop, keep=keep, weights_sink=sink)
     p["language.fc1.weight"].data = lang
     assert out.x.shape == (2, keep, H) and out.boundary == 3 and out.mask is f.mask
     np.testing.assert_allclose(out.x.data, full.x.data[:, :keep], rtol=0, atol=1e-12)
@@ -141,11 +139,11 @@ def test_permutation_equivariance_within_modality():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(5))
     f = make_seq(k=4, t=3, seed=7)
-    out = multiway_block(f, p, 0.0).x.data
+    out = multiway_block(f, p).x.data
     perm = [2, 0, 3, 1]
     x2 = f.x.data.copy()
     x2[:, :4] = x2[:, perm]
-    out2 = multiway_block(FusedSequence(Tensor(x2), 4, f.mask), p, 0.0).x.data
+    out2 = multiway_block(FusedSequence(Tensor(x2), 4, f.mask), p).x.data
     np.testing.assert_allclose(out2[:, :4], out[:, perm], atol=1e-10)
     np.testing.assert_allclose(out2[:, 4:], out[:, 4:], atol=1e-10)
 
@@ -214,9 +212,13 @@ def test_encode_runs_all_layers_and_is_deterministic_in_eval():
 def test_encode_training_drop_path_reproducible_per_seed():
     cfg = small_cfg(layers=3, drop_path=0.5)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(4))
-    a = encode(make_seq(), stack, rngs=[RngStream(9), RngStream(10)]).x.data
-    b = encode(make_seq(), stack, rngs=[RngStream(9), RngStream(10)]).x.data
-    np.testing.assert_array_equal(a, b)
+
+    def table(seed):
+        return keep_table(seed, 0, [9, 10], np.repeat(block_drop_rates(cfg), 2))
+
+    a = encode(make_seq(), stack, table(4)).x.data
+    np.testing.assert_array_equal(a, encode(make_seq(), stack, table(4)).x.data)
+    assert not np.array_equal(a, encode(make_seq(), stack, table(5)).x.data)
 
 
 def test_pool_cls_rows():
@@ -246,7 +248,7 @@ def test_block_gradient_check(seed):
 
     def f(x):
         seq = FusedSequence(x=x, boundary=3, mask=mask)
-        out = multiway_block(seq, p, 0.0)
+        out = multiway_block(seq, p)
         return sum_all(mul(out.x, Tensor(proj)))
 
     assert grad_check(f, Tensor(r.normal(size=(2, 6, H)))) < 1e-4
@@ -256,7 +258,7 @@ def test_block_param_gradients_flow():
     cfg = small_cfg()
     p = MultiwayBlockParams(cfg, RngStream(6))
     f = make_seq()
-    out = multiway_block(f, p, 0.0)
+    out = multiway_block(f, p)
     backward(sum_all(out.x))
     for name, t in p.params.items():
         assert t.grad is not None, name
@@ -280,11 +282,17 @@ def test_named_params_cover_stack():
 # Sublayer nodes against the op-by-op graph they replaced
 
 
-def composed_block(f, p, drop_rate, rngs=None, keep=None, weights_sink=None):
+def composed_block(f, p, drop=None, keep=None, weights_sink=None):
     """The block as one op node per step (19 in an inner block): the oracle
-    for `multiway_block`'s two sublayer nodes."""
+    for `multiway_block`'s two sublayer nodes, each branch multiplied by its
+    column of the (B, 2) `drop`."""
     def lin(x, name):
         return T.linear(x, p[f"{name}.weight"], p[f"{name}.bias"])
+
+    def dropped(branch, col):
+        if drop is None:
+            return branch
+        return T.mul(branch, Tensor(np.broadcast_to(drop[:, col, None, None], branch.shape)))
 
     def ffn(x, e):
         xn = T.layer_norm(x, p[f"{e}_norm.gamma"], p[f"{e}_norm.beta"])
@@ -300,7 +308,7 @@ def composed_block(f, p, drop_rate, rngs=None, keep=None, weights_sink=None):
     attn = lin(merged, "attn.o")
     if keep is not None:
         x = T.narrow(x, 1, 0, keep)
-    x = T.add(x, T.drop_path(attn, drop_rate, rngs))
+    x = T.add(x, dropped(attn, 0))
     rows = x.shape[1]
     if rows <= f.boundary:
         experts = ffn(x, "vision")
@@ -309,7 +317,7 @@ def composed_block(f, p, drop_rate, rngs=None, keep=None, weights_sink=None):
         xt = T.narrow(x, 1, f.boundary, rows - f.boundary)
         text = ffn(xt, "language") if "language" in p.experts else Tensor(np.zeros_like(xt.data))
         experts = T.concat([ffn(xv, "vision"), text], axis=1)
-    return T.add(x, T.drop_path(experts, drop_rate, rngs))
+    return T.add(x, dropped(experts, 1))
 
 
 def composed_pool(f, stack):
@@ -336,10 +344,10 @@ def _small(name, t, h=4, w=6):
     return (h, h) if name.endswith("weight") else (w if name.endswith("fc1.bias") else h,)
 
 
-def _streams(batch):
-    """Item 0 keeps both branches, item 1 drops its first and item 2 its
-    second draw at rate 0.5."""
-    return [RngStream(seed) for seed in (0, 3, 1)[:batch]]
+def _columns(batch):
+    """Item 0 keeps both branches, item 1 drops its attention branch and
+    item 2 its expert branch, at rate 0.5."""
+    return np.array([[2.0, 2.0], [0.0, 2.0], [2.0, 0.0]])[:batch]
 
 
 def _op_nodes(out) -> int:
@@ -371,7 +379,7 @@ def _run(block, x, params, proj):
 def test_block_nodes_are_bitwise_the_composed_ops(batch, rate, keep, language):
     """Outputs, attention weights and every gradient of the two sublayer
     nodes equal the op-by-op graph's byte for byte (tiny dims, random
-    parameters), with the same drop-path draws."""
+    parameters), with the same drop-path masks."""
     cfg = small_cfg(drop_path=rate)
     p = MultiwayBlockParams(cfg, RngStream(9), language=language)
     _randomize(p.params, 10 + batch)
@@ -384,13 +392,13 @@ def test_block_nodes_are_bitwise_the_composed_ops(batch, rate, keep, language):
 
     def fused(leaf, sink):
         f = FusedSequence(leaf, 3, mask)
-        out = multiway_block(f, p, rate, _streams(batch) if rate else None, keep, sink)
+        out = multiway_block(f, p, _columns(batch) if rate else None, keep, sink)
         assert out.boundary == 3 and out.mask is mask and _op_nodes(out.x) == 2
         return out.x
 
     def composed(leaf, sink):
         f = FusedSequence(leaf, 3, mask)
-        return composed_block(f, p, rate, _streams(batch) if rate else None, keep, sink)
+        return composed_block(f, p, _columns(batch) if rate else None, keep, sink)
 
     got, want = _run(fused, x, p.params, proj), _run(composed, x, p.params, proj)
     assert got[0].tobytes() == want[0].tobytes()
@@ -447,13 +455,13 @@ def test_sublayer_nodes_gradient_check(batch, rate, keep, language):
     r = np.random.default_rng(30 + batch)
     mask = np.ones((batch, 5))
     mask[:, 4] = 0.0
-    rngs = (lambda: _streams(batch)) if rate else (lambda: None)
+    drop = _columns(batch).T if rate else (None, None)
 
     def attention(t):
-        return shared_attention(t, mask, p, cfg, keep=keep, drop_rate=rate, rngs=rngs())
+        return shared_attention(t, mask, p, cfg, keep=keep, drop=drop[0])
 
     def experts(t):
-        return expert_sublayer(t, 2, p, rate, rngs())
+        return expert_sublayer(t, 2, p, drop[1])
 
     errors = _grad_errors(attention, r.normal(size=(batch, 5, 4)), p.params)
     rows = 5 if keep is None else keep

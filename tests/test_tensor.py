@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import vivqa.tensor as T
 from vivqa.errors import ShapeError, UsageError
-from vivqa.rng import RngStream
+from vivqa.rng import keep_table
 from vivqa.tensor import Tensor, backward, grad_check
 
 GRAD_TOL = 1e-4
@@ -629,56 +629,65 @@ def test_multi_head_attention_fewer_query_rows_equal_leading_rows(n):
 
 
 # ---------------------------------------------------------------------------
-# drop path
+# drop path: a residual branch scaled by its item's entry of a mask column
+
+
+def _tanh_residual(x, keep=None):
+    return T.residual(x, [(T.tanh_fwd, T.tanh_bwd, [])], keep)
 
 
 def test_drop_path_eval_is_identity(rng):
-    x = Tensor(rng.normal(size=(2, 3)))
-    assert T.drop_path(x, 0.5) is x
-    assert T.drop_path(x, 0.0, rngs=[RngStream(0), RngStream(1)]) is x
+    """Without a column the branch passes unscaled, and a rate-0 column
+    keeps every item at 1.0."""
+    x = rng.normal(size=(2, 3))
+    out, mask = T.drop_path_fwd(x, None)
+    assert out is x and mask is None
+    assert _tanh_residual(Tensor(x)).data.tobytes() == (x + np.tanh(x)).tobytes()
+    np.testing.assert_array_equal(keep_table(3, 0, [1, 2], [0.0]), [[1.0], [1.0]])
 
 
-def test_drop_path_rejects_bad_rate_and_stream_count():
-    with pytest.raises(ValueError):
-        T.drop_path(Tensor(np.ones((1, 2))), 1.0, rngs=[RngStream(0)])
-    with pytest.raises(ShapeError):
-        T.drop_path(Tensor(np.ones((2, 1))), 0.5, rngs=[RngStream(0)])
+def test_drop_path_rejects_bad_rate_and_mask_shape():
+    for rate in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            keep_table(0, 0, [1], [0.5, rate])
+    for keep in (np.ones(3), np.ones((2, 1))):
+        with pytest.raises(ShapeError):
+            _tanh_residual(Tensor(np.ones((2, 1))), keep)
 
 
 def test_drop_path_preserves_expectation():
-    streams = [RngStream(7), RngStream(8)]
-    n = 50_000
-    total = sum(T.drop_path(Tensor(np.ones((2, 1))), 0.3, streams).data.sum()
-                for _ in range(n))
-    assert abs(total / (2 * n) - 1.0) < 0.02
+    n = 100_000
+    out, _ = T.drop_path_fwd(np.ones((n, 1)), keep_table(7, 0, np.arange(n), [0.3])[:, 0])
+    assert abs(out.mean() - 1.0) < 0.01
 
 
 def test_drop_path_outputs_are_zero_or_rescaled():
-    stream = RngStream(11)
-    seen = {float(T.drop_path(Tensor([[1.0]]), 0.25, [stream]).data[0, 0])
-            for _ in range(200)}
-    assert seen == {0.0, 1.0 / 0.75}
+    out, _ = T.drop_path_fwd(np.ones((200, 1)), keep_table(11, 0, np.arange(200), [0.25])[:, 0])
+    assert set(out.ravel().tolist()) == {0.0, 1.0 / 0.75}
 
 
-def test_drop_path_mask_is_per_item_in_stream_order(rng):
-    """Item i keeps or drops its whole branch by the next draw of rngs[i]."""
+def test_drop_path_mask_is_per_item_in_column_order(rng):
+    """Item i's whole branch is scaled by keep[i]: a dropped item is its
+    input exactly."""
     x = rng.normal(size=(4, 3, 2))
-    streams = [RngStream(s) for s in range(4)]
-    twins = [RngStream(s) for s in range(4)]
-    out = T.drop_path(Tensor(x), 0.5, streams).data
-    for i, twin in enumerate(twins):
-        want = x[i] / 0.5 if twin.bernoulli(0.5) else np.zeros_like(x[i])
-        np.testing.assert_array_equal(out[i], want)
+    keep = np.array([2.0, 0.0, 0.0, 2.0])
+    out = _tanh_residual(Tensor(x), keep).data
+    for i in range(4):
+        np.testing.assert_array_equal(out[i], x[i] + np.tanh(x[i]) * keep[i])
+    np.testing.assert_array_equal(out[1:3], x[1:3])
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_batched_drop_path(seed):
+    """The masked residual node, in its input and its step's parameters."""
     r = np.random.default_rng(1100 + seed)
     proj = r.normal(size=(4, 2, 3))
+    w, b = Tensor(r.normal(size=(3, 3))), Tensor(r.normal(size=3))
+    keep = np.roll([1 / 0.6, 0.0, 1 / 0.6, 1 / 0.6], seed)
 
     def f(t):
-        streams = [RngStream(seed * 10 + i) for i in range(4)]   # same mask each call
-        return T.sum_all(T.mul(T.drop_path(t, 0.4, streams), Tensor(proj)))
+        out = T.residual(t, [(T.linear_fwd, T.linear_bwd, [w, b])], keep)
+        return T.sum_all(T.mul(out, Tensor(proj)))
 
     assert grad_check(f, Tensor(r.normal(size=(4, 2, 3)))) < GRAD_TOL
 
@@ -769,7 +778,7 @@ def _every_op(dtype):
         "embedding_lookup": lambda: T.embedding_lookup(table, [[0, 4], [2, 2]]),
         "add_rows": lambda: T.add_rows(x, table, [1, 0, 1]),
         "cross_entropy": lambda: T.cross_entropy(logits, [1, 4]),
-        "drop_path": lambda: T.drop_path(x, 0.5, [RngStream(1), RngStream(2)]),
+        "residual": lambda: T.residual(x, [(T.gelu_fwd, T.gelu_bwd, [])], np.array([2.0, 0.0])),
     }
 
 
@@ -879,7 +888,7 @@ def _assert_walks_agree(build):
 
 
 def _random_dag(seed: int):
-    """A seeded DAG of add, mul, concat, narrow, linear and drop_path over
+    """A seeded DAG of add, mul, concat, narrow, linear and drop path over
     (2, 3) values, drawing operands from every node so far (shared
     intermediates and diamonds).  Leaves mix requires_grad on and off, and
     one starts with a preset gradient."""
@@ -900,7 +909,7 @@ def _random_dag(seed: int):
         elif kind == 3:
             out = T.linear(a, w, b)
         elif kind == 4:
-            out = T.drop_path(a, 0.5, [RngStream(seed * 100 + step), RngStream(step)])
+            out = _tanh_residual(a, 2.0 * (r.random(2) < 0.5))
         else:
             out = T.scale(a, 0.5)
         nodes.append(out)
@@ -931,7 +940,7 @@ def test_backward_is_bitwise_the_reference_walk_on_small_graphs():
 
     def dropped():
         a = Tensor(x0, requires_grad=True)
-        out = T.drop_path(T.mul(a, a), 0.5, [RngStream(3), RngStream(4)])
+        out = _tanh_residual(T.mul(a, a), np.array([2.0, 0.0]))
         return T.sum_all(T.add(out, a)), [a]
 
     for build in (square, preset_and_unset, dropped):
