@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .optim import linear_params, norm_params
 from .rng import RngStream
 from .tensor import (
     Tensor, chain, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, linear_bwd, linear_fwd,
@@ -19,40 +20,23 @@ class ClassifierParams:
     """768 -> 1536 -> C at paper scale; hidden is 2x the pooled width."""
 
     def __init__(self, in_width: int, n_classes: int, rng: RngStream):
-        self.in_width = in_width
         self.hidden = 2 * in_width
-        self.n_classes = n_classes
-        s1 = 1.0 / np.sqrt(in_width)
-        s2 = 1.0 / np.sqrt(self.hidden)
-        self.fc1_w = Tensor(rng.split("fc1").normal((in_width, self.hidden), scale=s1),
-                            requires_grad=True)
-        self.fc1_b = Tensor(np.zeros(self.hidden), requires_grad=True)
-        self.norm_gamma = Tensor(np.ones(self.hidden), requires_grad=True)
-        self.norm_beta = Tensor(np.zeros(self.hidden), requires_grad=True)
-        self.fc2_w = Tensor(rng.split("fc2").normal((self.hidden, n_classes), scale=s2),
-                            requires_grad=True)
-        self.fc2_b = Tensor(np.zeros(n_classes), requires_grad=True)
-
-    def named_params(self) -> dict[str, Tensor]:
-        return {
-            "classifier.fc1.weight": self.fc1_w,
-            "classifier.fc1.bias": self.fc1_b,
-            "classifier.norm.gamma": self.norm_gamma,
-            "classifier.norm.beta": self.norm_beta,
-            "classifier.fc2.weight": self.fc2_w,
-            "classifier.fc2.bias": self.fc2_b,
-        }
+        self.params: dict[str, Tensor] = {}
+        linear_params(self.params, "classifier.fc1", rng.split("fc1"), in_width, self.hidden)
+        norm_params(self.params, "classifier.norm", self.hidden)
+        linear_params(self.params, "classifier.fc2", rng.split("fc2"), self.hidden, n_classes)
 
 
 def classify(x: Tensor, p: ClassifierParams) -> Tensor:
     """(B, in_width) -> (B, C) logits, as one graph node.  Loss and
     prediction both consume logits directly."""
-    if x.data.ndim != 2 or x.shape[1] != p.in_width:
-        raise ShapeError(f"classify: input shape {x.shape} != (batch, {p.in_width})")
-    return chain(x, [(linear_fwd, linear_bwd, [p.fc1_w, p.fc1_b]),
-                     (layer_norm_fwd, layer_norm_bwd, [p.norm_gamma, p.norm_beta]),
+    w1, b1, gamma, beta, w2, b2 = p.params.values()
+    if x.data.ndim != 2 or x.shape[1] != w1.shape[0]:
+        raise ShapeError(f"classify: input shape {x.shape} != (batch, {w1.shape[0]})")
+    return chain(x, [(linear_fwd, linear_bwd, [w1, b1]),
+                     (layer_norm_fwd, layer_norm_bwd, [gamma, beta]),
                      (gelu_fwd, gelu_bwd, []),
-                     (linear_fwd, linear_bwd, [p.fc2_w, p.fc2_b])])
+                     (linear_fwd, linear_bwd, [w2, b2])])
 
 
 @dataclass(frozen=True)

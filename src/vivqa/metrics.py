@@ -47,64 +47,28 @@ def canonicalize(answer: str) -> str:
     return " ".join(answer.split()).casefold()
 
 
-def _tokens(answer: str) -> set[str]:
-    return set(canonicalize(answer).split())
-
-
-def _require_nonempty(records) -> list:
+def report(records) -> MetricsReport:
+    """Every metric in one pass over `records`, each sum taken left to right
+    from 0 as `sum()` does."""
     records = list(records)
     if not records:
         raise ValueError("metrics require at least one record")
-    return records
-
-
-def accuracy(records) -> float:
-    records = _require_nonempty(records)
-    hits = sum(1 for r in records if canonicalize(r.prediction) == canonicalize(r.ground_truth))
-    return hits / len(records)
-
-
-def _per_question_pr(r: PredictionRecord) -> tuple[float, float]:
-    pred = _tokens(r.prediction)
-    gt = _tokens(r.ground_truth)
-    if not gt:
-        raise DataError(f"record {r.id!r} has empty ground truth after tokenization")
-    inter = len(pred & gt)
-    p = inter / len(pred) if pred else 0.0  # empty prediction -> precision 0
-    rec = inter / len(gt)
-    return p, rec
-
-
-def precision(records) -> float:
-    records = _require_nonempty(records)
-    return sum(_per_question_pr(r)[0] for r in records) / len(records)
-
-
-def recall(records) -> float:
-    records = _require_nonempty(records)
-    return sum(_per_question_pr(r)[1] for r in records) / len(records)
-
-
-def f1(records) -> float:
-    records = _require_nonempty(records)
-    total = 0.0
+    hits = p_sum = r_sum = f_sum = 0
     for r in records:
-        p, rec = _per_question_pr(r)
-        if p == 0.0 and rec == 0.0:
-            continue
-        total += 2.0 * p * rec / (p + rec)
-    return total / len(records)
-
-
-def report(records) -> MetricsReport:
-    records = _require_nonempty(records)
-    return MetricsReport(
-        accuracy=accuracy(records),
-        precision=precision(records),
-        recall=recall(records),
-        f1=f1(records),
-        n=len(records),
-    )
+        pred, gt = canonicalize(r.prediction), canonicalize(r.ground_truth)
+        hits += pred == gt
+        pred, gt = set(pred.split()), set(gt.split())
+        if not gt:
+            raise DataError(f"record {r.id!r} has empty ground truth after tokenization")
+        inter = len(pred & gt)
+        p = inter / len(pred) if pred else 0.0  # empty prediction -> precision 0
+        rec = inter / len(gt)
+        p_sum += p
+        r_sum += rec
+        f_sum += 0.0 if p == 0.0 and rec == 0.0 else 2.0 * p * rec / (p + rec)
+    n = len(records)
+    return MetricsReport(accuracy=hits / n, precision=p_sum / n, recall=r_sum / n,
+                         f1=f_sum / n, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The VQA model behind one `VivqaModel.forward(examples, drop=None)`: visual
 stubs, adapter and fusion, tokenizer, text encoder and projection, multiway
-stack, pooler and classifier; plus the arena and its one checkpoint format,
+stack, pooler and classifier; plus the arena over the components' merged
+`params` dicts, each keyed by arena name, and its one checkpoint format,
 which holds no frozen extractor.  Its outputs are constants of the image,
 kept in a feature store (a dict the harness shares across an experiment's
 arms, a table per vision dims and extractor seed): `fill_store` extracts
@@ -104,9 +105,9 @@ class VivqaModel:
         # One flat arena holds every trainable parameter and one its gradient,
         # as views: decayed parameters (`n_decay` elements), then exempt ones.
         # The constants are copied in; the draws go straight into their views.
-        named = {**self.text_params.named_params(), **self.projection.named_params(),
-                 **self.fusion.named_params(), **self.classifier.named_params(),
-                 **({} if cfg.freeze_extractors else self.extractor.named_params())}
+        named = {**self.text_params.params, **self.projection.params, **self.fusion.params,
+                 **self.classifier.params,
+                 **({} if cfg.freeze_extractors else self.extractor.params)}
         self._params = dict(sorted(named.items(), key=lambda item: item[0].endswith(_EXEMPT)))
         self.n_decay = sum(p.size for name, p in named.items() if not name.endswith(_EXEMPT))
         recipe = {id(out): (stream, scale) for out, stream, scale in notes}
@@ -115,9 +116,9 @@ class VivqaModel:
         self.arena, self.grad = pack(self._params, fill=drawn)
         for p, stream, scale in draws:
             stream.normal_into(p.data, scale)
-        # (example id, image ref) -> frozen (global, adapted local) tokens, in the
-        # store's table of this (vision dims, extractor seed).  The id fixes the
-        # pixel-noise seed and the ref the image, so the key fixes the tokens.
+        # VVQF ref, or (example id, ref) of a `synthetic:` one, whose pixel noise the id
+        # seeds -> frozen (global, adapted local) tokens, in the store's table of this
+        # (vision dims, extractor seed).  So the key fixes the tokens.
         self.store = ({} if store is None or not cfg.freeze_extractors
                       else store.setdefault((dims.vision, cfg.extractor_seed), {}))
         self._tokens = {}       # question -> its read-only TokenizedQuestion
@@ -181,7 +182,8 @@ class VivqaModel:
         """The store keys of `examples`, after extracting the distinct ones the
         store lacks in `batch_size` chunks, one `extract` and one adapter pass
         each (frozen extractors only)."""
-        keys = [(ex.id, ex.image) for ex in examples]
+        keys = [(ex.id, ex.image) if ex.image.startswith("synthetic:") else ex.image
+                for ex in examples]
         misses = list({k: ex for k, ex in zip(keys, examples) if k not in self.store}.items())
         for start in range(0, len(misses), self.cfg.batch_size):
             chunk = dict(misses[start:start + self.cfg.batch_size])
@@ -241,10 +243,8 @@ def save_checkpoint(path, model: VivqaModel) -> None:
     }
     meta = np.frombuffer(
         json.dumps(meta, ensure_ascii=False, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    tmp = io.BytesIO()
-    np.savez(tmp, params=model.arena, meta=meta)
-    with open(path, "wb") as fh:
-        fh.write(tmp.getvalue())
+    with open(path, "wb") as fh:       # a handle: np.savez adds no ".npz" to it
+        np.savez(fh, params=model.arena, meta=meta)
 
 
 @contextlib.contextmanager

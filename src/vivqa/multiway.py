@@ -14,7 +14,9 @@ keys and values are projected, and has no language expert.
 Each line above is one graph node, and so is the pooler: it runs the tensor
 kernels of its norm, projections or experts, drop path and residual, and
 their backwards in reverse, summing the gradients of a value read twice as
-an op-by-op graph's walk would, so every bit is that graph's.
+an op-by-op graph's walk would, so every bit is that graph's.  Each block's
+parameters, and the stack's, live in one `params` dict under their arena
+names (`fusion.block0.attn.q.weight`).
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeError
+from .optim import linear_params, norm_params
 from .rng import RngStream
 from .tensor import (
     MASK_VALUE, Tensor, add_leading, add_rows, attention_bwd, attention_fwd, chain, chain_bwd,
@@ -45,18 +48,6 @@ class FusedSequence:
                 f"boundary {self.boundary} outside sequence of {self.mask.shape[1]} rows")
 
 
-def _linear_params(rng: RngStream, d_in: int, d_out: int, name: str, out: dict, bias=True):
-    out[f"{name}.weight"] = Tensor(
-        rng.split(name).normal((d_in, d_out), scale=1.0 / np.sqrt(d_in)), requires_grad=True)
-    if bias:
-        out[f"{name}.bias"] = Tensor(np.zeros(d_out), requires_grad=True)
-
-
-def _norm_params(d: int, name: str, out: dict):
-    out[f"{name}.gamma"] = Tensor(np.ones(d), requires_grad=True)
-    out[f"{name}.beta"] = Tensor(np.zeros(d), requires_grad=True)
-
-
 class MultiwayBlockParams:
     """One block: shared Q/K/V/output projections (K without a bias), a
     vision-expert FFN and, unless `language` is False, a language-expert FFN
@@ -67,14 +58,16 @@ class MultiwayBlockParams:
         dims = cfg.dims
         h, w = dims.hidden, dims.expert_ffn_width
         p: dict[str, Tensor] = {}
-        _norm_params(h, f"{prefix}.attn_norm", p)
+        norm_params(p, f"{prefix}.attn_norm", h)
         for proj in ("q", "k", "v", "o"):
-            _linear_params(rng, h, h, f"{prefix}.attn.{proj}", p, bias=proj != "k")
+            name = f"{prefix}.attn.{proj}"
+            linear_params(p, name, rng.split(name), h, h, bias=None if proj == "k" else 0.0)
         self.experts = ("vision", "language") if language else ("vision",)
         for expert in self.experts:
-            _norm_params(h, f"{prefix}.{expert}_norm", p)
-            _linear_params(rng, h, w, f"{prefix}.{expert}.fc1", p)
-            _linear_params(rng, w, h, f"{prefix}.{expert}.fc2", p)
+            norm_params(p, f"{prefix}.{expert}_norm", h)
+            for name, d_in, d_out in ((f"{prefix}.{expert}.fc1", h, w),
+                                      (f"{prefix}.{expert}.fc2", w, h)):
+                linear_params(p, name, rng.split(name), d_in, d_out)
         self.prefix = prefix
         self.params = p
 
@@ -172,7 +165,7 @@ def multiway_block(f: FusedSequence, p: MultiwayBlockParams, drop: np.ndarray | 
 
 class FusionStackParams:
     """All fusion-module parameters: per-block weights, learned position and
-    modality-type embeddings, and the pooler."""
+    modality-type embeddings, and the pooler, in one `params` dict."""
 
     def __init__(self, cfg: RunConfig, max_rows: int, rng: RngStream):
         self.cfg = cfg
@@ -181,19 +174,13 @@ class FusionStackParams:
         for i in range(cfg.layers):     # the last block computes row 0 alone, a vision row
             self.blocks.append(MultiwayBlockParams(cfg, rng.split(f"block{i}"), f"fusion.block{i}",
                                                    language=i < cfg.layers - 1))
-        extra = {"fusion.position": rng.split("pos").normal((max_rows, h), scale=0.02),
-                 "fusion.type": rng.split("type").normal((2, h), scale=0.02)}
-        extra = {name: Tensor(v, requires_grad=True) for name, v in extra.items()}
-        _norm_params(h, "fusion.pooler_norm", extra)
-        _linear_params(rng.split("pooler"), h, h, "fusion.pooler", extra)
-        self.extra = extra
-
-    def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for bp in self.blocks:
-            out.update(bp.params)
-        out.update(self.extra)
-        return out
+        p = {name: t for bp in self.blocks for name, t in bp.params.items()}
+        for name, label, rows in (("position", "pos", max_rows), ("type", "type", 2)):
+            p[f"fusion.{name}"] = Tensor(rng.split(label).normal((rows, h), scale=0.02),
+                                         requires_grad=True)
+        norm_params(p, "fusion.pooler_norm", h)
+        linear_params(p, "fusion.pooler", rng.split("pooler").split("fusion.pooler"), h, h)
+        self.params = p
 
 
 def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
@@ -209,8 +196,8 @@ def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
     batch, k = v.shape[:2]
     x = concat([v, q], axis=1)
     rows = np.arange(x.shape[1])
-    x = add_rows(x, stack.extra["fusion.position"], rows)
-    x = add_rows(x, stack.extra["fusion.type"], rows >= k)
+    x = add_rows(x, stack.params["fusion.position"], rows)
+    x = add_rows(x, stack.params["fusion.type"], rows >= k)
     mask = np.concatenate([np.ones((batch, k)), q_mask], axis=1)
     return FusedSequence(x=x, boundary=k, mask=mask)
 
@@ -242,9 +229,9 @@ def encode(f: FusedSequence, stack: FusionStackParams, drop: np.ndarray | None =
 def pool_cls(f: FusedSequence, stack: FusionStackParams) -> Tensor:
     """Classification vectors: each item's row 0 (its first visual token) ->
     norm -> affine -> tanh, (B, hidden), one graph node."""
-    e = stack.extra
+    p = stack.params
     return chain(f.x, [
         (functools.partial(select_fwd, idx=(slice(None), 0)), select_bwd, []),
-        (layer_norm_fwd, layer_norm_bwd, [e[f"fusion.pooler_norm.{n}"] for n in ("gamma", "beta")]),
-        (linear_fwd, linear_bwd, [e["fusion.pooler.weight"], e["fusion.pooler.bias"]]),
+        (layer_norm_fwd, layer_norm_bwd, [p[f"fusion.pooler_norm.{n}"] for n in ("gamma", "beta")]),
+        (linear_fwd, linear_bwd, [p["fusion.pooler.weight"], p["fusion.pooler.bias"]]),
         (tanh_fwd, tanh_bwd, [])])

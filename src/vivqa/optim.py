@@ -1,5 +1,6 @@
-"""The flat value and gradient arenas (`pack`), AdamW with decoupled weight
-decay over them, and the cosine-with-warmup schedule."""
+"""Parameters by arena name (`linear_params`, `norm_params`), the flat value
+and gradient arenas over them (`pack`), AdamW with decoupled weight decay
+over those arenas, and the cosine-with-warmup schedule."""
 from __future__ import annotations
 
 import math
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import RngStream
 from .tensor import Tensor
 
 _CHUNK = 1 << 14     # elements per pass of AdamW.step: the fastest size measured
@@ -38,6 +40,23 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
         return cfg.peak_lr if step < cfg.total_steps else cfg.floor_lr
     frac = (step - warmup_steps) / span
     return cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
+
+
+def linear_params(out: dict, name: str, rng: RngStream, d_in: int, d_out: int,
+                  bias: float | None = 0.0) -> None:
+    """`name.weight`, (d_in, d_out) drawn from `rng` at scale 1/sqrt(d_in), into
+    `out`; then `name.bias` unless `bias` is None: zeros, or with a nonzero
+    `bias` drawn next from `rng` at that scale."""
+    out[f"{name}.weight"] = Tensor(rng.normal((d_in, d_out), scale=1.0 / np.sqrt(d_in)),
+                                   requires_grad=True)
+    if bias is not None:
+        b = rng.normal((d_out,), scale=bias) if bias else np.zeros(d_out)
+        out[f"{name}.bias"] = Tensor(b, requires_grad=True)
+
+
+def norm_params(out: dict, name: str, d: int) -> None:
+    out[f"{name}.gamma"] = Tensor(np.ones(d), requires_grad=True)
+    out[f"{name}.beta"] = Tensor(np.zeros(d), requires_grad=True)
 
 
 def pack(params: dict[str, Tensor], fill: bool = True) -> tuple[np.ndarray, np.ndarray]:

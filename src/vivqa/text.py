@@ -1,6 +1,7 @@
 """Trainable text encoder: whitespace word vocabulary, token + positional
 embeddings at the encoder width, and the affine projection down to the
-fusion width.
+fusion width, each component's parameters in one `params` dict under their
+arena names (`text.positional`, `text.proj.weight`).
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .optim import linear_params
 from .rng import RngStream
 from .tensor import Tensor, add_rows, embedding_lookup, linear
 
@@ -63,15 +65,10 @@ class TextEncoderParams:
     """Token table (V x width) plus learned positional table; both trainable."""
 
     def __init__(self, vocab_size: int, width: int, l_max: int, rng: RngStream):
-        self.width = width
-        self.l_max = l_max
-        self.embedding = Tensor(
-            rng.split("tok").normal((vocab_size, width), scale=0.02), requires_grad=True)
-        self.positional = Tensor(
-            rng.split("pos").normal((l_max + 2, width), scale=0.02), requires_grad=True)
-
-    def named_params(self) -> dict[str, Tensor]:
-        return {"text.embedding": self.embedding, "text.positional": self.positional}
+        self.params = {f"text.{name}": Tensor(rng.split(label).normal((rows, width), scale=0.02),
+                                              requires_grad=True)
+                       for name, label, rows in (("embedding", "tok", vocab_size),
+                                                 ("positional", "pos", l_max + 2))}
 
 
 def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
@@ -80,22 +77,18 @@ def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise ShapeError(f"encode: token ids must be (batch, length), got {ids.shape}")
-    return add_rows(embedding_lookup(p.embedding, ids), p.positional, np.arange(ids.shape[1]))
+    table, positional = p.params.values()
+    return add_rows(embedding_lookup(table, ids), positional, np.arange(ids.shape[1]))
 
 
 class ProjectionParams:
     def __init__(self, in_width: int, out_width: int, rng: RngStream):
-        self.in_width = in_width
-        self.weight = Tensor(
-            rng.normal((in_width, out_width), scale=1.0 / np.sqrt(in_width)),
-            requires_grad=True)
-        self.bias = Tensor(np.zeros(out_width), requires_grad=True)
-
-    def named_params(self) -> dict[str, Tensor]:
-        return {"text.proj.weight": self.weight, "text.proj.bias": self.bias}
+        self.params: dict[str, Tensor] = {}
+        linear_params(self.params, "text.proj", rng, in_width, out_width)
 
 
 def project(q: Tensor, p: ProjectionParams) -> Tensor:
-    if q.shape[-1] != p.in_width:
-        raise ShapeError(f"project: last axis {q.shape} != {p.in_width}")
-    return linear(q, p.weight, p.bias)
+    w, b = p.params.values()
+    if q.shape[-1] != w.shape[0]:
+        raise ShapeError(f"project: last axis {q.shape} != {w.shape[0]}")
+    return linear(q, w, b)

@@ -17,6 +17,8 @@ grid at paper scale):
 
 Both stubs take an (N, channels, H, W) stack of images, are linear in the
 pixels and deterministic per seed; frozen weights record no gradient tape.
+Their weights and biases live in one `params` dict under their arena names
+(`extractor.global.weight`).
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .optim import linear_params
 from .rng import RngStream
 from .tensor import (
     Tensor, adaptive_avg_pool, add, concat, linear, mul, permute, reshape,
@@ -79,19 +82,12 @@ class StubExtractorParams:
         self.seed = seed
         rng = extractor_stream(seed) if rng is None else rng
         d = dims
-        g = rng.split("global")
-        self.global_weight = Tensor(
-            g.normal((d.summary_dim, d.n_tokens * d.token_dim),
-                     scale=1.0 / np.sqrt(d.summary_dim)),
-            requires_grad=trainable)
-        self.global_bias = Tensor(
-            g.normal((d.n_tokens * d.token_dim,), scale=0.02), requires_grad=trainable)
-        l = rng.split("local")
-        self.local_weight = Tensor(
-            l.normal((d.channels, d.local_channels), scale=1.0 / np.sqrt(d.channels)),
-            requires_grad=trainable)
-        self.local_bias = Tensor(
-            l.normal((d.local_channels,), scale=0.02), requires_grad=trainable)
+        self.params: dict[str, Tensor] = {}
+        for part, d_in, d_out in (("global", d.summary_dim, d.n_tokens * d.token_dim),
+                                  ("local", d.channels, d.local_channels)):
+            linear_params(self.params, f"extractor.{part}", rng.split(part), d_in, d_out, bias=0.02)
+        for t in self.params.values():
+            t.requires_grad = trainable
 
     @functools.cached_property
     def patch_proj(self) -> np.ndarray:
@@ -103,18 +99,10 @@ class StubExtractorParams:
             scale=1.0 / np.sqrt(d.block * d.block * d.channels),
         )
 
-    def named_params(self) -> dict[str, Tensor]:
-        return {
-            "extractor.global.weight": self.global_weight,
-            "extractor.global.bias": self.global_bias,
-            "extractor.local.weight": self.local_weight,
-            "extractor.local.bias": self.local_bias,
-        }
-
     def byte_digest(self) -> bytes:
         import hashlib
         h = hashlib.sha256()
-        for t in (self.global_weight, self.global_bias, self.local_weight, self.local_bias):
+        for t in self.params.values():
             h.update(np.ascontiguousarray(t.data).tobytes())
         return h.digest()
 
@@ -123,7 +111,7 @@ class StubExtractorParams:
 def frozen_extractor(dims: VisionDims, seed: int) -> StubExtractorParams:
     """The frozen stubs of every model with (dims, seed): one read-only draw."""
     p = StubExtractorParams(dims, seed)
-    for t in p.named_params().values():
+    for t in p.params.values():
         t.data.flags.writeable = False
     return p
 
@@ -156,7 +144,7 @@ def extract_global_stub(imgs: np.ndarray, p: StubExtractorParams) -> Tensor:
     would round some rows differently from a stack of one."""
     _check_images(imgs, p.dims)
     summary = Tensor(_image_summary(imgs, p)[:, None, :])
-    out = linear(summary, p.global_weight, p.global_bias)
+    out = linear(summary, p.params["extractor.global.weight"], p.params["extractor.global.bias"])
     return reshape(out, (len(imgs), p.dims.n_tokens, p.dims.token_dim))
 
 
@@ -170,7 +158,7 @@ def extract_local_stub(imgs: np.ndarray, p: StubExtractorParams) -> Tensor:
     _check_images(imgs, p.dims)
     d = p.dims
     means = Tensor(_block_means(imgs, d) - MID_GRAY)        # (N, grid^2, channels)
-    cells = linear(means, p.local_weight, p.local_bias)
+    cells = linear(means, p.params["extractor.local.weight"], p.params["extractor.local.bias"])
     return permute(reshape(cells, (len(imgs), d.grid, d.grid, d.local_channels)), (0, 3, 1, 2))
 
 

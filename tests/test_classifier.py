@@ -38,7 +38,7 @@ def test_gradient_check_c5(seed):
 def test_all_params_receive_gradient():
     p = ClassifierParams(6, 5, RngStream(2))
     backward(sum_all(classify(Tensor(np.random.default_rng(0).normal(size=(2, 6))), p)))
-    for name, t in p.named_params().items():
+    for name, t in p.params.items():
         assert t.grad is not None, name
 
 
@@ -47,22 +47,24 @@ def test_classify_is_one_node_bitwise_the_composed_ops():
     op-by-op graph's (linear, layer_norm, gelu, linear) byte for byte."""
     p = ClassifierParams(24, 16, RngStream(3))
     r = np.random.default_rng(3)
-    for t in (p.fc1_b, p.norm_gamma, p.norm_beta, p.fc2_b):
-        t.data = t.data + r.normal(size=t.shape)
+    w = {name.removeprefix("classifier."): t for name, t in p.params.items()}
+    for name in ("fc1.bias", "norm.gamma", "norm.beta", "fc2.bias"):
+        w[name].data = w[name].data + r.normal(size=w[name].shape)
     x, proj = r.normal(size=(5, 24)), Tensor(r.normal(size=(5, 16)))
 
     def composed(x):
-        h = T.gelu(T.layer_norm(T.linear(x, p.fc1_w, p.fc1_b), p.norm_gamma, p.norm_beta))
-        return T.linear(h, p.fc2_w, p.fc2_b)
+        h = T.gelu(T.layer_norm(T.linear(x, w["fc1.weight"], w["fc1.bias"]),
+                                w["norm.gamma"], w["norm.beta"]))
+        return T.linear(h, w["fc2.weight"], w["fc2.bias"])
 
     results = []
     for head in (lambda x: classify(x, p), composed):
-        for t in p.named_params().values():
+        for t in p.params.values():
             t.grad = None
         leaf = Tensor(x, requires_grad=True)
         out = head(leaf)
         backward(sum_all(T.mul(out, proj)))
-        results.append([out.data, leaf.grad] + [t.grad for t in p.named_params().values()])
+        results.append([out.data, leaf.grad] + [t.grad for t in p.params.values()])
     fused = classify(Tensor(x), p)      # one node, over the input and the six parameters
     assert len(fused._parents) == 7 and not any(q._parents for q in fused._parents)
     assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
@@ -97,6 +99,6 @@ def test_predict_rejects_mismatched_vocab():
 def test_deterministic_init_per_seed():
     a = ClassifierParams(6, 5, RngStream(3))
     b = ClassifierParams(6, 5, RngStream(3))
-    for k in a.named_params():
-        np.testing.assert_array_equal(a.named_params()[k].data,
-                                      b.named_params()[k].data)
+    assert list(a.params) == list(b.params)
+    for k in a.params:
+        np.testing.assert_array_equal(a.params[k].data, b.params[k].data)

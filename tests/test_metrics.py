@@ -9,9 +9,8 @@ from scipy import stats as sstats
 
 from vivqa.errors import DataError, StatisticsError
 from vivqa.metrics import (
-    MetricsReport, PredictionRecord, TTestResult, accuracy, canonicalize, f1,
-    precision, read_predictions, recall, regularized_incomplete_beta, report,
-    student_t_sf2, welch_t_test, write_predictions,
+    MetricsReport, PredictionRecord, TTestResult, canonicalize, read_predictions,
+    regularized_incomplete_beta, report, student_t_sf2, welch_t_test, write_predictions,
 )
 
 
@@ -38,46 +37,54 @@ def test_canonicalize_keeps_diacritics():
 
 def test_accuracy_hand():
     records = [rec("a", "a"), rec("b", "b"), rec("c", "c"), rec("d", "e")]
-    assert accuracy(records) == 0.75
+    assert report(records).accuracy == 0.75
 
 
 def test_accuracy_casefold_match():
-    assert accuracy([rec("Màu đỏ", "màu đỏ")]) == 1.0
+    assert report([rec("Màu đỏ", "màu đỏ")]).accuracy == 1.0
 
 
 def test_precision_recall_hand():
-    r = rec("a b", "b c")
-    assert precision([r]) == 0.5
-    assert recall([r]) == 0.5
-    assert f1([r]) == pytest.approx(0.5)
+    got = report([rec("a b", "b c")])
+    assert got == MetricsReport(accuracy=0.0, precision=0.5, recall=0.5, f1=0.5, n=1)
+
+
+def test_report_averages_per_question_scores():
+    """(1 + 0.5) / 2 precision, (1 + 1/3) / 2 recall and (1 + 0.4) / 2 F1."""
+    got = report([rec("A  b", "a b", "q1"), rec("x y", "x z w", "q2")])
+    assert (got.accuracy, got.n) == (0.5, 2)
+    assert got.precision == (1.0 + 0.5) / 2
+    assert got.recall == (1.0 + 1 / 3) / 2
+    assert got.f1 == (1.0 + 2 * 0.5 * (1 / 3) / (0.5 + 1 / 3)) / 2
 
 
 def test_f1_zero_guard():
     # no token overlap: p = r = 0 must contribute 0, not NaN
-    assert f1([rec("a", "b")]) == 0.0
+    got = report([rec("a", "b"), rec("c", "c")])
+    assert (got.precision, got.recall, got.f1) == (0.5, 0.5, 0.5)
 
 
 def test_empty_prediction_precision_zero():
-    r = rec("", "a b")
-    assert precision([r]) == 0.0
-    assert recall([r]) == 0.0
-    assert f1([r]) == 0.0
+    got = report([rec("", "a b")])
+    assert (got.accuracy, got.precision, got.recall, got.f1) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_empty_ground_truth_is_data_error():
-    with pytest.raises(DataError):
-        precision([rec("a", "   ")])
+    with pytest.raises(DataError, match="'q2'"):
+        report([rec("a", "a", "q1"), rec("a", "   ", "q2")])
 
 
 def test_empty_record_list_rejected():
     with pytest.raises(ValueError):
-        accuracy([])
+        report([])
+    with pytest.raises(ValueError):
+        report(iter([]))
 
 
 def test_set_vs_multiset_semantics():
-    r = rec("a a b", "a b")
+    got = report([rec("a a b", "a b")])
     # set semantics: pred {a,b}, overlap 2/2 (a multiset count would give 2/3)
-    assert precision([r]) == 1.0
+    assert got.precision == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,28 @@ def test_fill_store_chunk_mixing_hits_repeats_synthetic_and_vvqf(corpus, tmp_pat
         np.testing.assert_array_equal(l.data, sl.data.astype(np.float32))
 
 
+def test_vvqf_examples_on_one_file_share_one_store_entry(corpus, tmp_path, monkeypatch):
+    """Questions with different ids on one VVQF image read each `.vvqf` once
+    and make one store entry, and each gets the file's tokens bitwise."""
+    cfg = tiny_cfg(vision_mode="both", fusion_op="add")
+    model = build_model(cfg, corpus)
+    base = str(tmp_path / "shared")
+    for part, suffix in zip(model.visual_features(corpus[0]), (".global.vvqf", ".local.vvqf")):
+        write_feature_file(base + suffix, part)
+    examples = [dataclasses.replace(ex, id=f"q{i}", image=base) for i, ex in enumerate(corpus[:3])]
+    reads, read = [], model_mod.read_feature_file
+    monkeypatch.setattr(model_mod, "read_feature_file",
+                        lambda path: reads.append(path) or read(path))
+    out = model.vision_tokens(examples).data
+    monkeypatch.undo()
+    assert sorted(reads) == [base + ".global.vvqf", base + ".local.vvqf"]
+    assert list(model.store) == [base]
+    glob = read(base + ".global.vvqf").data
+    assert model.store[base][0].tobytes() == glob.astype(np.float64).tobytes()
+    alone = build_model(cfg, corpus).vision_tokens(examples[:1]).data[0]
+    assert all(row.tobytes() == alone.tobytes() for row in out)
+
+
 def test_each_question_is_tokenized_once_per_model(corpus, monkeypatch):
     """Two epochs of training and a predict tokenize each distinct question
     once; the cached ids and mask are read-only and the logits are bitwise
@@ -576,9 +598,30 @@ def test_param_counts_freeze_contract(corpus):
     assert pf["total"] == pu["total"]
     assert pf["trainable"] < pu["trainable"]
     assert pf["frozen"] > 0 and pu["frozen"] == 0
-    ext_names = set(frozen.extractor.named_params())
+    ext_names = set(frozen.extractor.params)
     assert not (ext_names & set(frozen.trainable_params()))
     assert ext_names <= set(unfrozen.trainable_params())
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_each_parameter_has_one_name(corpus, freeze):
+    """The components' merged `params` are the layout's names in arena order,
+    each the arena's tensor; no tensor appears under two names, and a frozen
+    extractor's four names stay outside the layout."""
+    model = build_model(tiny_cfg(layers=2, freeze_extractors=freeze), corpus)
+    parts = [model.text_params, model.projection, model.fusion, model.classifier, model.extractor]
+    merged = {name: t for part in parts for name, t in part.params.items()}
+    arena = model.trainable_params()
+    layout = [name for name, _ in model.layout()]
+    assert list(arena) == layout
+    inside = [name for name in merged if name in arena]
+    assert sorted(inside, key=lambda n: n.endswith((".bias", ".gamma", ".beta"))) == layout
+    assert all(merged[name] is arena[name] for name in layout)
+    assert len({id(t) for t in merged.values()}) == len(merged)
+    extractor = ["extractor.global.weight", "extractor.global.bias", "extractor.local.weight",
+                 "extractor.local.bias"]
+    assert list(model.extractor.params) == extractor
+    assert set(merged) - set(layout) == (set(extractor) if freeze else set())
 
 
 def _assert_arena_views(model):
@@ -624,7 +667,7 @@ def test_parameters_are_views_of_the_model_arena_in_order(tmp_path, corpus, free
     cfg = tiny_cfg(layers=2, epochs=1, freeze_extractors=freeze)
     model = build_model(cfg, corpus)
     _assert_arena_views(model)
-    extractor = set(model.extractor.named_params())
+    extractor = set(model.extractor.params)
     assert extractor & set(model.trainable_params()) == (set() if freeze else extractor)
     assert model.layout() == [[n, list(p.shape)] for n, p in model.trainable_params().items()]
     train_model(model, corpus, cfg)
@@ -660,7 +703,7 @@ def test_arena_holds_the_per_parameter_draws_bitwise(corpus, kw, digest):
     model = build_model(tiny_cfg(**kw), corpus)
     h = hashlib.sha256()
     for name, p in sorted({**model.trainable_params(),
-                           **model.extractor.named_params()}.items()):
+                           **model.extractor.params}.items()):
         h.update(name.encode())
         h.update(p.data.tobytes())
     assert h.hexdigest() == digest
@@ -673,14 +716,14 @@ def test_training_steps_the_model_arena_in_place(corpus, freeze):
     not, and an unfrozen one, in the arena, trained."""
     cfg = tiny_cfg(epochs=1, freeze_extractors=freeze)
     model = build_model(cfg, corpus)
-    params = {**model.trainable_params(), **model.extractor.named_params()}
+    params = {**model.trainable_params(), **model.extractor.params}
     addresses = {name: p.data.ctypes.data for name, p in params.items()}
     before = {name: p.data.copy() for name, p in params.items()}
     train_model(model, corpus, cfg)
     assert {name: p.data.ctypes.data for name, p in params.items()} == addresses
     moved = {name for name, p in params.items() if (p.data != before[name]).any()}
     assert moved and moved <= set(model.trainable_params())
-    extractor = set(model.extractor.named_params())
+    extractor = set(model.extractor.params)
     assert extractor & moved == (set() if freeze else extractor)
 
 
@@ -693,7 +736,7 @@ def test_training_frozen_extractor_bytes_unchanged(corpus):
     train_model(model, corpus, cfg)
     assert model.extractor.byte_digest() == before
     assert model.extractor is frozen_extractor(model.vision_dims, cfg.extractor_seed)
-    for name, p in model.extractor.named_params().items():
+    for name, p in model.extractor.params.items():
         with pytest.raises(ValueError, match="read-only"):
             p.data[...] = 0.0
 
@@ -720,7 +763,7 @@ def test_unfrozen_training_step_extracts_its_batch_in_one_call(corpus, monkeypat
     monkeypatch.setattr(model_mod, "extract_global_stub", counting)
     train_model(model, corpus[:cfg.batch_size], cfg)
     assert stacks == [cfg.batch_size]
-    assert all(p.grad.any() for p in model.extractor.named_params().values())
+    assert all(p.grad.any() for p in model.extractor.params.values())
 
 
 def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(tmp_path, corpus,
@@ -750,7 +793,7 @@ def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(tm
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
     for name, want in want_grads.items():
         np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12, err_msg=name)
-    assert all(grads[name].any() for name in model.extractor.named_params())
+    assert all(grads[name].any() for name in model.extractor.params)
 
 
 def test_loss_trajectory_bitwise_reproducible(corpus):
@@ -775,7 +818,7 @@ def test_predictions_reproducible(corpus):
 def test_nan_loss_fails_fast_naming_epoch_and_step(corpus):
     cfg = tiny_cfg(epochs=2)
     model = build_model(cfg, corpus)
-    model.classifier.fc2_w.data[0, 0] = np.nan
+    model.classifier.params["classifier.fc2.weight"].data[0, 0] = np.nan
     with pytest.raises(NumericalError, match="epoch 0, step 0"):
         train_model(model, corpus, cfg)
 
@@ -785,7 +828,7 @@ def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
 
     def poisoned(cfg, split, store=None):
         model = build_model(cfg, split, store)
-        model.classifier.fc2_w.data[:] = np.nan
+        model.classifier.params["classifier.fc2.weight"].data[:] = np.nan
         return model
 
     monkeypatch.setattr(train_mod, "build_model", poisoned)
@@ -889,6 +932,17 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     _rewrite(path, arrays, dict(_meta(arrays), n_local_cues=2, opt_t=None))
     model3, meta = load_checkpoint(path)
     assert meta["n_local_cues"] == 2 and model3.arena.tobytes() == model.arena.tobytes()
+
+
+def test_checkpoint_is_written_at_the_path_as_given(tmp_path, corpus):
+    """A path without the `.npz` suffix is written as given, nothing else is,
+    and it loads back bitwise."""
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    loaded, _ = load_checkpoint(path)
+    assert loaded.layout() == model.layout() and loaded.arena.tobytes() == model.arena.tobytes()
 
 
 def test_checkpoint_load_draws_no_init_values(tmp_path, corpus, monkeypatch):
@@ -1197,7 +1251,7 @@ def _hold(path, arrays, extra):
 def _version1(path, arrays, model):
     """The version-1 writer's entries: one `param::<name>` array per parameter, no layout."""
     meta = {key: value for key, value in _meta(arrays).items() if key != "layout"}
-    named = {**model.trainable_params(), **model.extractor.named_params()}
+    named = {**model.trainable_params(), **model.extractor.params}
     _rewrite(path, {f"param::{name}": p.data for name, p in named.items()}, dict(meta, version=1))
 
 
@@ -1225,7 +1279,7 @@ def _last_language_expert(path, arrays, model):
 def _frozen_extractor_tail(path, arrays, model):
     """The frozen extractor's four entries, its exact draw, at the end."""
     _hold(path, arrays, {None: [(name, p.data)
-                                for name, p in model.extractor.named_params().items()]})
+                                for name, p in model.extractor.params.items()]})
 
 
 @pytest.mark.parametrize("write, code, expect", [

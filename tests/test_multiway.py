@@ -160,7 +160,7 @@ def test_concat_modalities_layout():
     followed by the text rows."""
     stack = FusionStackParams(small_cfg(), max_rows=10, rng=RngStream(0))
     for name in ("fusion.position", "fusion.type"):
-        stack.extra[name].data[:] = 0.0
+        stack.params[name].data[:] = 0.0
     r = np.random.default_rng(0)
     v = Tensor(r.normal(size=(2, 3, H)))
     q = Tensor(r.normal(size=(2, 5, H)))
@@ -180,8 +180,8 @@ def test_concat_modalities_adds_position_and_type():
     v = Tensor(r.normal(size=(2, 3, H)))
     q = Tensor(r.normal(size=(2, 4, H)))
     f = concat_modalities(v, q, np.ones((2, 4)), stack)
-    pos = stack.extra["fusion.position"].data
-    typ = stack.extra["fusion.type"].data
+    pos = stack.params["fusion.position"].data
+    typ = stack.params["fusion.type"].data
     want = np.concatenate([v.data, q.data], axis=1) + pos[:7]
     want[:, :3] += typ[0]
     want[:, 3:] += typ[1]
@@ -264,18 +264,22 @@ def test_block_param_gradients_flow():
         assert t.grad is not None, name
 
 
-def test_named_params_cover_stack():
+def test_params_cover_stack():
+    """The stack's `params` holds every block's own entries, the same
+    tensors, then the embeddings and the pooler."""
     cfg = small_cfg(layers=2)
     stack = FusionStackParams(cfg, max_rows=10, rng=RngStream(7))
-    names = set(stack.named_params())
+    names = list(stack.params)
+    blocks = [name for bp in stack.blocks for name in bp.params]
+    assert names[:len(blocks)] == blocks
+    assert all(stack.params[n] is bp.params[n] for bp in stack.blocks for n in bp.params)
+    assert names[len(blocks):] == ["fusion.position", "fusion.type", "fusion.pooler_norm.gamma",
+                                   "fusion.pooler_norm.beta", "fusion.pooler.weight",
+                                   "fusion.pooler.bias"]
     assert "fusion.block0.attn.q.weight" in names
     assert "fusion.block0.language.fc2.bias" in names
     assert not [name for name in names if name.startswith("fusion.block1.language")]
     assert not [name for name in names if name.endswith("attn.k.bias")]
-    assert "fusion.position" in names
-    assert "fusion.type" in names
-    assert "fusion.pooler.weight" in names
-    assert "fusion.pooler_norm.gamma" in names
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def composed_block(f, p, drop=None, keep=None, weights_sink=None):
 
 
 def composed_pool(f, stack):
-    e = stack.extra
+    e = stack.params
     row = T.reshape(T.narrow(f.x, 1, 0, 1), (f.x.shape[0], stack.hidden))
     row = T.layer_norm(row, e["fusion.pooler_norm.gamma"], e["fusion.pooler_norm.beta"])
     return T.tanh(T.linear(row, e["fusion.pooler.weight"], e["fusion.pooler.bias"]))
@@ -410,8 +414,9 @@ def test_block_nodes_are_bitwise_the_composed_ops(batch, rate, keep, language):
 
 def test_pool_node_is_bitwise_the_composed_ops():
     stack = FusionStackParams(small_cfg(), max_rows=10, rng=RngStream(12))
-    _randomize(stack.extra, 13)
-    params = {n: t for n, t in stack.extra.items() if n.startswith("fusion.pooler")}
+    params = {n: t for n, t in stack.params.items() if n.startswith("fusion.pooler")}
+    _randomize(params, 13)
+    stack.params.update(params)
     r = np.random.default_rng(14)
     x, proj = r.normal(size=(3, 7, H)), r.normal(size=(3, H))
 

@@ -97,7 +97,8 @@ def test_encode_shape_and_composition():
     out = encode(np.stack([tq.ids for tq in tqs]), p)
     assert out.shape == (2, 6, 8)
     for i, tq in enumerate(tqs):
-        want = p.embedding.data[tq.ids] + p.positional.data[np.arange(6)]
+        want = (p.params["text.embedding"].data[tq.ids]
+                + p.params["text.positional"].data[np.arange(6)])
         np.testing.assert_allclose(out.data[i], want, atol=1e-12)
     with pytest.raises(ShapeError):
         encode(tqs[0].ids, p)
@@ -108,12 +109,13 @@ def test_encode_params_are_trainable():
     p = TextEncoderParams(len(v), 8, 3, RngStream(0))
     tq = tokenize("a", v, 3)
     backward(sum_all(encode(tq.ids[None], p)))
-    assert p.embedding.grad is not None
-    assert p.positional.grad is not None
+    table, positional = p.params["text.embedding"], p.params["text.positional"]
+    assert table.grad is not None
+    assert positional.grad is not None
     # only looked-up embedding rows receive gradient
     used = set(tq.ids.tolist())
     for row in range(len(v)):
-        touched = np.any(p.embedding.grad[row] != 0)
+        touched = np.any(table.grad[row] != 0)
         assert touched == (row in used)
 
 
@@ -132,5 +134,6 @@ def test_projection_shapes_and_grad(rng):
 def test_identical_seeds_identical_params():
     a = TextEncoderParams(10, 8, 4, RngStream(3))
     b = TextEncoderParams(10, 8, 4, RngStream(3))
-    np.testing.assert_array_equal(a.embedding.data, b.embedding.data)
-    np.testing.assert_array_equal(a.positional.data, b.positional.data)
+    assert list(a.params) == ["text.embedding", "text.positional"]
+    for name in a.params:
+        np.testing.assert_array_equal(a.params[name].data, b.params[name].data)

@@ -56,8 +56,8 @@ def test_frozen_extractor_is_one_read_only_draw_per_dims_and_seed():
     frozen = frozen_extractor(TINY, 5)
     assert frozen is frozen_extractor(TINY, 5) and frozen is not frozen_extractor(TINY, 6)
     assert frozen.byte_digest() == StubExtractorParams(TINY, seed=5).byte_digest()
-    assert sum(p.size for p in frozen.named_params().values()) == TINY.extractor_size
-    assert not any(p.data.flags.writeable for p in frozen.named_params().values())
+    assert sum(p.size for p in frozen.params.values()) == TINY.extractor_size
+    assert not any(p.data.flags.writeable or p.requires_grad for p in frozen.params.values())
 
 
 def test_extractors_reject_wrong_image_shape(params):
@@ -151,11 +151,11 @@ def test_unfrozen_stub_params_receive_gradients():
     imgs = tiny_image(8)[None]
     out = extract_local_stub(imgs, p)
     backward(sum_all(out))
-    assert p.local_weight.grad is not None
-    assert p.local_bias.grad is not None
+    assert p.params["extractor.local.weight"].grad is not None
+    assert p.params["extractor.local.bias"].grad is not None
     out = extract_global_stub(imgs, p)
     backward(sum_all(out))
-    assert p.global_weight.grad is not None
+    assert p.params["extractor.global.weight"].grad is not None
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +175,9 @@ def _one_image_stubs(img, p):
     patches = img.reshape(c, g, b, g, b).transpose(1, 3, 0, 2, 4).reshape(g * g, c * b * b)
     texture = (patches - np.repeat(means, b * b, axis=1)) @ p.patch_proj.T
     summary = np.concatenate([img.mean(axis=(1, 2)), texture.reshape(-1)]).reshape(1, -1)
-    glob = (summary @ p.global_weight.data + p.global_bias.data).reshape(
-        d.n_tokens, d.token_dim)
-    cells = (means - MID_GRAY) @ p.local_weight.data + p.local_bias.data
+    w = {name.removeprefix("extractor."): t.data for name, t in p.params.items()}
+    glob = (summary @ w["global.weight"] + w["global.bias"]).reshape(d.n_tokens, d.token_dim)
+    cells = (means - MID_GRAY) @ w["local.weight"] + w["local.bias"]
     return glob, cells.reshape(g, g, d.local_channels).transpose(2, 0, 1)
 
 
@@ -215,12 +215,13 @@ def test_stub_gradient_in_weights_at_n3(stub, name):
     imgs = r.uniform(0, 1, (3, GRAD_DIMS.channels, GRAD_DIMS.image_size,
                             GRAD_DIMS.image_size))
     proj = Tensor(r.normal(size=stub(imgs, p).shape))
+    key = "extractor." + name.replace("_", ".")
 
     def f(w):
-        setattr(p, name, w)
+        p.params[key] = w
         return sum_all(mul(stub(imgs, p), proj))
 
-    assert grad_check(f, getattr(p, name)) < 1e-4
+    assert grad_check(f, p.params[key]) < 1e-4
 
 
 # ---------------------------------------------------------------------------
