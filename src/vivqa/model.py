@@ -153,15 +153,16 @@ class VivqaModel:
     def extract(self, examples) -> tuple[Tensor, Tensor]:
         """Raw (global, local) extractor outputs of N examples, (N, ...) each, on the
         stubs' graph: `synthetic:` refs rendered through each stub in one call, the
-        others read from their VVQF pairs, which must have the preset's shapes."""
+        others read once per distinct VVQF pair, which must have the preset's shapes."""
         d = self.vision_dims
         rendered = np.array([ex.image.startswith("synthetic:") for ex in examples], dtype=bool)
         files = [ex for ex, r in zip(examples, rendered) if not r]
         out = [np.empty((len(files),) + shape) for shape in (
             (d.n_tokens, d.token_dim), (d.local_channels, d.grid, d.grid))]
+        read = functools.cache(read_feature_file)
         for i, ex in enumerate(files):
             for part, suffix in zip(out, (".global.vvqf", ".local.vvqf")):
-                t = read_feature_file(ex.image + suffix)
+                t = read(ex.image + suffix)
                 if t.shape != part.shape[1:]:
                     raise DataError(f"{ex.image}{suffix}: shape {t.shape}, "
                                     f"expected {part.shape[1:]}")
@@ -199,7 +200,7 @@ class VivqaModel:
             local = adapt_local(local, self.vision_dims)
         else:
             entries = [self.store[k] for k in self.fill_store(examples)]
-            glob, local = (Tensor(np.stack(part)) for part in zip(*entries))
+            glob, local = (Tensor(np.array(part)) for part in zip(*entries))
         if self.cfg.vision_mode != "both":
             return glob if self.cfg.vision_mode == "global" else local
         return fuse(glob, local, self.cfg.fusion_op)
@@ -218,9 +219,9 @@ class VivqaModel:
             t.ids.flags.writeable = t.mask.flags.writeable = False
         tokens = [self._tokens[ex.question] for ex in examples]
         v = self.vision_tokens(examples)
-        q = project(text_encode(np.stack([t.ids for t in tokens]), self.text_params),
+        q = project(text_encode(np.array([t.ids for t in tokens]), self.text_params),
                     self.projection)
-        fused = concat_modalities(v, q, np.stack([t.mask for t in tokens]), self.fusion)
+        fused = concat_modalities(v, q, np.array([t.mask for t in tokens]), self.fusion)
         fused = fusion_encode(fused, self.fusion, drop, keep=1, weights_sink=weights_sink)
         pooled = pool_cls(fused, self.fusion)
         return classify(pooled, self.classifier)

@@ -2,8 +2,8 @@
 vision+text sequence, with separate per-modality feed-forward experts, then
 the pooler that produces the classification vector.
 
-A minibatch runs as one (B, rows, hidden) sequence tensor.  Blocks are
-pre-norm residual:
+A minibatch runs as one (B, rows, hidden) sequence tensor, which one graph
+node builds (`concat_modalities`).  Blocks are pre-norm residual:
     x <- x + drop_path(SharedMHSA(norm(x), mask))
     x <- x + drop_path(Expert_modality(norm_modality(x)))   # rows routed by k
 Expert routing slices axis 1 at the vision row count k, which is fixed per
@@ -30,9 +30,9 @@ from .errors import ShapeError
 from .optim import linear_params, norm_params
 from .rng import RngStream
 from .tensor import (
-    MASK_VALUE, Tensor, add_leading, add_rows, attention_bwd, attention_fwd, chain, chain_bwd,
-    chain_fwd, chain_params, concat, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, linear_bwd,
-    linear_fwd, residual, select_bwd, select_fwd, tanh_bwd, tanh_fwd,
+    MASK_VALUE, Tensor, add_leading, attention_bwd, attention_fwd, chain, chain_bwd,
+    chain_fwd, chain_params, gelu_bwd, gelu_fwd, layer_norm_bwd, layer_norm_fwd, linear_bwd,
+    linear_fwd, node, residual, select_bwd, select_fwd, tanh_bwd, tanh_fwd,
 )
 
 
@@ -187,19 +187,26 @@ def concat_modalities(v: Tensor, q: Tensor, q_mask: np.ndarray,
                       stack: FusionStackParams) -> FusedSequence:
     """(B, k, hidden) vision rows first, (B, L, hidden) text rows after,
     with the (B, L) text mask; add the learned position and modality-type
-    embeddings, one row per sequence row shared by every item (`add_rows`)."""
-    h = stack.hidden
-    if v.data.ndim != 3 or q.data.ndim != 3 or v.shape[0] != q.shape[0]:
-        raise ShapeError(f"concat_modalities: batches {v.shape} / {q.shape}")
-    if v.shape[-1] != h or q.shape[-1] != h:
-        raise ShapeError(f"concat_modalities: widths {v.shape} / {q.shape} != {h}")
+    embeddings, one row per sequence row shared by every item, in one graph
+    node.  Each table row's gradient sums its rows over the items, item-major."""
+    h, position, types = stack.hidden, stack.params["fusion.position"], stack.params["fusion.type"]
+    if (v.data.ndim != 3 or q.data.ndim != 3 or v.shape[0] != q.shape[0] or v.shape[-1] != h
+            or q.shape[-1] != h or v.shape[1] + q.shape[1] > position.shape[0]):
+        raise ShapeError(f"concat_modalities: {v.shape} / {q.shape}, not (batch, rows, {h}) "
+                         f"in {position.shape[0]} positions")
     batch, k = v.shape[:2]
-    x = concat([v, q], axis=1)
-    rows = np.arange(x.shape[1])
-    x = add_rows(x, stack.params["fusion.position"], rows)
-    x = add_rows(x, stack.params["fusion.type"], rows >= k)
+
+    def bwd(g):
+        dp = np.zeros(position.shape, dtype=g.dtype)
+        dp[:g.shape[1]] = g.sum(axis=0)
+        parts = g[:, :k], g[:, k:]
+        return (*parts, dp, np.stack([part.sum(axis=(0, 1)) for part in parts]))
+
+    x = np.concatenate([v.data, q.data], axis=1)
+    x += position.data[:x.shape[1]]
+    x += np.repeat(types.data, (k, q.shape[1]), axis=0)
     mask = np.concatenate([np.ones((batch, k)), q_mask], axis=1)
-    return FusedSequence(x=x, boundary=k, mask=mask)
+    return FusedSequence(x=node(x, (v, q, position, types), bwd), boundary=k, mask=mask)
 
 
 def block_drop_rates(cfg: RunConfig) -> list[float]:

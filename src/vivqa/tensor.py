@@ -22,7 +22,7 @@ takes (B, S, width) with a (B, S) key bias, `cross_entropy` takes (B, C)
 logits and (B,) targets with mean reduction, and drop path scales each
 item's residual branch by its entry of a (B,) mask column.  Broadcasting is
 otherwise deliberately restricted: elementwise ops demand identical shapes,
-save the bias row in `linear` and the batch-shared table rows in `add_rows`.
+save the bias row in `linear`.
 64-bit is the default dtype; 32-bit is allowed for training speed but all
 gradient checks assume 64-bit.
 """
@@ -43,7 +43,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)   # a Python float keeps float32 g
 # Additive attention-mask value: exp(x - max) underflows to exactly 0.0.
 MASK_VALUE = -1e30
 
-# False inside `no_grad()`: `_node` then records no parents or closures.
+# False inside `no_grad()`: `node` then records no parents or closures.
 _grad_enabled = True
 
 # Nodes visited across all backward passes; the freeze ablation compares this.
@@ -99,7 +99,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """An op's output: `backward_fn(g)` returns one gradient per parent."""
     out = Tensor.__new__(Tensor)    # op outputs are float arrays: no coercion
     out.data, out.grad, out._g, out._mark, out._backward_done = data, None, None, 0, False
     if _grad_enabled:
@@ -114,7 +115,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 def _op(fwd, bwd, parents: tuple[Tensor, ...], *args) -> Tensor:
     """One kernel pair as one graph node."""
     out, saved = fwd(*[p.data for p in parents], *args)
-    return _node(out, parents, functools.partial(bwd, saved))
+    return node(out, parents, functools.partial(bwd, saved))
 
 
 def chain_fwd(x, steps):
@@ -150,7 +151,7 @@ def chain_params(steps) -> list[Tensor]:
 def chain(x: Tensor, steps) -> Tensor:
     """`chain_fwd` as one graph node over x and `chain_params(steps)`."""
     out, saved = chain_fwd(x.data, steps)
-    return _node(out, (x, *chain_params(steps)), functools.partial(chain_bwd, saved))
+    return node(out, (x, *chain_params(steps)), functools.partial(chain_bwd, saved))
 
 
 def residual(x: Tensor, steps, keep: np.ndarray | None = None) -> Tensor:
@@ -164,7 +165,7 @@ def residual(x: Tensor, steps, keep: np.ndarray | None = None) -> Tensor:
         add_leading(dx, g)
         return (dx, *grads)
 
-    return _node(out + x.data[:, :out.shape[1]], (x, *chain_params(steps)), backward)
+    return node(out + x.data[:, :out.shape[1]], (x, *chain_params(steps)), backward)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -178,23 +179,23 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
+    return node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    return _node(a.data - b.data, (a, b), lambda g: (g, -g))
+    return node(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _node(a.data * s, (a,), lambda g: (g * s,))
+    return node(a.data * s, (a,), lambda g: (g * s,))
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:
@@ -223,7 +224,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
-    return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    return node(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
         if p.data.shape != ref:
             raise ShapeError(f"stack: shape mismatch {ref} vs {p.shape}")
     # backward: tuple(g) splits g along the new axis, one slice per part
-    return _node(np.stack([p.data for p in parts]), tuple(parts), tuple)
+    return node(np.stack([p.data for p in parts]), tuple(parts), tuple)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -262,7 +263,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     def bwd(g):
         return tuple(g[s] for s in slices)
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    return node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
 
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -277,12 +278,12 @@ def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(t.data.ndim)):
         raise ValueError(f"permute: {axes} is not a permutation of axes of rank {t.data.ndim}")
     inv = tuple(np.argsort(axes))
-    return _node(np.transpose(t.data, axes).copy(), (t,), lambda g: (np.transpose(g, inv).copy(),))
+    return node(np.transpose(t.data, axes).copy(), (t,), lambda g: (np.transpose(g, inv).copy(),))
 
 
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     old = t.data.shape
-    return _node(t.data.reshape(shape).copy(), (t,), lambda g: (g.reshape(old).copy(),))
+    return node(t.data.reshape(shape).copy(), (t,), lambda g: (g.reshape(old).copy(),))
 
 
 def flatten(t: Tensor, keep_axis: int = 0) -> Tensor:
@@ -330,7 +331,7 @@ def adaptive_avg_pool(t: Tensor, out_sizes: Sequence[int]) -> Tensor:
             x = np.moveaxis(np.tensordot(x, wt, axes=([axis], [1])), -1, axis)
         return x
 
-    return _node(apply(t.data, False), (t,), lambda g: (apply(g, True),))
+    return node(apply(t.data, False), (t,), lambda g: (apply(g, True),))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +577,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
 # Lookup, loss, drop path
 
 
-def _indices(ids, size: int, what: str) -> np.ndarray:
+def as_ids(ids, size: int, what: str) -> np.ndarray:
     """`ids` as int64; IndexError names the first one outside [0, size)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= size):
@@ -586,36 +587,14 @@ def _indices(ids, size: int, what: str) -> np.ndarray:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of `table` for an id array of any shape, e.g. (B, S) -> (B, S, d)."""
-    ids = _indices(ids, table.data.shape[0], "embedding_lookup: id")
+    ids = as_ids(ids, table.data.shape[0], "embedding_lookup: id")
 
     def bwd(g):
         dt = np.zeros(table.data.shape, dtype=g.dtype)
         np.add.at(dt, ids, g)
         return (dt,)
 
-    return _node(table.data[ids], (table,), bwd)
-
-
-def add_rows(x: Tensor, table: Tensor, ids) -> Tensor:
-    """x + table[ids] on every item of x (B, rows, d), one (rows,) id list for
-    the batch.  The table's gradient sums each id's rows item-major: np.add.at's
-    bits without its element loop (at d > 1; numpy sums one column pairwise)."""
-    ids = _indices(ids, table.data.shape[0], "add_rows: id")
-    xs = x.data.shape
-    if len(xs) != 3 or ids.shape != xs[1:2] or table.data.shape[1:] != xs[2:]:
-        raise ShapeError(f"add_rows: x {x.shape}, table {table.shape}, ids {ids.shape}")
-
-    def bwd(g):
-        dt = np.zeros(table.data.shape, dtype=g.dtype)
-        distinct = set(ids.tolist())
-        if len(distinct) == ids.size:
-            dt[ids] = g.sum(axis=0)
-        else:
-            for i in distinct:
-                dt[i] = g[:, ids == i].reshape(-1, table.data.shape[1]).sum(axis=0)
-        return (g, dt)
-
-    return _node(x.data + table.data[ids], (x, table), bwd)
+    return node(table.data[ids], (table,), bwd)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -625,7 +604,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if logits.data.ndim != 2 or targets.shape != logits.data.shape[:1]:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {targets.shape}")
     batch, c = logits.data.shape
-    targets = _indices(targets, c, "cross_entropy: target")
+    targets = as_ids(targets, c, "cross_entropy: target")
     x = logits.data
     m = x.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
@@ -637,7 +616,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         d[items, targets] -= 1.0
         return (d * (float(g) / batch),)
 
-    return _node(np.asarray(loss), (logits,), bwd)
+    return node(np.asarray(loss), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Trainable text encoder: whitespace word vocabulary, token + positional
-embeddings at the encoder width, and the affine projection down to the
-fusion width, each component's parameters in one `params` dict under their
-arena names (`text.positional`, `text.proj.weight`).
+embeddings at the encoder width in one graph node, and the affine projection
+down to the fusion width, each component's parameters in one `params` dict
+under their arena names (`text.positional`, `text.proj.weight`).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ShapeError
 from .optim import linear_params
 from .rng import RngStream
-from .tensor import Tensor, add_rows, embedding_lookup, linear
+from .tensor import Tensor, as_ids, linear, node
 
 PAD, CLS, SEP, UNK = 0, 1, 2, 3
 RESERVED = ["[PAD]", "[CLS]", "[SEP]", "[UNK]"]
@@ -73,12 +73,22 @@ class TextEncoderParams:
 
 def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
     """(B, l_max + 2) token ids -> (B, l_max + 2, width) token + positional
-    embeddings; PAD rows are produced here and masked downstream."""
-    ids = np.asarray(ids)
-    if ids.ndim != 2:
-        raise ShapeError(f"encode: token ids must be (batch, length), got {ids.shape}")
+    embeddings in one graph node; PAD rows are produced here and masked
+    downstream.  The token table's gradient is np.add.at's, and the
+    positional table's sums over the items."""
     table, positional = p.params.values()
-    return add_rows(embedding_lookup(table, ids), positional, np.arange(ids.shape[1]))
+    ids = as_ids(ids, table.shape[0], "encode: token id")
+    if ids.ndim != 2 or ids.shape[1] != positional.shape[0]:
+        raise ShapeError(f"encode: token ids {ids.shape}, not (batch, {positional.shape[0]})")
+
+    def bwd(g):
+        dt = np.zeros(table.shape, dtype=g.dtype)
+        np.add.at(dt, ids, g)
+        return dt, g.sum(axis=0)
+
+    out = table.data[ids]
+    out += positional.data
+    return node(out, (table, positional), bwd)
 
 
 class ProjectionParams:

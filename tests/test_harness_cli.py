@@ -99,7 +99,7 @@ HARNESS_DIGESTS = {
     "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
     "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
     "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
-    "freeze": "41d5c28a20425e30021c91a0e459fa7674a35a8f0b19776d6d30267025cedb3b",
+    "freeze": "defe2de46e6d15c92c431c92c372ba0f877c1ca3b72bd131394de85f0948bd3d",
     "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
     "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
 }

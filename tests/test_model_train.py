@@ -25,7 +25,7 @@ from vivqa.data import make_synthetic, save_jsonl, split_train_test
 from vivqa.errors import ConfigError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
-from vivqa.multiway import block_drop_rates, concat_modalities, encode, pool_cls
+from vivqa.multiway import FusedSequence, block_drop_rates, concat_modalities, encode, pool_cls
 from vivqa.optim import AdamW
 from vivqa.rng import RngStream, keep_table
 from vivqa.tensor import Tensor
@@ -318,9 +318,10 @@ def tiny_train_run():
 def test_tiny_train_backward_node_visits(tiny_train_run):
     _, report, _ = tiny_train_run
     # Each multiway sublayer is one node (two per block), and so are the
-    # pooler and the classifier.  Each step's positional, fusion-position
-    # and type rows are one `add_rows` node each.
-    assert report.backward_node_visits == 3120
+    # pooler and the classifier.  Each step's input is three nodes: the
+    # token and positional rows (`text.encode`), the projection, and the
+    # concatenation with its position and type rows (`concat_modalities`).
+    assert report.backward_node_visits == 2976
 
 
 def _sha256(data: bytes) -> str:
@@ -398,6 +399,45 @@ def test_row0_forward_matches_all_rows_oracle(corpus, monkeypatch, vision_mode, 
     np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
     for name, want in want_grads.items():
         np.testing.assert_allclose(grads[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def _op_by_op_logits(model, examples):
+    """`VivqaModel.forward` with its input stage built op by op: the token
+    and positional lookups and their `add`, the projection's `linear`, the
+    `concat`, and an `add` of each lookup of the batch-broadcast position
+    and type rows."""
+    tokens = [tokenize(ex.question, model.vocab, model.cfg.l_max) for ex in examples]
+    ids = np.stack([tq.ids for tq in tokens])
+    table, positional = model.text_params.params.values()
+    x = T.add(T.embedding_lookup(table, ids),
+              T.embedding_lookup(positional, np.broadcast_to(np.arange(ids.shape[1]), ids.shape)))
+    v = model.vision_tokens(examples)
+    seq = T.concat([v, T.linear(x, *model.projection.params.values())], axis=1)
+    k, rows = v.shape[1], np.broadcast_to(np.arange(seq.shape[1]), seq.shape[:2])
+    seq = T.add(seq, T.embedding_lookup(model.fusion.params["fusion.position"], rows))
+    seq = T.add(seq, T.embedding_lookup(model.fusion.params["fusion.type"], rows >= k))
+    mask = np.concatenate([np.ones((len(examples), k)), np.stack([tq.mask for tq in tokens])], 1)
+    fused = encode(FusedSequence(seq, k, mask), model.fusion, keep=1)
+    return classify(pool_cls(fused, model.fusion), model.classifier)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("kw", [dict(vision_mode="both"), dict(vision_mode="global"),
+                                dict(vision_mode="local"), dict(freeze_extractors=False)])
+def test_forward_is_bitwise_the_op_by_op_input_graph(corpus, kw, batch):
+    """The fused input nodes leave the logits and, after one backward, the
+    whole gradient arena bitwise where the op-by-op input graph does."""
+    model = build_model(tiny_cfg(layers=2, **kw), corpus)
+    examples = corpus[:batch]
+    targets = [model.answer_vocab.index[ex.answer] for ex in examples]
+
+    def run(forward):
+        model.grad.fill(0.0)
+        logits = forward(examples)
+        T.backward(T.cross_entropy(logits, targets))
+        return logits.data.tobytes(), model.grad.tobytes()
+
+    assert run(model.forward) == run(lambda batch: _op_by_op_logits(model, batch))
 
 
 # Every trainable parameter's largest gradient is above this fraction of the
@@ -764,6 +804,23 @@ def test_unfrozen_training_step_extracts_its_batch_in_one_call(corpus, monkeypat
     train_model(model, corpus[:cfg.batch_size], cfg)
     assert stacks == [cfg.batch_size]
     assert all(p.grad.any() for p in model.extractor.params.values())
+
+
+def test_unfrozen_training_reads_each_vvqf_pair_once_per_step(corpus, tmp_path, monkeypatch):
+    """4 questions on one VVQF image, trained unfrozen for 2 epochs of one
+    batch-4 step each: each step's `extract` reads the pair once, 4 reads in
+    all, not one pair per question (16)."""
+    cfg = tiny_cfg(epochs=2, batch_size=4, freeze_extractors=False)
+    base = str(tmp_path / "shared")
+    examples = [dataclasses.replace(ex, id=f"q{i}", image=base) for i, ex in enumerate(corpus[:4])]
+    model = build_model(cfg, examples)
+    for part, suffix in zip(model.visual_features(corpus[0]), (".global.vvqf", ".local.vvqf")):
+        write_feature_file(base + suffix, part)
+    reads, read = [], model_mod.read_feature_file
+    monkeypatch.setattr(model_mod, "read_feature_file",
+                        lambda path: reads.append(path) or read(path))
+    train_model(model, examples, cfg)
+    assert sorted(reads) == [base + ".global.vvqf"] * 2 + [base + ".local.vvqf"] * 2
 
 
 def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(tmp_path, corpus,

@@ -69,10 +69,12 @@ def test_benchmark_optimizer_hooks_bind():
 
 def test_forward_reaches_traced_fusion_layers(monkeypatch):
     """perfbench's per-layer spans wrap names the forward looks up: one
-    VivqaModel.forward calls `multiway.encode` and `multiway.pool_cls` once
-    each and `multiway.shared_attention` once per layer."""
+    VivqaModel.forward calls `text.encode`, `text.project`,
+    `multiway.concat_modalities`, `multiway.encode` and `multiway.pool_cls`
+    once each and `multiway.shared_attention` once per layer."""
     probes = _load_probes()
-    names = ("multiway.encode", "multiway.pool_cls", "multiway.shared_attention")
+    names = ("text.encode", "text.project", "multiway.concat_modalities", "multiway.encode",
+             "multiway.pool_cls", "multiway.shared_attention")
     calls = []
     for name in names:
         owner, attr = probes._resolve(*probes.TRACED[name])
@@ -86,7 +88,7 @@ def test_forward_reaches_traced_fusion_layers(monkeypatch):
     corpus = make_synthetic(8, 2, 2, seed=0)
     model = train.build_model(RunConfig(preset="tiny", layers=3, heads=2), corpus)
     model.forward(corpus[:2])
-    assert [calls.count(name) for name in names] == [1, 1, 3]
+    assert [calls.count(name) for name in names] == [1, 1, 1, 1, 1, 3]
 
 
 def test_tiny_eval_reaches_checkpoint_and_vvqf_hooks(tmp_path):

@@ -3,6 +3,7 @@ gradient oracles for every op (batched ops at B > 1), brute-force pooling
 and per-item oracles, the erf oracle, graph lifecycle rules, and the
 backward walk against the id()-keyed walk it replaced."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import vivqa.tensor as T
+import vivqa.text as text_mod
 from vivqa.errors import ShapeError, UsageError
+from vivqa.multiway import concat_modalities
 from vivqa.rng import keep_table
 from vivqa.tensor import Tensor, backward, grad_check
 
@@ -469,56 +472,103 @@ def test_embedding_rejects_out_of_range():
         T.embedding_lookup(Tensor(np.zeros((3, 2))), [0, 3])
 
 
+# The two input nodes add batch-shared table rows, the work of the deleted
+# `add_rows` op: `text.encode` adds the positional rows to each item's token
+# rows, and `concat_modalities` adds the position and type rows to the
+# concatenated vision and text rows.  Token ids are drawn from these lists.
 ADD_ROWS_IDS = [[0, 1, 2, 3, 4], [3, 0, 4, 1], [0, 0, 0, 1, 1], [1, 0, 1, 2]]
+
+
+def _text_params(table, positional):
+    return SimpleNamespace(params={"text.embedding": table, "text.positional": positional})
+
+
+def _fusion_stack(position, types):
+    return SimpleNamespace(hidden=position.shape[1],
+                           params={"fusion.position": position, "fusion.type": types})
+
+
+def _concat(v, q, position, types):
+    return concat_modalities(v, q, np.ones(q.shape[:2]), _fusion_stack(position, types)).x
+
+
+def _concat_oracle(v, q, position, types):
+    batch, rows = v.shape[0], v.shape[1] + q.shape[1]
+    ids = np.broadcast_to(np.arange(rows), (batch, rows))
+    x = T.add(T.concat([v, q], axis=1), T.embedding_lookup(position, ids))
+    return T.add(x, T.embedding_lookup(types, ids >= v.shape[1]))
 
 
 @pytest.mark.parametrize("batch", [1, 4])
 @pytest.mark.parametrize("ids", ADD_ROWS_IDS)
 def test_add_rows_is_bitwise_the_broadcast_lookup_oracle(ids, batch):
-    """Output, x.grad and table.grad carry the bits of adding a lookup of the
-    batch-broadcast ids, whose table gradient is np.add.at's; an upstream
-    column of -0.0 keeps its signs too."""
+    """Output and every input's gradient of both input nodes carry the bits
+    of the op-by-op graph: lookups of the batch-broadcast rows (np.add.at's
+    table gradients) added to the token lookup, or to the concatenation at
+    every split k; an upstream column of -0.0 keeps its signs too."""
     r = np.random.default_rng(len(ids) * 10 + batch)
     rows, width = len(ids), 6
-    x, table = r.normal(size=(batch, rows, width)), r.normal(size=(5, width))
+    tokens = np.array([np.roll(ids, i) for i in range(batch)])
     proj = r.normal(size=(batch, rows, width)) * 1e3
     proj[..., 0] = -0.0
 
-    def run(op):
-        xt, tt = Tensor(x, requires_grad=True), Tensor(table, requires_grad=True)
-        out = op(xt, tt)
+    def run(op, arrays):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
         backward(T.sum_all(T.mul(out, Tensor(proj))))
-        return [a.tobytes() for a in (out.data, xt.grad, tt.grad)]
+        return [a.tobytes() for a in [out.data] + [t.grad for t in leaves]]
 
-    oracle = run(lambda xt, tt: T.add(
-        xt, T.embedding_lookup(tt, np.broadcast_to(ids, (batch, rows)))))
-    assert run(lambda xt, tt: T.add_rows(xt, tt, ids)) == oracle
+    tables = [r.normal(size=(5, width)), r.normal(size=(rows, width))]
+    positions = np.broadcast_to(np.arange(rows), (batch, rows))
+    assert run(lambda t, p: text_mod.encode(tokens, _text_params(t, p)), tables) == run(
+        lambda t, p: T.add(T.embedding_lookup(t, tokens), T.embedding_lookup(p, positions)), tables)
+    for k in range(1, rows):
+        arrays = [r.normal(size=(batch, k, width)), r.normal(size=(batch, rows - k, width)),
+                  r.normal(size=(rows + 1, width)), r.normal(size=(2, width))]
+        assert run(_concat, arrays) == run(_concat_oracle, arrays), k
 
 
 @pytest.mark.parametrize("ids", ADD_ROWS_IDS)
 def test_grad_add_rows(ids):
+    """grad_check on every input of both input nodes."""
     r = np.random.default_rng(sum(ids))
-    x, table = r.normal(size=(3, len(ids), 4)), r.normal(size=(5, 4))
-    proj = r.normal(size=(3, len(ids), 4))
-    f = scalarize(lambda t: T.add_rows(t, Tensor(table), ids))(proj)
-    assert grad_check(f, Tensor(x)) < GRAD_TOL
-    f = scalarize(lambda t: T.add_rows(Tensor(x), t, ids))(proj)
+    rows = len(ids)
+    tokens = np.array([ids, ids[::-1], np.roll(ids, 1)])
+    proj = r.normal(size=(3, rows, 4))
+    table, positional = r.normal(size=(5, 4)), r.normal(size=(rows, 4))
+    f = scalarize(lambda t: text_mod.encode(tokens, _text_params(t, Tensor(positional))))(proj)
     assert grad_check(f, Tensor(table)) < GRAD_TOL
+    f = scalarize(lambda t: text_mod.encode(tokens, _text_params(Tensor(table), t)))(proj)
+    assert grad_check(f, Tensor(positional)) < GRAD_TOL
+    k = 1 + sum(ids) % (rows - 1)
+    arrays = [r.normal(size=(3, k, 4)), r.normal(size=(3, rows - k, 4)),
+              r.normal(size=(rows + 1, 4)), r.normal(size=(2, 4))]
+    for i, a in enumerate(arrays):
+        def f(t, i=i):
+            return _concat(*[t if j == i else Tensor(b) for j, b in enumerate(arrays)])
+        assert grad_check(scalarize(f)(proj), Tensor(a)) < GRAD_TOL, i
 
 
 def test_add_rows_rejects_bad_shapes_and_ids():
-    x, table = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((5, 4)))
-    for bad_x, bad_table, ids in [
-        (x, table, [0, 1]),                                # ids shorter than the rows
-        (x, table, [[0, 1, 2]]),                           # ids not one list
-        (x, Tensor(np.zeros((5, 3))), [0, 1, 2]),          # widths disagree
-        (Tensor(np.zeros((3, 4))), table, [0, 1, 2]),      # no batch axis
-    ]:
+    p = _text_params(Tensor(np.zeros((5, 4))), Tensor(np.zeros((3, 4))))
+    assert text_mod.encode([[0, 1, 4]], p).shape == (1, 3, 4)
+    for ids in ([0, 1, 2],                                 # no batch axis
+                [[[0, 1, 2]]],                             # one axis too many
+                [[0, 1, 2, 3]], [[0, 1]]):                 # not one id per position
         with pytest.raises(ShapeError):
-            T.add_rows(bad_x, bad_table, ids)
-    for ids in ([0, 1, 5], [0, -1, 2]):
+            text_mod.encode(ids, p)
+    for ids in ([[0, 1, 5]], [[0, -1, 2]]):
         with pytest.raises(IndexError):
-            T.add_rows(x, table, ids)
+            text_mod.encode(ids, p)
+    position, types = Tensor(np.zeros((5, 4))), Tensor(np.zeros((2, 4)))
+    v, q = Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((2, 3, 4)))
+    assert _concat(v, q, position, types).shape == (2, 5, 4)
+    for bad_v, bad_q in [(v, Tensor(np.zeros((2, 4, 4)))),         # more rows than positions
+                         (v, Tensor(np.zeros((1, 3, 4)))),         # batches disagree
+                         (v, Tensor(np.zeros((2, 3, 3)))),         # widths disagree
+                         (Tensor(np.zeros((2, 4))), q)]:           # no batch axis
+        with pytest.raises(ShapeError):
+            _concat(bad_v, bad_q, position, types)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -762,6 +812,7 @@ def _every_op(dtype):
 
     x, y, w, b = leaf(2, 3, 4), leaf(2, 3, 4), leaf(4, 5), leaf(5)
     q, kv, table = leaf(2, 1, 4), leaf(2, 3, 4), leaf(5, 4)
+    positional, position, types = leaf(2, 4), leaf(6, 4), leaf(2, 4)
     gamma, beta, logits = leaf(4), leaf(4), leaf(2, 5)
     bias = np.array([[0.0, 0.0, T.MASK_VALUE], [0.0, 0.0, 0.0]])
     return {
@@ -776,7 +827,8 @@ def _every_op(dtype):
         "layer_norm": lambda: T.layer_norm(x, gamma, beta),
         "multi_head_attention": lambda: T.multi_head_attention(q, kv, kv, bias, 2),
         "embedding_lookup": lambda: T.embedding_lookup(table, [[0, 4], [2, 2]]),
-        "add_rows": lambda: T.add_rows(x, table, [1, 0, 1]),
+        "text.encode": lambda: text_mod.encode([[0, 4], [2, 2]], _text_params(table, positional)),
+        "concat_modalities": lambda: _concat(x, y, position, types),
         "cross_entropy": lambda: T.cross_entropy(logits, [1, 4]),
         "residual": lambda: T.residual(x, [(T.gelu_fwd, T.gelu_bwd, [])], np.array([2.0, 0.0])),
     }
@@ -972,7 +1024,7 @@ def test_failed_backward_leaves_no_pending_gradient(rng):
     def boom(g):
         raise RuntimeError("backward closure failed")
 
-    broken = T._node(shared.data * 2.0, (shared, a), boom)
+    broken = T.node(shared.data * 2.0, (shared, a), boom)
     with pytest.raises(RuntimeError):
         backward(T.sum_all(T.add(broken, shared)))
     loss = T.sum_all(shared)
