@@ -18,13 +18,12 @@ from .model import ensure_out_dir, load_checkpoint
 from .train import evaluate_model, run_training
 
 
-def _load_config(args, **overrides) -> RunConfig:
+def _load_config(args) -> RunConfig:
     obj = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in ("seed", "preset", "data", "out"):
         value = getattr(args, key, None)
         if value is not None:
             obj[key] = value
-    obj.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig.from_dict(obj)
 
 
@@ -88,6 +87,9 @@ def cmd_sweep(args) -> None:
 def cmd_significance(args) -> None:
     cfg_a = RunConfig.from_file(args.config_a)
     cfg_b = RunConfig.from_file(args.config_b)
+    for name in ("data", "eval_data", "split_ratio"):     # both run on cfg_a's splits
+        if getattr(cfg_a, name) != getattr(cfg_b, name):
+            raise ConfigError(f"--config-a and --config-b differ in {name!r}")
     train_split, test_split = _splits_for(cfg_a)
     result = significance(cfg_a, cfg_b, train_split, test_split,
                           n_seeds=args.seeds, out_dir=args.out)
@@ -126,13 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vivqa")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p, with_out=True):
+    def add_run_args(p):
         p.add_argument("--config", help="JSON file mirroring RunConfig fields")
         p.add_argument("--seed", type=int)
         p.add_argument("--preset", choices=("paper", "tiny"))
         p.add_argument("--data")
-        if with_out:
-            p.add_argument("--out")
+        p.add_argument("--out")
 
     p = sub.add_parser("train", help="train a model")
     add_run_args(p)

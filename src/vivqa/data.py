@@ -179,7 +179,8 @@ class SyntheticSpec:
         """`synthetic:g=<G>,l=<L>` with G in [0, MAX_GLOBAL_CUES) and L >= 0;
         `render_synthetic` bounds L by the grid."""
         if not ref.startswith("synthetic:"):
-            raise DataError(f"not a synthetic image ref: {ref!r}")
+            raise DataError(f"{ref}: not a synthetic image ref (a feature file feeds "
+                            "frozen extractors only)")
         m = _SYNTHETIC_REF.fullmatch(ref)
         if m is None:
             raise ParseError(f"malformed synthetic image ref {ref!r}: "

@@ -21,6 +21,7 @@ from .config import RunConfig
 from .errors import ConfigError
 from .metrics import report as metrics_report, welch_t_test
 from .model import ensure_out_dir
+from .tensor import no_grad
 from .vision import FUSION_OPS, frozen_extractor, fused_token_count, sparsity_stats
 
 FUSION_LABELS = {
@@ -50,8 +51,7 @@ def _write_table(out, stem, header, rows) -> None:
 def _run_arm(cfg: RunConfig, train_split, test_split, store: dict):
     """(report, model, accuracy on the test split, else the train split)."""
     model = train.build_model(cfg, train_split, store)
-    if cfg.freeze_extractors:
-        model.fill_store(list(train_split) + list(test_split or []))
+    model.fill_store(list(train_split) + list(test_split or []))
     report = train.train_model(model, train_split, cfg)
     records = train.predict_split(model, test_split or train_split)
     return report, model, metrics_report(records).accuracy
@@ -65,7 +65,9 @@ def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     for op in FUSION_OPS:
         arm_cfg = replace(cfg, fusion_op=op, vision_mode="both")
         report, model, acc = _run_arm(arm_cfg, train_split, test_split, store)
-        means = model.vision_tokens(train_split).data.mean(axis=(1, 2)).tolist()
+        with no_grad():         # the boxplot pass: no graph, `batch_size` examples a call
+            means = [float(m) for i in range(0, len(train_split), cfg.batch_size) for m in
+                     model.vision_tokens(train_split[i:i + cfg.batch_size]).data.mean(axis=(1, 2))]
         results[op] = {
             "label": FUSION_LABELS[op],
             "fused_dims": f"{fused_token_count(op, model.vision_dims.n_tokens)}"

@@ -4,8 +4,8 @@ stack, pooler and classifier; plus the arena over the components' merged
 `params` dicts, each keyed by arena name, and its one checkpoint format,
 which holds no frozen extractor.  Its outputs are constants of the image,
 kept in a feature store (a dict the harness shares across an experiment's
-arms, a table per vision dims and extractor seed): `fill_store` extracts
-what a table lacks in `batch_size` chunks.
+arms, a table per vision dims and extractor seed): `fill_store` renders or
+reads what a table lacks in `batch_size` chunks, VVQF files frozen models only.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .multiway import (
 )
 from .optim import pack
 from .rng import RngStream
-from .tensor import Tensor, concat, embedding_lookup
+from .tensor import Tensor
 from .text import (
     ProjectionParams, TextEncoderParams, Vocabulary, encode as text_encode, project, tokenize,
 )
@@ -146,55 +146,54 @@ class VivqaModel:
     # -- features -----------------------------------------------------------
 
     def visual_features(self, example: Example) -> tuple[Tensor, Tensor]:
-        """Raw (global, local) extractor outputs of one example: the N=1 case
-        of `extract`, without its leading axis."""
+        """Raw (global, local) stub outputs of one `synthetic:` example: the N=1
+        case of `extract`, without its leading axis."""
         return tuple(Tensor(part.data[0]) for part in self.extract([example]))
 
     def extract(self, examples) -> tuple[Tensor, Tensor]:
-        """Raw (global, local) extractor outputs of N examples, (N, ...) each, on the
-        stubs' graph: `synthetic:` refs rendered through each stub in one call, the
-        others read once per distinct VVQF pair, which must have the preset's shapes."""
-        d = self.vision_dims
-        rendered = np.array([ex.image.startswith("synthetic:") for ex in examples], dtype=bool)
-        files = [ex for ex, r in zip(examples, rendered) if not r]
-        out = [np.empty((len(files),) + shape) for shape in (
-            (d.n_tokens, d.token_dim), (d.local_channels, d.grid, d.grid))]
-        read = functools.cache(read_feature_file)
-        for i, ex in enumerate(files):
-            for part, suffix in zip(out, (".global.vvqf", ".local.vvqf")):
-                t = read(ex.image + suffix)
-                if t.shape != part.shape[1:]:
-                    raise DataError(f"{ex.image}{suffix}: shape {t.shape}, "
-                                    f"expected {part.shape[1:]}")
-                part[i] = t.data
-        if not rendered.any():
-            return tuple(Tensor(part) for part in out)
-        imgs = np.stack([render_synthetic(SyntheticSpec.parse(ex.image), d,
+        """Raw (global, local) stub outputs of N `synthetic:` examples, (N, ...) each:
+        rendered, stacked and run through each stub once, on the stubs' graph.  Any
+        other ref is a DataError from `SyntheticSpec.parse`: a feature file feeds
+        frozen extractors only, through `fill_store`."""
+        imgs = np.stack([render_synthetic(SyntheticSpec.parse(ex.image), self.vision_dims,
                                           noise_seed=example_noise_seed(ex.id))
-                         for ex, r in zip(examples, rendered) if r])
-        feats = extract_global_stub(imgs, self.extractor), extract_local_stub(imgs, self.extractor)
-        if not files:
-            return feats
-        rows = np.argsort(np.argsort(~rendered, kind="stable"))     # stub rows, then files'
-        return tuple(embedding_lookup(concat([f, Tensor(part)], axis=0), rows)
-                     for f, part in zip(feats, out))
+                         for ex in examples])
+        return extract_global_stub(imgs, self.extractor), extract_local_stub(imgs, self.extractor)
 
     def fill_store(self, examples) -> list:
-        """The store keys of `examples`, after extracting the distinct ones the
-        store lacks in `batch_size` chunks, one `extract` and one adapter pass
-        each (frozen extractors only)."""
+        """The store keys of `examples`, after storing the distinct ones a frozen
+        model's store lacks in `batch_size` chunks: one `extract` over a chunk's
+        `synthetic:` refs, each VVQF pair read into its row, and one adapter pass."""
         keys = [(ex.id, ex.image) if ex.image.startswith("synthetic:") else ex.image
                 for ex in examples]
+        if not self.cfg.freeze_extractors:      # an unfrozen model stores nothing
+            return keys
         misses = list({k: ex for k, ex in zip(keys, examples) if k not in self.store}.items())
+        d = self.vision_dims
+        shapes = (d.n_tokens, d.token_dim), (d.local_channels, d.grid, d.grid)
         for start in range(0, len(misses), self.cfg.batch_size):
             chunk = dict(misses[start:start + self.cfg.batch_size])
-            glob, local = self.extract(list(chunk.values()))
-            self.store.update(zip(chunk, zip(glob.data, adapt_local(local, self.vision_dims).data)))
+            stub = [isinstance(key, tuple) for key in chunk]       # `synthetic:` keys
+            feats = self.extract([ex for ex, s in zip(chunk.values(), stub) if s]) \
+                if any(stub) else ()
+            if not all(stub):           # stub rows and VVQF rows, in chunk order
+                parts = [np.empty((len(chunk),) + shape) for shape in shapes]
+                for part, f in zip(parts, feats):
+                    part[stub] = f.data
+                for i, ref in ((i, ref) for i, ref in enumerate(chunk) if not stub[i]):
+                    for part, suffix in zip(parts, (".global.vvqf", ".local.vvqf")):
+                        t = read_feature_file(ref + suffix)
+                        if t.shape != part.shape[1:]:
+                            raise DataError(f"{ref}{suffix}: shape {t.shape}, "
+                                            f"expected {part.shape[1:]}")
+                        part[i] = t.data
+                feats = tuple(Tensor(part) for part in parts)
+            self.store.update(zip(chunk, zip(feats[0].data, adapt_local(feats[1], d).data)))
         return keys
 
     def vision_tokens(self, examples) -> Tensor:
         """(B, k, hidden) tokens of B examples, adapted and fused once per batch:
-        frozen tokens through the store, unfrozen ones (one `extract` graph) never."""
+        frozen tokens through the store, unfrozen ones from one `extract` graph."""
         if not self.cfg.freeze_extractors:
             glob, local = self.extract(examples)
             local = adapt_local(local, self.vision_dims)

@@ -87,8 +87,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         item_keys = {ex.id: drop.split(ex.id).seed for ex in train_split}
         site_rates = np.repeat(block_drop_rates(cfg), 2)
     report = RunReport(seed=cfg.seed, config=json.loads(cfg.to_json()))
-    if cfg.freeze_extractors:       # extraction is not training time
-        model.fill_store(train_split)
+    model.fill_store(train_split)       # extraction is not training time
     visits_before = T.backward_node_visits()
     started = time.perf_counter()
     step = 0
@@ -156,9 +155,6 @@ def run_training(cfg: RunConfig, train_split, test_split) -> tuple[RunReport, Vi
 
 def evaluate_model(model: VivqaModel, corpus, out_dir=None):
     """Eval-mode inference + metrics; optionally writes predictions JSONL."""
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("evaluate: empty corpus")
     records = predict_split(model, corpus)
     rep = metrics_report(records)
     if out_dir:

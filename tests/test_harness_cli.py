@@ -17,6 +17,7 @@ from vivqa.data import make_synthetic, save_jsonl
 from vivqa.errors import ConfigError
 from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
 from vivqa.train import build_model
+from vivqa.vvqf import write_feature_file
 
 
 def mini_cfg(**kw):
@@ -49,6 +50,38 @@ def test_ablate_fusion_outputs(tmp_path, splits):
     assert (tmp_path / "fusion_ablation.csv").exists()
     assert (tmp_path / "fusion_ablation.md").exists()
     assert (tmp_path / "fusion_boxplot_data.csv").exists()
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_ablate_fusion_boxplot_pass_records_no_graph_in_batch_chunks(splits, monkeypatch, freeze):
+    """After each arm trains and scores, its boxplot pass asks `vision_tokens`
+    for the train split `batch_size` examples at a time and gets no tensor
+    that requires grad, frozen or not."""
+    import vivqa.train as train_mod
+    from vivqa.model import VivqaModel
+
+    train, test = splits
+    cfg = mini_cfg(freeze_extractors=freeze)
+    calls, in_arm = [], []
+    vision_tokens = VivqaModel.vision_tokens
+
+    def recording(model, examples):
+        out = vision_tokens(model, examples)
+        if not in_arm:
+            calls.append((len(examples), out.requires_grad))
+        return out
+
+    for name in ("train_model", "predict_split"):
+        def in_arm_call(*args, _orig=getattr(train_mod, name)):
+            in_arm.append(True)
+            try:
+                return _orig(*args)
+            finally:
+                in_arm.pop()
+        monkeypatch.setattr(train_mod, name, in_arm_call)
+    monkeypatch.setattr(VivqaModel, "vision_tokens", recording)
+    results = ablate_fusion(cfg, train, test)
+    assert calls == [(cfg.batch_size, False)] * (len(train) // cfg.batch_size) * len(results)
 
 
 def test_ablate_extractors_extracts_each_image_once(splits, monkeypatch):
@@ -480,6 +513,53 @@ def test_cli_empty_eval_data_exits_3(tmp_path, capsys, argv):
     assert err == f"data error: {empty}: empty corpus\n"
 
 
+FILE_REFUSED = "not a synthetic image ref (a feature file feeds frozen extractors only)"
+
+
+def write_vvqf_corpus(tmp_path):
+    """(path, image refs) of a corpus whose images are VVQF pairs a frozen
+    tiny model's stubs wrote."""
+    examples = make_synthetic(16, 2, 2, seed=1)
+    model = build_model(mini_cfg(), examples)
+    files = []
+    for ex in examples:
+        base = str(tmp_path / ex.id)
+        for part, suffix in zip(model.visual_features(ex), (".global.vvqf", ".local.vvqf")):
+            write_feature_file(base + suffix, part)
+        files.append(dataclasses.replace(ex, image=base))
+    path = tmp_path / "files.jsonl"
+    save_jsonl(path, files)
+    return str(path), [ex.image for ex in files]
+
+
+def test_cli_eval_of_unfrozen_checkpoint_on_vvqf_files_exits_3(tmp_path, capsys):
+    """A feature file holds a frozen extractor's output, never an unfrozen
+    model's: `vivqa eval` refuses it in one line naming the first file ref."""
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path, write_corpus(tmp_path), freeze_extractors=False)
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    data, refs = write_vvqf_corpus(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / "checkpoint.npz"), "--data", data]) == 3
+    assert capsys.readouterr().err == f"data error: {refs[0]}: {FILE_REFUSED}\n"
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "freeze"]])
+def test_cli_unfrozen_run_on_vvqf_files_exits_3(tmp_path, capsys, command):
+    """Training an unfrozen model on feature files exits 3 naming the first
+    file ref of its first batch, and writes no checkpoint; the freeze
+    ablation's frozen arm reads the files and its unfrozen arm refuses them."""
+    data, refs = write_vvqf_corpus(tmp_path)
+    run = tmp_path / "run"
+    freeze = command == ["ablate", "freeze"]
+    cfg = write_config(tmp_path, data, freeze_extractors=freeze, split_ratio=1.0)
+    assert main(command + ["--config", cfg, "--out", str(run)]) == 3
+    err = capsys.readouterr().err
+    ref = err.removeprefix("data error: ").removesuffix(f": {FILE_REFUSED}\n")
+    assert err.startswith("data error: ") and ref in refs
+    assert not (run / "checkpoint.npz").exists()
+
+
 def test_cli_train_without_test_split_runs(tmp_path):
     """split_ratio 1.0 leaves the test split empty on purpose (overfit)."""
     cfg = write_config(tmp_path, write_corpus(tmp_path), split_ratio=1.0)
@@ -512,6 +592,29 @@ def test_cli_ablate_extractors_needs_two_seeds(tmp_path, capsys, monkeypatch, se
     assert main(["ablate", "extractors", "--seeds", seeds, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "at least 2 seeds" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("field, value", [("data", "other.jsonl"), ("eval_data", "test.jsonl"),
+                                          ("split_ratio", 0.5)])
+def test_cli_significance_refuses_configs_on_other_corpora(tmp_path, capsys, monkeypatch,
+                                                           field, value):
+    """Both configs run on config A's splits, so two configs that differ in
+    `data`, `eval_data` or `split_ratio` exit 2 naming the field, before any
+    arm builds its model."""
+    import vivqa.train as train_mod
+
+    calls = []
+    monkeypatch.setattr(train_mod, "build_model", lambda *a, **k: calls.append(a))
+    data = write_corpus(tmp_path)
+    paths = []
+    for name, extra in (("a.json", {}), ("b.json", {field: value})):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"preset": "tiny", "data": data, **extra}))
+    assert main(["significance", "--config-a", str(paths[0]), "--config-b", str(paths[1]),
+                 "--seeds", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(field) in err and err.count("\n") == 1
     assert calls == []
 
 

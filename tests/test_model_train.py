@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -22,7 +23,7 @@ from vivqa.classifier import classify
 from vivqa.cli import main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl, split_train_test
-from vivqa.errors import ConfigError, FormatError, NumericalError
+from vivqa.errors import ConfigError, DataError, FormatError, NumericalError
 from vivqa.metrics import report as metrics_report
 from vivqa.model import load_checkpoint, save_checkpoint
 from vivqa.multiway import FusedSequence, block_drop_rates, concat_modalities, encode, pool_cls
@@ -31,8 +32,8 @@ from vivqa.rng import RngStream, keep_table
 from vivqa.tensor import Tensor
 from vivqa.text import encode as text_encode, project, tokenize
 from vivqa.train import build_model, predict_split, run_training, train_model
-from vivqa.vision import FUSION_OPS, frozen_extractor
-from vivqa.vvqf import write_feature_file
+from vivqa.vision import FUSION_OPS, adapt_local, frozen_extractor
+from vivqa.vvqf import read_feature_file, write_feature_file
 
 
 def tiny_cfg(**kw):
@@ -216,7 +217,8 @@ def test_fill_store_chunk_mixing_hits_repeats_synthetic_and_vvqf(corpus, tmp_pat
                                                                  monkeypatch):
     """One fill over store hits, a repeated example, `synthetic:` refs and
     VVQF pairs, chunked at `batch_size`: every entry is bitwise what the
-    example gets alone from a fresh store, and only misses are extracted."""
+    example gets alone from a fresh store, only misses are extracted, and a
+    file's rows are its files' payloads."""
     cfg = tiny_cfg(vision_mode="both", fusion_op="add", batch_size=3)
     source = build_model(cfg, corpus)
     files = []
@@ -247,11 +249,12 @@ def test_fill_store_chunk_mixing_hits_repeats_synthetic_and_vvqf(corpus, tmp_pat
         alone.fill_store([ex])
         for got, want in zip(model.store[key], alone.store[key]):
             assert got.tobytes() == want.tobytes()
-    for ex, src in zip(files, corpus[10:13]):
-        g, l = model.visual_features(ex)
-        sg, sl = source.visual_features(src)
-        np.testing.assert_array_equal(g.data, sg.data.astype(np.float32))
-        np.testing.assert_array_equal(l.data, sl.data.astype(np.float32))
+    for ex in files:
+        g, l = (read_feature_file(ex.image + suffix).data.astype(np.float64)
+                for suffix in (".global.vvqf", ".local.vvqf"))
+        assert model.store[ex.image][0].tobytes() == g.tobytes()
+        want = adapt_local(Tensor(l[None]), model.vision_dims).data[0]
+        assert model.store[ex.image][1].tobytes() == want.tobytes()
 
 
 def test_vvqf_examples_on_one_file_share_one_store_entry(corpus, tmp_path, monkeypatch):
@@ -806,34 +809,32 @@ def test_unfrozen_training_step_extracts_its_batch_in_one_call(corpus, monkeypat
     assert all(p.grad.any() for p in model.extractor.params.values())
 
 
-def test_unfrozen_training_reads_each_vvqf_pair_once_per_step(corpus, tmp_path, monkeypatch):
-    """4 questions on one VVQF image, trained unfrozen for 2 epochs of one
-    batch-4 step each: each step's `extract` reads the pair once, 4 reads in
-    all, not one pair per question (16)."""
+def test_unfrozen_training_on_vvqf_files_raises_before_any_step(corpus, tmp_path, monkeypatch):
+    """A feature file holds a frozen extractor's output: unfrozen training on
+    a VVQF corpus is a DataError naming the first file ref, before any
+    `AdamW.step`."""
     cfg = tiny_cfg(epochs=2, batch_size=4, freeze_extractors=False)
     base = str(tmp_path / "shared")
     examples = [dataclasses.replace(ex, id=f"q{i}", image=base) for i, ex in enumerate(corpus[:4])]
     model = build_model(cfg, examples)
     for part, suffix in zip(model.visual_features(corpus[0]), (".global.vvqf", ".local.vvqf")):
         write_feature_file(base + suffix, part)
-    reads, read = [], model_mod.read_feature_file
-    monkeypatch.setattr(model_mod, "read_feature_file",
-                        lambda path: reads.append(path) or read(path))
-    train_model(model, examples, cfg)
-    assert sorted(reads) == [base + ".global.vvqf"] * 2 + [base + ".local.vvqf"] * 2
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda opt, lr: steps.append(lr))
+    with pytest.raises(DataError, match=f"^{re.escape(base)}: not a synthetic image ref "
+                                        r"\(a feature file feeds frozen extractors only\)$"):
+        train_model(model, examples, cfg)
+    assert steps == []
 
 
-def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(tmp_path, corpus,
+def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(corpus,
                                                                              monkeypatch):
-    """An unfrozen batch of `synthetic:` refs and a VVQF pair keeps the stub
-    rows on the graph: logits and every gradient equal those of extracting
-    each example alone and concatenating, to 1e-12."""
+    """An unfrozen batch of `synthetic:` images with mixed cues keeps every
+    stub row on the graph: logits and every gradient equal those of
+    extracting each example alone and concatenating, to 1e-12."""
     cfg = tiny_cfg(freeze_extractors=False, vision_mode="both", fusion_op="add")
     model = build_model(cfg, corpus)
-    base = str(tmp_path / "f0")
-    for part, suffix in zip(model.visual_features(corpus[0]), (".global.vvqf", ".local.vvqf")):
-        write_feature_file(base + suffix, part)
-    batch = [corpus[1], dataclasses.replace(corpus[0], id="file-0", image=base), corpus[2]]
+    batch = [corpus[1], corpus[0], corpus[2]]
     params = model.trainable_params()
 
     def logits_and_grads():
