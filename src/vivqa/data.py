@@ -211,10 +211,10 @@ def _walsh_texture(g: int, block: int, grid: int) -> np.ndarray:
     return out
 
 
-def _local_positions(grid: int, n_local: int) -> list[tuple[int, int]]:
-    cells = [(i, i) for i in range(grid)]
-    cells += [(i, j) for i in range(grid) for j in range(grid) if i != j]
-    return cells[:n_local]
+@functools.cache
+def _local_positions(grid: int) -> tuple[tuple[int, int], ...]:    # diagonal first
+    return tuple([(i, i) for i in range(grid)]
+                 + [(i, j) for i in range(grid) for j in range(grid) if i != j])
 
 
 def render_synthetic(spec: SyntheticSpec, dims: VisionDims,
@@ -226,7 +226,7 @@ def render_synthetic(spec: SyntheticSpec, dims: VisionDims,
     if not 0 <= spec.local_cue < grid * grid:
         raise DataError(f"local cue {spec.local_cue} outside the {grid}x{grid} block grid")
     img = np.add(_walsh_texture(spec.global_cue, b, grid), BASE_LEVEL, out=np.empty((c, size, size)))
-    bi, bj = _local_positions(grid, grid * grid)[spec.local_cue]
+    bi, bj = _local_positions(grid)[spec.local_cue]
     for ch in range(c):
         img[ch, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += LOCAL_DELTA[ch % 3]
     img += RngStream(noise_seed).split("pixel-noise").uniform(-NOISE_AMP, NOISE_AMP,

@@ -137,7 +137,7 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     # The frozen arm's read-only draw: byte-identical to the unfrozen arm's initial extractor.
     digest_before = frozen_extractor(cfg.dims.vision, cfg.extractor_seed).byte_digest()
     results, store = {}, {}
-    for frozen in (True, False):
+    for frozen in (False, True):    # unfrozen first: it refuses a feature file before any training
         report, model, acc = _run_arm(replace(cfg, freeze_extractors=frozen),
                                       train_split, test_split, store)
         results["frozen" if frozen else "unfrozen"] = {

@@ -166,7 +166,9 @@ class VivqaModel:
         `synthetic:` refs, each VVQF pair read into its row, and one adapter pass."""
         keys = [(ex.id, ex.image) if ex.image.startswith("synthetic:") else ex.image
                 for ex in examples]
-        if not self.cfg.freeze_extractors:      # an unfrozen model stores nothing
+        if not self.cfg.freeze_extractors:      # stores nothing, and refuses a file up front
+            for ex in examples:
+                SyntheticSpec.parse(ex.image)
             return keys
         misses = list({k: ex for k, ex in zip(keys, examples) if k not in self.store}.items())
         d = self.vision_dims

@@ -300,7 +300,7 @@ def flatten(t: Tensor, keep_axis: int = 0) -> Tensor:
 # Adaptive average pooling
 
 @functools.lru_cache(maxsize=None)
-def _pool_matrix(n: int, m: int) -> np.ndarray:
+def pool_matrix(n: int, m: int) -> np.ndarray:
     """m x n averaging matrix: output bin i averages inputs
     [floor(i*n/m), ceil((i+1)*n/m)).  Bins overlap when m > n."""
     if m <= 0:
@@ -314,24 +314,32 @@ def _pool_matrix(n: int, m: int) -> np.ndarray:
     return w
 
 
+def pool_fwd(x, mats, first, transposed=False):
+    """Average-pool axes first, first + 1, ... by (m, n) `mats`, with np.tensordot's np.dot."""
+    for axis, w in enumerate(mats, first):      # np.moveaxis there and back, as transposes
+        moved = x.transpose(*range(axis), *range(axis + 1, x.ndim), axis)
+        out = np.dot(moved.reshape(-1, moved.shape[-1]), w if transposed else w.T)
+        x = out.reshape(moved.shape[:-1] + out.shape[-1:]).transpose(
+            *range(axis), x.ndim - 1, *range(axis, x.ndim - 1))
+    return x, (mats, first)
+
+
+def pool_bwd(saved, g):
+    return pool_fwd(g, *saved, transposed=True)[:1]
+
+
+def pool_step(shape, dtype, out_sizes) -> tuple:
+    """The chain step that pools the trailing len(out_sizes) axes of a `shape` array."""
+    if len(out_sizes) > len(shape):
+        raise ShapeError(f"adaptive_avg_pool: {len(out_sizes)} target axes, rank {len(shape)}")
+    first = len(shape) - len(out_sizes)
+    mats = [pool_matrix(n, m).astype(dtype, copy=False) for n, m in zip(shape[first:], out_sizes)]
+    return functools.partial(pool_fwd, mats=mats, first=first), pool_bwd, ()
+
+
 def adaptive_avg_pool(t: Tensor, out_sizes: Sequence[int]) -> Tensor:
     """Pool the trailing len(out_sizes) axes to the given sizes."""
-    out_sizes = tuple(int(s) for s in out_sizes)
-    rank = t.data.ndim
-    if len(out_sizes) > rank:
-        raise ShapeError(f"adaptive_avg_pool: {len(out_sizes)} target axes on rank-{rank} tensor")
-    first = rank - len(out_sizes)
-    mats = [_pool_matrix(t.shape[first + j], m).astype(t.data.dtype, copy=False)
-            for j, m in enumerate(out_sizes)]
-
-    def apply(x, transposed: bool):
-        for j, w in enumerate(mats):
-            axis = first + j
-            wt = w.T if transposed else w
-            x = np.moveaxis(np.tensordot(x, wt, axes=([axis], [1])), -1, axis)
-        return x
-
-    return node(apply(t.data, False), (t,), lambda g: (apply(g, True),))
+    return chain(t, [pool_step(t.data.shape, t.data.dtype, out_sizes)])
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +387,14 @@ def erf(x) -> np.ndarray:
     """Error function to within a few ulp, elementwise (Cody 1969)."""
     x = np.asarray(x, dtype=np.float64)
     flat = x.reshape(-1)
-    y = np.abs(flat)
+    y = np.abs(flat)        # both branches give erf(|x|), and x's sign goes on once, last
     out = np.empty_like(y)
     is_small = y <= 0.46875
     small = np.flatnonzero(is_small)
     rest = np.flatnonzero(~is_small)            # NaN included
     ys = y[small]
     num, den = _cody_ratio(ys * ys, _ERF_A, _ERF_B)
-    out[small] = flat[small] * num / den
+    out[small] = ys * num / den
 
     # erfc(y) = exp(-y^2) R(y); erf(6) already rounds to 1
     y = np.minimum(y[rest], 6.0)
@@ -401,8 +409,8 @@ def erf(x) -> np.ndarray:
     # erf needs erfc only to absolute accuracy, so Cody's split of exp(-y^2)
     # into two factors (for relative accuracy in the far tail) is not needed
     erfc *= np.exp(-y * y)
-    out[rest] = np.copysign((0.5 - erfc) + 0.5, flat[rest])
-    return out.reshape(x.shape)
+    out[rest] = (0.5 - erfc) + 0.5
+    return np.copysign(out, flat, out=out).reshape(x.shape)
 
 
 def linear_fwd(x, w, b=None):

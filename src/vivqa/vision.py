@@ -30,9 +30,7 @@ import numpy as np
 from .errors import ShapeError
 from .optim import linear_params
 from .rng import RngStream
-from .tensor import (
-    Tensor, adaptive_avg_pool, add, concat, linear, mul, permute, reshape,
-)
+from .tensor import Tensor, add, chain, concat, linear, mul, permute, pool_step, reshape
 
 FUSION_OPS = ("multiply", "add", "concatenate")
 
@@ -123,10 +121,13 @@ def _check_images(imgs: np.ndarray, dims: VisionDims) -> None:
 
 
 def _block_means(imgs: np.ndarray, dims: VisionDims) -> np.ndarray:
-    """(N, grid*grid, channels) means over non-overlapping block x block patches."""
+    """(N, grid*grid, channels) means over block x block patches, in the order of the
+    6-D view's `mean(axis=(3, 5))`: a row by numpy's pairwise rule, then rows in turn."""
     n, c, g, b = len(imgs), dims.channels, dims.grid, dims.block
     blocks = imgs.reshape(n, c, g, b, g, b)
-    return blocks.mean(axis=(3, 5)).transpose(0, 2, 3, 1).reshape(n, g * g, c)
+    rows = np.add.reduce(blocks, axis=5) if b >= 8 else sum(
+        (blocks[..., j] for j in range(1, b)), blocks[..., 0])
+    return (np.add.reduce(rows, axis=3) / (b * b)).transpose(0, 2, 3, 1).reshape(n, g * g, c)
 
 
 def _image_summary(imgs: np.ndarray, p: StubExtractorParams) -> np.ndarray:
@@ -163,18 +164,21 @@ def extract_local_stub(imgs: np.ndarray, p: StubExtractorParams) -> Tensor:
 
 
 def adapt_local(v: Tensor, dims: VisionDims) -> Tensor:
-    """Local-to-global adapter over leading batch axes: pool -> permute -> pool -> flatten.
+    """Local-to-global adapter over leading batch axes, one node: pool, permute, pool, flatten.
 
     At paper scale: 2560x7x7 -> 2560x1x32 -> 32x1x2560 -> 32x1x768 -> 32x768.
     """
     want = (dims.local_channels, dims.grid, dims.grid)
     if v.shape[-3:] != want:
         raise ShapeError(f"adapt_local: input shape {v.shape} does not end in {want}")
-    k = v.data.ndim - 3
-    v = adaptive_avg_pool(v, (1, dims.n_tokens))
-    v = permute(v, (*range(k), k + 2, k + 1, k))
-    v = adaptive_avg_pool(v, (dims.token_dim,))
-    return reshape(v, v.shape[:k] + (dims.n_tokens, dims.token_dim))
+    k, lead, dtype = v.data.ndim - 3, v.shape[:-3], v.data.dtype
+    swap = functools.partial(np.swapaxes, axis1=k, axis2=k + 2)    # its own inverse
+    return chain(v, [
+        pool_step(v.shape, dtype, (1, dims.n_tokens)),
+        (lambda x: (swap(x), None), lambda _, g: (swap(g),), ()),     # a view: pool copies
+        pool_step(lead + (dims.n_tokens, 1, dims.local_channels), dtype, (dims.token_dim,)),
+        (lambda x: (x.reshape(lead + (dims.n_tokens, dims.token_dim)), x.shape),
+         lambda shape, g: (g.reshape(shape),), ())])
 
 
 def fuse(g: Tensor, l_adapted: Tensor, op: str) -> Tensor:

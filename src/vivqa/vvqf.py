@@ -11,6 +11,7 @@ Layout (little-endian throughout):
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 
@@ -21,35 +22,39 @@ from .tensor import Tensor
 
 MAGIC = b"VVQF"
 VERSION = 1
+_HEADER = struct.Struct("<4sII")     # magic, version, rank
 
 
 def write_feature_file(path, tensor: Tensor) -> None:
     data = np.ascontiguousarray(tensor.data, dtype="<f4")
-    header = MAGIC + struct.pack("<II", VERSION, data.ndim)
-    header += struct.pack(f"<{data.ndim}I", *data.shape)
-    body = header + data.tobytes()
+    body = _HEADER.pack(MAGIC, VERSION, data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape)
+    body += data.tobytes()
     with open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
 
 
 def read_feature_file(path) -> Tensor:
-    """The file's float32 tensor, a read-only view of the bytes read, so a
-    caller's cast to another dtype is the payload's only copy."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """The file's float32 tensor, a read-only view of its bytes (unbuffered reads to
+    end of file), so a caller's cast to another dtype is the payload's only copy."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))     # untranslated on Windows
+    try:
+        raw = os.read(fd, os.fstat(fd).st_size + 1)
+        while more := os.read(fd, 1 << 16):     # after a short read
+            raw += more
+    finally:
+        os.close(fd)
     if len(raw) < 16:
         raise FormatError(f"{path}: truncated file ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, rank = struct.unpack_from("<II", raw, 4)
+    magic, version, rank = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    offset = 12
-    if len(raw) < offset + 4 * rank:
+    offset = _HEADER.size + 4 * rank
+    if len(raw) < offset:
         raise FormatError(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{rank}I", raw, offset)
-    offset += 4 * rank
+    dims = struct.unpack_from(f"<{rank}I", raw, _HEADER.size)
     count = math.prod(dims)
     end = offset + 4 * count
     if len(raw) != end + 4:

@@ -224,10 +224,12 @@ def test_make_synthetic_guards():
 
 
 def test_local_positions_prefix_stable():
-    for n in range(2, 10):
-        assert _local_positions(7, n) == _local_positions(7, 9)[:n]
-    # diagonal first
-    assert _local_positions(7, 4) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    """A cue's block depends on the grid alone, so the first n cues of any
+    cue count are the same blocks: every block once, the diagonal first."""
+    cells = _local_positions(7)
+    assert sorted(cells) == [(i, j) for i in range(7) for j in range(7)]
+    assert cells[:4] == ((0, 0), (1, 1), (2, 2), (3, 3))
+    assert cells[7] == (0, 1) and _local_positions(7) is cells     # built once per grid
 
 
 def test_render_shapes_and_range():
@@ -260,7 +262,7 @@ def _render_uncached(spec, dims, noise_seed):
             tile[y, x] = (-1.0) ** bits
     img = np.full((c, size, size), BASE_LEVEL)
     img += TEXTURE_AMP * np.tile(tile, (grid, grid))[None, :, :]
-    bi, bj = _local_positions(grid, grid * grid)[spec.local_cue]
+    bi, bj = _local_positions(grid)[spec.local_cue]
     for ch in range(c):
         img[ch, bi * b:(bi + 1) * b, bj * b:(bj + 1) * b] += LOCAL_DELTA[ch % 3]
     noise = RngStream(noise_seed).split("pixel-noise").uniform(-NOISE_AMP, NOISE_AMP,

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from vivqa.cli import build_parser, main
 from vivqa.config import RunConfig
 from vivqa.data import make_synthetic, save_jsonl
-from vivqa.errors import ConfigError
+from vivqa.errors import ConfigError, DataError
 from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
 from vivqa.train import build_model
 from vivqa.vvqf import write_feature_file
@@ -132,7 +133,7 @@ HARNESS_DIGESTS = {
     "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
     "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
     "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
-    "freeze": "defe2de46e6d15c92c431c92c372ba0f877c1ca3b72bd131394de85f0948bd3d",
+    "freeze": "3dda4fa7c08fee4b7c66d5a02375c81fcf193718a01cc2db3a7c6ba8522b9be6",
     "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
     "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
 }
@@ -544,11 +545,23 @@ def test_cli_eval_of_unfrozen_checkpoint_on_vvqf_files_exits_3(tmp_path, capsys)
     assert capsys.readouterr().err == f"data error: {refs[0]}: {FILE_REFUSED}\n"
 
 
+def test_cli_eval_with_a_missing_feature_file_exits_4(tmp_path, capsys):
+    """An unreadable VVQF path is an OSError, exit 4, not a format error."""
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path, write_corpus(tmp_path))
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    data, refs = write_vvqf_corpus(tmp_path)
+    os.remove(refs[3] + ".local.vvqf")
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(run / "checkpoint.npz"), "--data", data]) == 4
+    assert refs[3] + ".local.vvqf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["train"], ["ablate", "freeze"]])
 def test_cli_unfrozen_run_on_vvqf_files_exits_3(tmp_path, capsys, command):
-    """Training an unfrozen model on feature files exits 3 naming the first
-    file ref of its first batch, and writes no checkpoint; the freeze
-    ablation's frozen arm reads the files and its unfrozen arm refuses them."""
+    """Training an unfrozen model on feature files exits 3 naming a file ref,
+    and writes no checkpoint; the freeze ablation refuses the files for its
+    unfrozen arm before either arm runs."""
     data, refs = write_vvqf_corpus(tmp_path)
     run = tmp_path / "run"
     freeze = command == ["ablate", "freeze"]
@@ -558,6 +571,25 @@ def test_cli_unfrozen_run_on_vvqf_files_exits_3(tmp_path, capsys, command):
     ref = err.removeprefix("data error: ").removesuffix(f": {FILE_REFUSED}\n")
     assert err.startswith("data error: ") and ref in refs
     assert not (run / "checkpoint.npz").exists()
+
+
+def test_ablate_freeze_refuses_a_feature_file_before_either_arm(tmp_path, splits, monkeypatch):
+    """One VVQF pair in the test split: the frozen arm could read it, but the
+    unfrozen arm cannot, so the DataError names it before any `train_model`."""
+    import vivqa.train as train_mod
+
+    train, test = splits
+    base = str(tmp_path / "pair")
+    for part, suffix in zip(build_model(mini_cfg(), train).visual_features(test[0]),
+                            (".global.vvqf", ".local.vvqf")):
+        write_feature_file(base + suffix, part)
+    calls, train_model = [], train_mod.train_model
+    monkeypatch.setattr(train_mod, "train_model", lambda *args: calls.append(args) or
+                        train_model(*args))
+    with pytest.raises(DataError, match=f"^{re.escape(base)}: {re.escape(FILE_REFUSED)}$"):
+        ablate_freeze(mini_cfg(), train, test + [dataclasses.replace(test[0], id="file",
+                                                                     image=base)])
+    assert calls == []
 
 
 def test_cli_train_without_test_split_runs(tmp_path):

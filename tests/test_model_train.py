@@ -827,6 +827,23 @@ def test_unfrozen_training_on_vvqf_files_raises_before_any_step(corpus, tmp_path
     assert steps == []
 
 
+def test_unfrozen_training_on_a_mixed_corpus_raises_before_any_step(tmp_path, monkeypatch):
+    """One VVQF pair among 63 `synthetic:` examples: unfrozen training refuses
+    the file ref before its first `AdamW.step`, whichever batch holds it."""
+    cfg = tiny_cfg(epochs=2, batch_size=8, freeze_extractors=False)
+    synthetic = make_synthetic(63, 4, 4, seed=7)
+    base = str(tmp_path / "pair")
+    examples = synthetic + [dataclasses.replace(synthetic[0], id="file", image=base)]
+    model = build_model(cfg, examples)
+    for part, suffix in zip(model.visual_features(synthetic[0]), (".global.vvqf", ".local.vvqf")):
+        write_feature_file(base + suffix, part)
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda opt, lr: steps.append(lr))
+    with pytest.raises(DataError, match=f"^{re.escape(base)}: not a synthetic image ref"):
+        train_model(model, examples, cfg)
+    assert steps == []
+
+
 def test_unfrozen_mixed_batch_trains_the_extractor_like_one_graph_per_example(corpus,
                                                                              monkeypatch):
     """An unfrozen batch of `synthetic:` images with mixed cues keeps every

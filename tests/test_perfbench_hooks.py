@@ -94,9 +94,10 @@ def test_forward_reaches_traced_fusion_layers(monkeypatch):
 def test_tiny_eval_reaches_checkpoint_and_vvqf_hooks(tmp_path):
     """tiny-eval's shape (perfbench/run.py `_eval_from_files`) under every
     traced wrapper: its set-up saves one checkpoint, and its timed phase
-    loads it once and reads 2 x 128 VVQF files, each through the wrapper
-    that counts `vvqf.read.bytes`.  A renamed hook or a changed call would
-    end the benchmark run as failed."""
+    loads it once, reads 2 x 128 VVQF files, each through the wrapper that
+    counts `vvqf.read.bytes`, and adapts each 16-example chunk's local
+    features in one `adapt_local` call.  A renamed hook or a changed call
+    would end the benchmark run as failed."""
     probes = _load_probes()
     tracer = probes.Tracer()
     corpus = make_synthetic(128, 4, 4, seed=0)
@@ -120,8 +121,8 @@ def test_tiny_eval_reaches_checkpoint_and_vvqf_hooks(tmp_path):
             train.predict_split(loaded, eval_corpus[i:i + cfg.batch_size])
     setup, timed = tracer.layer_totals(0, "setup"), tracer.layer_totals(0, "timed")
     assert setup["model.save_checkpoint"][0] == 1
-    assert [timed[name][0] for name in ("model.load_checkpoint", "vvqf.read_feature_file")] \
-        == [1, 256]
+    assert [timed[name][0] for name in ("model.load_checkpoint", "vvqf.read_feature_file",
+                                        "vision.adapt_local")] == [1, 256, 8]
     files = [p for p in os.listdir(tmp_path) if p.endswith(".vvqf")]
     assert len(files) == 256
     assert tracer.counters[0]["vvqf.read.bytes"] == sum(

@@ -161,6 +161,46 @@ def test_erf_matches_scipy_oracle():
     assert T.erf(np.ones((2, 3))).shape == (2, 3)
 
 
+def _erf_with_gathers(x):
+    """T.erf as it was before the sign went on once, over the output: each
+    branch gathered x's values and multiplied or copied the sign in."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    y = np.abs(flat)
+    out = np.empty_like(y)
+    is_small = y <= 0.46875
+    small, rest = np.flatnonzero(is_small), np.flatnonzero(~is_small)
+    ys = y[small]
+    num, den = T._cody_ratio(ys * ys, T._ERF_A, T._ERF_B)
+    out[small] = flat[small] * num / den
+    y = np.minimum(y[rest], 6.0)
+    num, den = T._cody_ratio(np.minimum(y, 4.0), T._ERF_C, T._ERF_D)
+    erfc = num / den
+    tail = np.flatnonzero(y > 4.0)
+    if tail.size:
+        yt = y[tail]
+        z = 1.0 / (yt * yt)
+        num, den = T._cody_ratio(z, T._ERF_P, T._ERF_Q)
+        erfc[tail] = (T._INV_SQRTPI - z * num / den) / yt
+    erfc *= np.exp(-y * y)
+    out[rest] = np.copysign((0.5 - erfc) + 0.5, flat[rest])
+    return out.reshape(x.shape)
+
+
+def test_erf_is_bitwise_the_gathering_formula(rng):
+    """The sign applied once by np.copysign gives every bit the per-branch
+    gathers gave: random values, signed zeros, infinities, NaNs of both
+    signs, the branch edges 0.46875, 4 and 6 and their neighbours, and
+    subnormals."""
+    edges = np.array([0.46875, 4.0, 6.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+    special = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+                              [0.0, np.inf, np.nan]])
+    x = np.concatenate([rng.normal(scale=3.0, size=4000), special, -special])
+    assert np.signbit(x[-1]) and np.isnan(x[-1])
+    for arr in (x, x.reshape(-1, 2), rng.normal(size=(16, 16, 96))):
+        assert T.erf(arr).tobytes() == _erf_with_gathers(arr).tobytes()
+
+
 def test_tanh_matches_numpy(rng):
     x = rng.normal(size=5)
     np.testing.assert_allclose(T.tanh(Tensor(x)).data, np.tanh(x), atol=1e-15)

@@ -6,7 +6,9 @@ import pytest
 from vivqa.config import preset_dims
 from vivqa.data import SyntheticSpec, render_synthetic
 from vivqa.errors import ShapeError
-from vivqa.tensor import Tensor, backward, grad_check, sum_all, mul
+from vivqa.tensor import (
+    Tensor, backward, grad_check, mul, node, permute, pool_matrix, reshape, sum_all,
+)
 from vivqa.vision import (
     FUSION_OPS, MID_GRAY, StubExtractorParams, VisionDims, _block_means, adapt_local,
     extract_global_stub, extract_local_stub, frozen_extractor, fuse, fused_token_count,
@@ -146,6 +148,22 @@ def test_block_means_oracle(params):
                 np.testing.assert_allclose(got[n, bi * g + bj], want, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims,n", [(TINY, 16), (PAPER, 2)], ids=["block4", "block32"])
+def test_block_means_are_bitwise_the_6d_mean(dims, n):
+    """The block means keep every bit of `mean(axis=(3, 5))` on the 6-D view,
+    on stacks with negative values, zeros of both signs and blocks of -0.0."""
+    r = np.random.default_rng(11)
+    c, g, b = dims.channels, dims.grid, dims.block
+    for _ in range(5):
+        imgs = r.normal(size=(n, c, dims.image_size, dims.image_size))
+        imgs[r.random(imgs.shape) < 0.2] = 0.0
+        imgs[r.random(imgs.shape) < 0.2] = -0.0
+        imgs[0, 0, :2 * b, :b] = -0.0
+        want = imgs.reshape(n, c, g, b, g, b).mean(axis=(3, 5))
+        want = want.transpose(0, 2, 3, 1).reshape(n, g * g, c)
+        assert _block_means(imgs, dims).tobytes() == want.tobytes()
+
+
 def test_unfrozen_stub_params_receive_gradients():
     p = StubExtractorParams(TINY, seed=1, trainable=True)
     imgs = tiny_image(8)[None]
@@ -245,6 +263,50 @@ def _adapter_oracle(v, dims):
     x = x.transpose(2, 1, 0)                   # (n_tokens, 1, C)
     x = pool_axis(x, 2, dims.token_dim)        # (n_tokens, 1, token_dim)
     return x.reshape(dims.n_tokens, dims.token_dim)
+
+
+def _tensordot_pool(t, out_sizes):
+    """adaptive_avg_pool as a closure over np.tensordot, one axis at a time."""
+    first = t.data.ndim - len(out_sizes)
+    mats = [pool_matrix(t.shape[first + j], m) for j, m in enumerate(out_sizes)]
+
+    def apply(x, transposed):
+        for axis, w in enumerate(mats, first):
+            x = np.moveaxis(np.tensordot(x, w.T if transposed else w, axes=([axis], [1])),
+                            -1, axis)
+        return x
+
+    return node(apply(t.data, False), (t,), lambda g: (apply(g, True),))
+
+
+def _four_op_adapter(v, dims):
+    """The adapter as four graph nodes: pool, permute, pool, reshape."""
+    k = v.data.ndim - 3
+    v = _tensordot_pool(v, (1, dims.n_tokens))
+    v = permute(v, (*range(k), k + 2, k + 1, k))
+    v = _tensordot_pool(v, (dims.token_dim,))
+    return reshape(v, v.shape[:k] + (dims.n_tokens, dims.token_dim))
+
+
+@pytest.mark.parametrize("dims,lead", [(TINY, ()), (TINY, (16,)), (PAPER, (2,))],
+                         ids=["tiny", "tiny-batch", "paper-batch"])
+def test_adapter_node_is_bitwise_the_four_op_chain(dims, lead):
+    """One node, whose output and input gradient keep every bit of the
+    four-op chain's."""
+    r = np.random.default_rng(5)
+    v = r.normal(size=lead + (dims.local_channels, dims.grid, dims.grid))
+    proj = Tensor(r.normal(size=lead + (dims.n_tokens, dims.token_dim)))
+    results = []
+    for adapter in (adapt_local, _four_op_adapter):
+        leaf = Tensor(v, requires_grad=True)
+        out = adapter(leaf, dims)
+        backward(sum_all(mul(out, proj)))
+        results.append((out, leaf.grad))
+    (out, grad), (want, want_grad) = results
+    assert out.data.tobytes() == want.data.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+    leaf = Tensor(v, requires_grad=True)
+    assert adapt_local(leaf, dims)._parents == (leaf,)
 
 
 def test_adapter_shape_chain_tiny():

@@ -1,5 +1,6 @@
 """Feature-file container tests: byte-level layout oracle, round trips, and
 corruption detection."""
+import re
 import struct
 import zlib
 
@@ -98,6 +99,43 @@ def test_checksum_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="checksum"):
         read_feature_file(path)
+
+
+def test_missing_path_and_directory_raise_oserror(tmp_path):
+    """Not a FormatError: the CLI maps an unreadable path to exit 4, as it
+    did when the reader went through open()."""
+    for path in (tmp_path / "absent.vvqf", tmp_path):
+        with pytest.raises(OSError) as info:
+            read_feature_file(path)
+        assert not isinstance(info.value, FormatError)
+
+
+def test_each_cut_or_corruption_is_a_format_error_naming_the_path(tmp_path):
+    path = tmp_path / "f.vvqf"
+    write_feature_file(path, Tensor(np.arange(12, dtype=np.float32).reshape(3, 4)))
+    raw = path.read_bytes()     # header 12 bytes, dims 8, payload 48, crc 4
+    flipped = bytearray(raw)
+    flipped[-2] ^= 0x10
+    cases = {
+        "truncated file": raw[:15],
+        "truncated dimension list": raw[:16],
+        "payload/checksum size mismatch": raw[:40],
+        "payload/checksum size mismatch (have 73, want 72)": raw + b"\0",
+        "checksum mismatch": bytes(flipped),
+    }
+    for message, content in cases.items():
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            read_feature_file(path)
+
+
+def test_returned_array_is_read_only(tmp_path):
+    path = tmp_path / "f.vvqf"
+    write_feature_file(path, Tensor(np.ones((2, 2), dtype=np.float32)))
+    data = read_feature_file(path).data
+    assert not data.flags.writeable
+    with pytest.raises(ValueError):
+        data[0, 0] = 2.0
 
 
 @given(st.integers(0, 10_000), st.integers(1, 3))
