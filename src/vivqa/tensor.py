@@ -17,12 +17,12 @@ values but record no graph, so inference keeps no activations alive.
 
 A minibatch travels as one leading batch axis: the model's activations are
 (B, rows, width), `matmul` and `linear` take (..., n, k) @ (k, m),
-`layer_norm` normalizes the last axis of any rank, `multi_head_attention`
-takes (B, S, width) with a (B, S) key bias, `cross_entropy` takes (B, C)
-logits and (B,) targets with mean reduction, and drop path scales each
-item's residual branch by its entry of a (B,) mask column.  Broadcasting is
-otherwise deliberately restricted: elementwise ops demand identical shapes,
-save the bias row in `linear`.
+`layer_norm` normalizes the last axis of any rank (its sums, like softmax's,
+are products with a ones vector), `multi_head_attention` takes (B, S, width)
+with a (B, S) key bias, `cross_entropy` takes (B, C) logits and (B,) targets
+with mean reduction, and drop path scales each item's residual branch by its
+entry of a (B,) mask column.  Broadcasting is otherwise deliberately
+restricted: elementwise ops demand identical shapes, save `linear`'s bias row.
 64-bit is the default dtype; 32-bit is allowed for training speed but all
 gradient checks assume 64-bit.
 """
@@ -201,6 +201,15 @@ def scale(a: Tensor, s: float) -> Tensor:
 def _rows(arr: np.ndarray) -> np.ndarray:
     """Fold every leading axis into one: (..., d) -> (n, d)."""
     return arr.reshape(-1, arr.shape[-1])
+
+
+_ones = functools.lru_cache(maxsize=None)(      # (shape, dtype) -> one shared, read-only array
+    lambda shape, dtype: np.lib.stride_tricks.as_strided(np.ones(shape, dtype), writeable=False))
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """(..., d) -> (..., 1) sums, one product with a ones column: BLAS loops the rows."""
+    return x @ _ones((x.shape[-1], 1), x.dtype)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -419,10 +428,10 @@ def linear_fwd(x, w, b=None):
 
 
 def linear_bwd(saved, g):
-    x, w, has_bias = saved
+    x, w, has_bias = saved      # each product folds all rows into one
     g2 = _rows(g)
-    grads = (g @ w.T, _rows(x).T @ g2)
-    return grads + (np.add.reduce(g2, axis=0),) if has_bias else grads
+    grads = ((g2 @ w.T).reshape(x.shape), _rows(x).T @ g2)
+    return grads + (_ones(len(g2), g2.dtype) @ g2,) if has_bias else grads
 
 
 def select_fwd(x, idx):
@@ -436,8 +445,8 @@ def select_bwd(saved, g):
 
 
 def layer_norm_fwd(x, gamma, beta, eps=1e-5):
-    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]  # x.mean(-1), unwrapped
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / x.shape[-1] + eps)
+    xhat = x - _row_sums(x) / x.shape[-1]
+    inv = 1.0 / np.sqrt(_row_sums(xhat * xhat) / x.shape[-1] + eps)
     xhat *= inv
     out = xhat * gamma
     out += beta
@@ -445,14 +454,14 @@ def layer_norm_fwd(x, gamma, beta, eps=1e-5):
 
 
 def layer_norm_bwd(saved, g):
-    xhat, inv, gamma = saved
-    d, lead = xhat.shape[-1], tuple(range(xhat.ndim - 1))
+    xhat, inv, gamma = saved        # gamma's and beta's gradients: a ones row @ all rows
+    d, ones = xhat.shape[-1], _ones(g.size // xhat.shape[-1], g.dtype)
     dxhat = g * gamma
-    dx = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+    dx = dxhat - _row_sums(dxhat) / d
     dxhat *= xhat
-    dx -= xhat * (np.add.reduce(dxhat, axis=-1, keepdims=True) / d)
+    dx -= xhat * (_row_sums(dxhat) / d)
     dx *= inv
-    return dx, np.add.reduce(g * xhat, axis=lead), np.add.reduce(g, axis=lead)
+    return dx, ones @ _rows(g * xhat), ones @ _rows(g)
 
 
 def tanh_fwd(x):
@@ -481,16 +490,15 @@ def gelu_bwd(saved, g):
     return (np.multiply(np.add(t, cdf, out=t), g, out=t),)
 
 
-def softmax_fwd(x, axis=-1, out=None):
-    y = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+def softmax_fwd(x, out=None):
+    y = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-    return y, (y, axis)
+    y /= _row_sums(y)
+    return y, y
 
 
-def softmax_bwd(saved, g):
-    y, axis = saved
-    return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+def softmax_bwd(y, g):
+    return (y * (g - _row_sums(g * y)),)
 
 
 def _heads(arr, heads):
@@ -517,7 +525,7 @@ def attention_fwd(q, k, v, key_bias, heads, weights_sink=None):
 def attention_bwd(saved, g):
     qd, kd, vd, w, s = saved
     gout = _heads(g, w.shape[1])
-    ds, = softmax_bwd((w, -1), gout @ vd.transpose(0, 1, 3, 2))
+    ds, = softmax_bwd(w, gout @ vd.transpose(0, 1, 3, 2))
     return (_merged((ds @ kd) * s), _merged((ds.transpose(0, 1, 3, 2) @ qd) * s),
             _merged(w.transpose(0, 1, 3, 2) @ gout))
 
@@ -548,7 +556,9 @@ def gelu(t: Tensor) -> Tensor:
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    return _op(softmax_fwd, softmax_bwd, (t,), axis)
+    if axis not in (-1, t.data.ndim - 1):       # the only axis supported
+        raise ShapeError(f"softmax: axis {axis} is not the last axis of {t.shape}")
+    return _op(softmax_fwd, softmax_bwd, (t,))
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

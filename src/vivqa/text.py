@@ -74,17 +74,17 @@ class TextEncoderParams:
 def encode(ids: np.ndarray, p: TextEncoderParams) -> Tensor:
     """(B, l_max + 2) token ids -> (B, l_max + 2, width) token + positional
     embeddings in one graph node; PAD rows are produced here and masked
-    downstream.  The token table's gradient is np.add.at's, and the
-    positional table's sums over the items."""
+    downstream.  The token table's gradient is one np.bincount over (id,
+    column) slots, np.add.at's float64 bits; the positional table's sums."""
     table, positional = p.params.values()
     ids = as_ids(ids, table.shape[0], "encode: token id")
     if ids.ndim != 2 or ids.shape[1] != positional.shape[0]:
         raise ShapeError(f"encode: token ids {ids.shape}, not (batch, {positional.shape[0]})")
 
     def bwd(g):
-        dt = np.zeros(table.shape, dtype=g.dtype)
-        np.add.at(dt, ids, g)
-        return dt, g.sum(axis=0)
+        slots = ids[..., None] * table.shape[1] + np.arange(table.shape[1])
+        dt = np.bincount(slots.reshape(-1), g.reshape(-1), table.data.size)
+        return dt.reshape(table.shape).astype(g.dtype, copy=False), g.sum(axis=0)
 
     out = table.data[ids]
     out += positional.data

@@ -1,9 +1,9 @@
 """Training protocol and evaluation: cross-entropy over the answer classes,
 AdamW with the cosine-warmup schedule, deterministic batching per seed.
 Each minibatch is one forward graph, fed its drop-path masks as one table
-(a pure function of seed, epoch, example id and site), one backward and one
-optimizer step; evaluation runs batch_size chunks with no drop path and
-without recording a graph.
+(a pure function of seed, epoch, example id and image, and site), one
+backward and one optimizer step; evaluation runs batch_size chunks with no
+drop path and without recording a graph.
 
 Reports are split into a deterministic part (report.json — a pure function
 of config, seed, corpus) and a timing file that is allowed to vary between
@@ -80,11 +80,11 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     optimizer = AdamW(model.trainable_params(), model.arena, model.grad, model.n_decay,
                       betas=cfg.adam_betas, eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     n_batches = math.ceil(len(train_split) / cfg.batch_size)
-    schedule = ScheduleConfig(peak_lr=cfg.lr, total_steps=max(1, cfg.epochs * n_batches),
+    schedule = ScheduleConfig(peak_lr=cfg.lr, total_steps=cfg.epochs * n_batches + 1,
                               warmup_ratio=cfg.warmup_ratio, floor_lr=cfg.floor_lr)
     if cfg.drop_path > 0:           # each block's rate at its attention and expert sites
         drop = RngStream(cfg.seed).split("drop-path")
-        item_keys = {ex.id: drop.split(ex.id).seed for ex in train_split}
+        item_keys = {(e.id, e.image): drop.split(e.id).split(e.image).seed for e in train_split}
         site_rates = np.repeat(block_drop_rates(cfg), 2)
     report = RunReport(seed=cfg.seed, config=json.loads(cfg.to_json()))
     model.fill_store(train_split)       # extraction is not training time
@@ -98,7 +98,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         for examples, targets in batch_iter(train_split, cfg.batch_size, model.answer_vocab,
                                             cfg.seed, epoch, is_train=True):
             optimizer.zero_grad()
-            table = (keep_table(drop.seed, epoch, [item_keys[ex.id] for ex in examples],
+            table = (keep_table(drop.seed, epoch, [item_keys[ex.id, ex.image] for ex in examples],
                                 site_rates) if cfg.drop_path > 0 else None)
             logits = model.forward(examples, table)
             loss = T.cross_entropy(logits, targets)
@@ -114,7 +114,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
             if bad is not None:
                 raise NumericalError(
                     f"gradient of {bad} is non-finite at epoch {epoch}, step {step}")
-            optimizer.step(lr_at(step, schedule))
+            optimizer.step(lr_at(step + 1, schedule))    # of n + 1: not the ramp's 0 or floor
             step += 1
         report.epoch_losses.append(loss_sum / max(1, total))
         report.epochs_run = epoch + 1

@@ -20,6 +20,8 @@ from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, signi
 from vivqa.train import build_model
 from vivqa.vvqf import write_feature_file
 
+from numeric_baseline import baseline_env, run_child
+
 
 def mini_cfg(**kw):
     base = dict(preset="tiny", epochs=1, batch_size=8, lr=1e-3, layers=1, heads=2,
@@ -28,10 +30,13 @@ def mini_cfg(**kw):
     return RunConfig(**base)
 
 
+def _splits():
+    return make_synthetic(16, 2, 2, seed=1), make_synthetic(8, 2, 2, seed=2, id_prefix="te")
+
+
 @pytest.fixture(scope="module")
 def splits():
-    return make_synthetic(16, 2, 2, seed=1), make_synthetic(8, 2, 2, seed=2,
-                                                            id_prefix="te")
+    return _splits()
 
 
 # ---------------------------------------------------------------------------
@@ -125,36 +130,41 @@ def _freeze_without_timing(cfg, train, test):
     return results
 
 
-# sha256 of each entry point's result on `splits`: no result may depend on
-# when the store is filled or on which splits an arm predicts.  "freeze"
-# also holds each arm's backward node visits, so it moves whenever the
-# graph gains or loses a node per step.
+# sha256 of each entry point's result on `splits`, taken on the declared
+# numeric baseline (`numeric_baseline`): no result may depend on when the
+# store is filled or on which splits an arm predicts.  "freeze" also holds
+# each arm's backward node visits, so it moves whenever the graph gains or
+# loses a node per step.
 HARNESS_DIGESTS = {
-    "extractors": "262773e774e2a35f4234dff451cc97f07571c0a55646e6f00d71d028cbbe9f33",
-    "extractors_no_test": "a5adbce0ce688014d8c2149df98a72987efa86f05a0b42d0fcebd7817e0e05e5",
-    "fusion": "8b5777dd67a17152e023455fc29f9d017747042ff9e25393032d6d6ecb5df274",
-    "freeze": "3dda4fa7c08fee4b7c66d5a02375c81fcf193718a01cc2db3a7c6ba8522b9be6",
-    "sweep": "ca6719cbd137e29b00a1ff4dae64de59c914c17885e2523b8427ad4473af2c8b",
-    "significance": "3cda5a5176811a4e7f8fa0d2a3f4f6d038374b733b4d284db9e2f4cc034f26fe",
+    "extractors": "0ce78895164f69a70a91890b80ee10247eb2ad33a313274f7807ec8f2447ece6",
+    "extractors_no_test": "542a5f3f5558c9dd4811b9a80cc2d61c91688f346f94853608d71b437c0b28a0",
+    "fusion": "6232777a65f9f472e36246a28ce83d725b6d88090c74321abb2d559c68f9bcc9",
+    "freeze": "d14965bff02f4f839ec7220e206fdbe5c8d3f949dcff23f60011dd62054ebc69",
+    "sweep": "511dd45fdc2277360194828d33759368bbdbebd329b40333bb99fbfa7419f2c2",
+    "significance": "1b3dcb6da9b40fa46ae7f13b90ee4be85751289790dc727d25dd027f2f99d7e1",
 }
 
 
-def test_harness_results_are_bitwise_those_pinned(splits):
-    """Every entry point gives the digest pinned above; with an empty test
-    split the extractor arms score the train split.  `training_seconds` is
-    wall clock and is left out."""
-    train, test = splits
+def harness_digests() -> dict:
+    """The digest of every entry point's result on `splits`; with an empty
+    test split the extractor arms score the train split.
+    `training_seconds` is wall clock and is left out."""
+    train, test = _splits()
     cfg = mini_cfg()
-    runs = {
-        "extractors": lambda: ablate_extractors(cfg, train, test, seeds=[0, 1]),
-        "extractors_no_test": lambda: ablate_extractors(cfg, train, [], seeds=[0, 1]),
-        "fusion": lambda: ablate_fusion(cfg, train, test),
-        "freeze": lambda: _freeze_without_timing(cfg, train, test),
-        "sweep": lambda: sweep(cfg, "layers", [1, 2], train, test),
-        "significance": lambda: significance(cfg, mini_cfg(fusion_op="add"), train, test,
-                                             n_seeds=2),
+    results = {
+        "extractors": ablate_extractors(cfg, train, test, seeds=[0, 1]),
+        "extractors_no_test": ablate_extractors(cfg, train, [], seeds=[0, 1]),
+        "fusion": ablate_fusion(cfg, train, test),
+        "freeze": _freeze_without_timing(cfg, train, test),
+        "sweep": sweep(cfg, "layers", [1, 2], train, test),
+        "significance": significance(cfg, mini_cfg(fusion_op="add"), train, test, n_seeds=2),
     }
-    assert {name: _digest(run()) for name, run in runs.items()} == HARNESS_DIGESTS
+    return {name: _digest(result) for name, result in results.items()}
+
+
+def test_harness_results_are_bitwise_those_pinned():
+    """Every entry point gives the digest pinned above."""
+    assert run_child("test_harness_cli", "harness_digests", baseline_env()) == HARNESS_DIGESTS
 
 
 def test_arms_predict_only_the_split_they_score(splits, monkeypatch):

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import zipfile
 
 import numpy as np
@@ -35,6 +36,8 @@ from vivqa.train import build_model, predict_split, run_training, train_model
 from vivqa.vision import FUSION_OPS, adapt_local, frozen_extractor
 from vivqa.vvqf import read_feature_file, write_feature_file
 
+from numeric_baseline import baseline_env, child_env, run_child
+
 
 def tiny_cfg(**kw):
     base = dict(preset="tiny", epochs=2, batch_size=8, lr=1e-3, layers=1, heads=2,
@@ -47,7 +50,7 @@ def drop_table(cfg, batch, epoch=0):
     """The batch's (B, 2 * layers) drop-path table in `epoch`, as train_model
     builds it."""
     drop = RngStream(cfg.seed).split("drop-path")
-    return keep_table(drop.seed, epoch, [drop.split(ex.id).seed for ex in batch],
+    return keep_table(drop.seed, epoch, [drop.split(ex.id).split(ex.image).seed for ex in batch],
                       np.repeat(block_drop_rates(cfg), 2))
 
 
@@ -306,12 +309,15 @@ def test_each_question_is_tokenized_once_per_model(corpus, monkeypatch):
         assert model.forward(corpus[:8]).data.tobytes() == cached.tobytes()
 
 
+TINY_TRAIN = dict(preset="tiny", layers=2, heads=2, batch_size=16, lr=1e-3, drop_path=0.1,
+                  epochs=6, seed=0)
+
+
 @pytest.fixture(scope="module")
 def tiny_train_run():
     """The benchmark's tiny-train run: 48 steps of a 2-layer model, one
     graph per minibatch with its vision tokens served from the store."""
-    cfg = RunConfig(preset="tiny", layers=2, heads=2, batch_size=16, lr=1e-3,
-                    drop_path=0.1, epochs=6, seed=0)
+    cfg = RunConfig(**TINY_TRAIN)
     corpus = make_synthetic(128, 4, 4, seed=0)
     model = build_model(cfg, corpus)
     report = train_model(model, corpus, cfg)
@@ -331,22 +337,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_tiny_train_is_bitwise_the_pinned_run(tiny_train_run):
-    """Epoch losses, predictions and the trained arena of the tiny-train run
-    hash to the digests pinned here: a kernel change that moves one bit of
-    training fails this test."""
-    model, report, records = tiny_train_run
+def tiny_train_digests() -> dict:
+    """sha256 of the tiny-train run's epoch losses, predictions, trained
+    arena and report.json, as `run_training` writes it."""
+    corpus = make_synthetic(128, 4, 4, seed=0)
+    with tempfile.TemporaryDirectory() as out:
+        report, model = run_training(RunConfig(**TINY_TRAIN, out=out), corpus, [])
+        with open(os.path.join(out, "report.json"), "rb") as fh:
+            report_json = fh.read()
     losses = " ".join(float(v).hex() for v in report.epoch_losses)
-    predictions = json.dumps([[r.id, r.prediction] for r in records])
-    assert {
-        "losses": _sha256(losses.encode()),
-        "predictions": _sha256(predictions.encode()),
-        "arena": _sha256(model.arena.tobytes()),
-    } == {
-        "losses": "0b010d8e49b39e802d2465eaa76775ddd15ff4792f228b1fc4c844454db099eb",
-        "predictions": "62c9455ff7619c23fd6b23bffeb5ee5728ba4107344c7c59d52a883ae6b650d9",
-        "arena": "027a8931692cf02a786940cf34df0a2ccff2b796845536bb95f28e3ed48e18ba",
+    predictions = json.dumps([[r.id, r.prediction] for r in predict_split(model, corpus)])
+    return {"losses": _sha256(losses.encode()), "predictions": _sha256(predictions.encode()),
+            "arena": _sha256(model.arena.tobytes()), "report": _sha256(report_json)}
+
+
+def test_tiny_train_is_bitwise_the_pinned_run():
+    """Epoch losses, predictions and the trained arena of the tiny-train run
+    hash to the digests pinned here, taken on the declared numeric baseline
+    (`numeric_baseline`): a kernel change that moves one bit of training
+    fails this test."""
+    digests = run_child("test_model_train", "tiny_train_digests", baseline_env())
+    digests.pop("report")
+    assert digests == {
+        "losses": "c18d8e3201be31e7d22308046939c72e8e46d8de5129f5f0877da458f61c250f",
+        "predictions": "f428ff9d69c7bf57f784c5628e3134116a7b17489059272460d3eb036ffc105c",
+        "arena": "6f94fff7963d2736bf852c3ef09a25fe13b4288fb588ec4abbf6bb131d69044e",
     }
+
+
+def test_tiny_train_bits_do_not_depend_on_the_blas_thread_count():
+    """The tiny-train run on 1 and on 2 OpenBLAS threads, on this host's own
+    code path, writes the same report.json and trains the same arena."""
+    runs = [run_child("test_model_train", "tiny_train_digests",
+                      child_env(OPENBLAS_NUM_THREADS=str(n))) for n in (1, 2)]
+    assert runs[0] == runs[1]
 
 
 def test_training_and_prediction_never_import_numpy_ma():
@@ -595,6 +619,42 @@ def test_train_model_feeds_every_split_position_once_per_epoch():
     for epoch in range(cfg.epochs):
         fed = seen[epoch * len(split):(epoch + 1) * len(split)]
         assert sorted(map(id, fed)) == sorted(map(id, split))
+
+
+def test_examples_sharing_an_id_get_their_own_drop_path_rows(monkeypatch):
+    """Drop path is keyed by (id, image ref): two corpora with the default id
+    prefix share ids for other images, and each such pair gets two tables
+    of rows over the epochs (keyed by id alone, all 7 pairs shared theirs)."""
+    split = make_synthetic(8, 4, 4, seed=0) + make_synthetic(8, 4, 4, seed=1)
+    cfg = tiny_cfg(layers=4, epochs=2, batch_size=16, drop_path=0.5)
+    model = build_model(cfg, split)
+    rows, forward = {}, model.forward
+
+    def recording_forward(examples, drop=None):
+        for ex, row in zip(examples, drop):
+            rows[ex.id, ex.image] = rows.get((ex.id, ex.image), b"") + row.tobytes()
+        return forward(examples, drop)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    train_model(model, split, cfg)
+    shared = [(a, b) for a in split[:8] for b in split[8:] if a.id == b.id and a.image != b.image]
+    assert len(shared) == 7
+    for a, b in shared:
+        assert rows[a.id, a.image] != rows[b.id, b.image], a.id
+
+
+@pytest.mark.parametrize("warmup_ratio", [0.1, 0.0])
+def test_one_step_run_moves_every_trainable_parameter(corpus, warmup_ratio):
+    """A run of one optimizer step trains: its step's rate is positive,
+    never the warmup's lr_at(0) == 0 or the floor."""
+    cfg = tiny_cfg(epochs=1, batch_size=len(corpus), warmup_ratio=warmup_ratio,
+                   freeze_extractors=False, vision_mode="both")
+    model = build_model(cfg, corpus)
+    before = {name: p.data.copy() for name, p in model.trainable_params().items()}
+    train_model(model, corpus, cfg)
+    still = [name for name, p in model.trainable_params().items()
+             if np.array_equal(p.data, before[name])]
+    assert still == []
 
 
 def test_vvqf_image_path(tmp_path, corpus):

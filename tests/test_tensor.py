@@ -1086,6 +1086,114 @@ def test_non_float_input_promoted_to_float64():
 
 
 # ---------------------------------------------------------------------------
+# Sums as BLAS products: layer norm's and softmax's row sums are products
+# with a ones column, the column sums a ones row times every row, and
+# `linear_bwd`'s input gradient one product over all rows.  Each is checked
+# against a float64 np.mean / np.sum or per-item oracle at the tiny preset's
+# shapes.
+
+SUM_SHAPES = [(16, 24, 24), (16, 1, 24), (16, 48)]
+
+
+def _assert_close(got, want, rel=1e-12):
+    """Equal within `rel` of the reference's largest magnitude."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+def test_layer_norm_kernels_match_the_mean_oracle(shape):
+    r = np.random.default_rng(sum(shape))
+    d = shape[-1]
+    x, g = r.normal(size=shape) * 3.0 + 1.0, r.normal(size=shape)
+    gamma, beta = r.normal(size=d) + 1.0, r.normal(size=d)
+    out, saved = T.layer_norm_fwd(x, gamma, beta)
+    dx, dgamma, dbeta = T.layer_norm_bwd(saved, g)
+
+    mean = np.mean(x, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean((x - mean) ** 2, axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mean) * inv
+    dxhat = g * gamma
+    _assert_close(out, xhat * gamma + beta)
+    _assert_close(dx, inv * (dxhat - np.mean(dxhat, axis=-1, keepdims=True)
+                             - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)))
+    _assert_close(dgamma, np.sum((g * xhat).reshape(-1, d), axis=0))
+    _assert_close(dbeta, np.sum(g.reshape(-1, d), axis=0))
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES + [(16, 2, 24, 24)])
+def test_softmax_kernels_match_the_sum_oracle(shape):
+    r = np.random.default_rng(sum(shape) + 1)
+    x, g = r.normal(size=shape) * 4.0, r.normal(size=shape)
+    y, saved = T.softmax_fwd(x)
+    dx, = T.softmax_bwd(saved, g)
+
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    want = e / np.sum(e, axis=-1, keepdims=True)
+    _assert_close(y, want)
+    _assert_close(dx, want * (g - np.sum(g * want, axis=-1, keepdims=True)))
+
+
+def test_softmax_is_over_the_last_axis_only():
+    x = Tensor(np.zeros((2, 3)))
+    assert T.softmax(x, axis=1).shape == (2, 3)
+    with pytest.raises(ShapeError):
+        T.softmax(x, axis=0)
+
+
+@pytest.mark.parametrize("x_shape, m", [((16, 24, 24), 96), ((16, 16, 96), 24),
+                                        ((16, 1, 24), 24), ((16, 8, 32), 24), ((16, 48), 16)])
+def test_linear_backward_folded_products_match_the_per_item_loop(x_shape, m):
+    """The input gradient, one product over all rows, and the weight and
+    bias gradients equal per-item products and np.sum over the items."""
+    r = np.random.default_rng(x_shape[-1] + m)
+    x, w, b = r.normal(size=x_shape), r.normal(size=(x_shape[-1], m)), r.normal(size=m)
+    g = r.normal(size=x_shape[:-1] + (m,))
+    dx, dw, db = T.linear_bwd(T.linear_fwd(x, w, b)[1], g)
+
+    items = [(x[i], g[i]) if x.ndim == 3 else (x[i:i + 1], g[i:i + 1]) for i in range(len(x))]
+    _assert_close(dx, np.stack([gi @ w.T for _, gi in items]).reshape(x.shape))
+    _assert_close(dw, np.sum([xi.T @ gi for xi, gi in items], axis=0))
+    _assert_close(db, np.sum(g.reshape(-1, m), axis=0))
+
+
+@pytest.mark.parametrize("case", ["random", "zeros_nan_repeats"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encode_token_gradient_is_np_add_at_bitwise(case, dtype):
+    """`text.encode`'s np.bincount scatter of the token-table gradient gives
+    np.add.at's float64 bits, signed zeros, NaN and repeated ids included;
+    a float32 table keeps its dtype, and np.add.at's float32 sums to their
+    rounding."""
+    r = np.random.default_rng(7)
+    vocab, width, rows = 9, 5, 6
+    ids = r.integers(0, vocab, size=(4, rows))
+    g = r.normal(size=(4, rows, width)) * 1e3
+    if case == "zeros_nan_repeats":
+        ids[:, :3] = 2                      # one id at many positions
+        ids[:, 3] = 5
+        g[:, :3, 0] = -0.0                  # a slot that sums only -0.0
+        g[:, :3, 1] = 0.0
+        g[1, 1, 2] = np.nan
+        g[:, 3, :] = np.array([-0.0, 0.0, np.inf, -np.inf, 1e-300])
+        g[2, 4, 3] = -np.inf
+    g = g.astype(dtype)
+    table = Tensor(r.normal(size=(vocab, width)).astype(dtype), requires_grad=True)
+    positional = Tensor(np.zeros((rows, width), dtype), requires_grad=True)
+    out = text_mod.encode(ids, _text_params(table, positional))
+    with np.errstate(invalid="ignore"):         # inf - inf in the positional sums
+        backward(T.sum_all(T.mul(out, Tensor(g))))
+
+    want = np.zeros((vocab, width), dtype)
+    np.add.at(want, ids, g)
+    assert table.grad.dtype == dtype
+    if dtype == np.float64:
+        assert table.grad.tobytes() == want.tobytes()
+    else:
+        scale = np.abs(np.where(np.isfinite(g), g, 0.0)).max()
+        np.testing.assert_allclose(table.grad, want, rtol=1e-6, atol=1e-6 * scale)
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis properties
 
 
