@@ -4,8 +4,6 @@ index).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -39,15 +37,9 @@ def classify(x: Tensor, p: ClassifierParams) -> Tensor:
                      (linear_fwd, linear_bwd, [w2, b2])])
 
 
-@dataclass(frozen=True)
-class AnswerDistribution:
-    index: int
-    answer: str
-
-
-def predict(logits: Tensor, answer_vocab: list[str]) -> list[AnswerDistribution]:
-    """One answer per row of (B, C) logits."""
+def predict(logits: Tensor, answer_vocab: list[str]) -> list[str]:
+    """One answer string per row of (B, C) logits."""
     if logits.data.ndim != 2 or logits.shape[1] != len(answer_vocab):
         raise ShapeError(f"predict: logits {logits.shape} vs {len(answer_vocab)} answers")
     best = np.argmax(logits.data, axis=1)  # np.argmax returns the lowest index on ties
-    return [AnswerDistribution(index=int(i), answer=answer_vocab[i]) for i in best]
+    return [answer_vocab[i] for i in best]

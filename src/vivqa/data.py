@@ -41,7 +41,7 @@ def load_jsonl(path) -> list[Example]:
     seen: set[str] = set()
     keys = ("id", "image", "question", "answer")
     for lineno, obj in read_json_lines(path, keys):
-        ex = Example(*(str(obj[k]) for k in keys))
+        ex = Example(*(obj[k] for k in keys))
         if not ex.answer:
             raise ParseError(f"{path}:{lineno}: empty answer")
         if ex.id in seen:

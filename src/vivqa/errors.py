@@ -32,8 +32,8 @@ class ParseError(DataError):
 class FormatError(VivqaError):
     """Binary container violation: a VVQF file with bad magic, version,
     checksum or truncation, or a checkpoint that is not a readable npz, has
-    no meta entry, has a layout other than the model's, or whose `params`
-    is not that layout's float64 arena or fails its CRC."""
+    no meta entry, has a layout other than the model's, or whose `params` is
+    not that layout's float64 arena, holds a non-finite value or fails its CRC."""
 
 
 class NumericalError(VivqaError):

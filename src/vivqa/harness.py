@@ -2,17 +2,18 @@
 seed-level significance, freeze ablation, heads/layers sweeps, and
 multi-seed significance between two configs.  Emits CSV and Markdown
 tables; all deterministic given (config, seeds, corpus).  Each entry point
-makes one frozen-feature store and shares it across its arms, so every
-image is rendered and extracted once per experiment.  A frozen arm fills it
-for both splits before training; each arm scores the test split only (the
-train split when there is none).
+declares its arms as a list of configs, so an invalid arm is refused before
+any arm trains, and runs them through `_arms`, which owns the experiment's
+one frozen-feature store: every image is rendered and extracted once per
+experiment.  A frozen arm fills it for both splits before training; each
+arm scores the test split only (the train split when there is none).
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -57,14 +58,20 @@ def _run_arm(cfg: RunConfig, train_split, test_split, store: dict):
     return report, model, metrics_report(records).accuracy
 
 
+def _arms(cfgs, train_split, test_split):
+    """Each arm's (report, model, accuracy), in `cfgs` order, over one shared store."""
+    store: dict = {}
+    for cfg in cfgs:
+        yield _run_arm(cfg, train_split, test_split, store)
+
+
 def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict:
     """Train the three fusion operators under identical seeds; report
     accuracy per operator plus the per-image fused-feature mean spread
     behind the sparsity boxplots."""
-    results, store = {}, {}
-    for op in FUSION_OPS:
-        arm_cfg = replace(cfg, fusion_op=op, vision_mode="both")
-        report, model, acc = _run_arm(arm_cfg, train_split, test_split, store)
+    cfgs = [replace(cfg, fusion_op=op, vision_mode="both") for op in FUSION_OPS]
+    results = {}
+    for op, (_, model, acc) in zip(FUSION_OPS, _arms(cfgs, train_split, test_split)):
         with no_grad():         # the boxplot pass: no graph, `batch_size` examples a call
             means = [float(m) for i in range(0, len(train_split), cfg.batch_size) for m in
                      model.vision_tokens(train_split[i:i + cfg.batch_size]).data.mean(axis=(1, 2))]
@@ -103,19 +110,13 @@ def ablate_extractors(cfg: RunConfig, train_split, test_split, seeds,
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ConfigError("the extractor ablation needs at least 2 seeds")
-    accs: dict[str, list[float]] = {mode: [] for mode, _ in EXTRACTOR_ARMS}
-    store: dict = {}
-    for seed in seeds:
-        for mode, _ in EXTRACTOR_ARMS:
-            arm_cfg = replace(cfg, vision_mode=mode, seed=seed)
-            _, _, acc = _run_arm(arm_cfg, train_split, test_split, store)
-            accs[mode].append(acc)
+    cfgs = [replace(cfg, vision_mode=mode, seed=seed) for seed in seeds
+            for mode, _ in EXTRACTOR_ARMS]
+    flat = [acc for _, _, acc in _arms(cfgs, train_split, test_split)]
+    accs = {mode: flat[i::len(EXTRACTOR_ARMS)] for i, (mode, _) in enumerate(EXTRACTOR_ARMS)}
     results = {"per_seed": accs, "mean": {m: float(np.mean(a)) for m, a in accs.items()},
-               "t_tests": {}}
-    for mode in ("local", "global"):
-        tt = welch_t_test(accs["both"], accs[mode])
-        results["t_tests"][f"both_vs_{mode}"] = {
-            "t": tt.t, "df": tt.df, "p": tt.p, "significant": tt.significant}
+               "t_tests": {f"both_vs_{mode}": asdict(welch_t_test(accs["both"], accs[mode]))
+                           for mode in ("local", "global")}}
     if out_dir:
         out = ensure_out_dir(out_dir)
         header = ["Visual Extractor", "Accuracy (mean)", "p vs combined"]
@@ -136,11 +137,12 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
     parameters and backward node visits); wall clock is reported only."""
     # The frozen arm's read-only draw: byte-identical to the unfrozen arm's initial extractor.
     digest_before = frozen_extractor(cfg.dims.vision, cfg.extractor_seed).byte_digest()
-    results, store = {}, {}
-    for frozen in (False, True):    # unfrozen first: it refuses a feature file before any training
-        report, model, acc = _run_arm(replace(cfg, freeze_extractors=frozen),
-                                      train_split, test_split, store)
-        results["frozen" if frozen else "unfrozen"] = {
+    # unfrozen first: it refuses a feature file before any training
+    cfgs = [replace(cfg, freeze_extractors=frozen) for frozen in (False, True)]
+    results = {}
+    for name, (report, model, acc) in zip(("unfrozen", "frozen"),
+                                          _arms(cfgs, train_split, test_split)):
+        results[name] = {
             "accuracy": acc,
             "epochs": report.epochs_run,
             "training_seconds": report.wall_clock_seconds,
@@ -172,11 +174,9 @@ def sweep(cfg: RunConfig, axis: str, values, train_split, test_split,
     """One run per value at fixed seed; the other axis stays pinned."""
     if axis not in ("heads", "layers"):
         raise ConfigError(f"sweep axis must be 'heads' or 'layers', got {axis!r}")
-    curve, store = [], {}
-    for value in values:
-        arm_cfg = replace(cfg, **{axis: int(value)})
-        _, _, acc = _run_arm(arm_cfg, train_split, test_split, store)
-        curve.append({axis: int(value), "accuracy": acc})
+    cfgs = [replace(cfg, **{axis: int(value)}) for value in values]
+    curve = [{axis: getattr(c, axis), "accuracy": acc}
+             for c, (_, _, acc) in zip(cfgs, _arms(cfgs, train_split, test_split))]
     if out_dir:
         out = ensure_out_dir(out_dir)
         _write_csv(os.path.join(out, f"sweep_{axis}.csv"), [axis, "accuracy"],
@@ -190,24 +190,15 @@ def significance(cfg_a: RunConfig, cfg_b: RunConfig, train_split, test_split,
     if n_seeds < 2:
         raise ConfigError("significance needs at least 2 seeds")
     seeds = list(range(n_seeds))
-    accs = {"a": [], "b": []}
-    store: dict = {}
-    for seed in seeds:
-        for key, base in (("a", cfg_a), ("b", cfg_b)):
-            _, _, acc = _run_arm(replace(base, seed=seed), train_split, test_split, store)
-            accs[key].append(acc)
-    tt = welch_t_test(accs["a"], accs["b"])
-    result = {
-        "seeds": seeds,
-        "accuracies_a": accs["a"],
-        "accuracies_b": accs["b"],
-        "t": tt.t, "df": tt.df, "p": tt.p, "significant": tt.significant,
-    }
+    cfgs = [replace(base, seed=seed) for seed in seeds for base in (cfg_a, cfg_b)]
+    accs = [acc for _, _, acc in _arms(cfgs, train_split, test_split)]
+    a, b = accs[0::2], accs[1::2]
+    result = {"seeds": seeds, "accuracies_a": a, "accuracies_b": b,
+              **asdict(welch_t_test(a, b))}
     if out_dir:
         out = ensure_out_dir(out_dir)
         _write_csv(os.path.join(out, "significance_per_seed.csv"),
-                   ["seed", "accuracy_a", "accuracy_b"],
-                   [[s, a, b] for s, a, b in zip(seeds, accs["a"], accs["b"])])
+                   ["seed", "accuracy_a", "accuracy_b"], zip(seeds, a, b))
         with open(os.path.join(out, "significance.json"), "w") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
     return result

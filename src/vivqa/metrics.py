@@ -77,7 +77,7 @@ def report(records) -> MetricsReport:
 
 def read_json_lines(path, required) -> Iterator[tuple[int, dict]]:
     """(line number, object) per non-blank line.  A line that is not a JSON
-    object holding every `required` key is a ParseError naming the line."""
+    object holding every `required` key as a string is a ParseError naming the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -92,6 +92,10 @@ def read_json_lines(path, required) -> Iterator[tuple[int, dict]]:
             missing = [k for k in required if k not in obj]
             if missing:
                 raise ParseError(f"{path}:{lineno}: missing fields {missing}")
+            for k in required:
+                if not isinstance(obj[k], str):
+                    raise ParseError(f"{path}:{lineno}: field {k!r} is {json.dumps(obj[k])}, "
+                                     f"not a string")
             yield lineno, obj
 
 
@@ -105,7 +109,7 @@ def write_predictions(path, records) -> None:
 
 def read_predictions(path) -> list[PredictionRecord]:
     keys = ("id", "prediction", "ground_truth")
-    return [PredictionRecord(*(str(obj[k]) for k in keys))
+    return [PredictionRecord(*(obj[k] for k in keys))
             for _, obj in read_json_lines(path, keys)]
 
 

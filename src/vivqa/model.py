@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, FormatError
 from .multiway import (
     FusionStackParams, concat_modalities, encode as fusion_encode, pool_cls,
 )
-from .optim import pack
+from .optim import nonfinite_param, pack
 from .rng import RngStream
 from .tensor import Tensor
 from .text import (
@@ -97,7 +97,6 @@ class VivqaModel:
         k = dims.vision.n_tokens
         if cfg.vision_mode == "both":
             k = fused_token_count(cfg.fusion_op, k)
-        self.vision_rows = k
         max_rows = k + cfg.l_max + 2
         self.fusion = FusionStackParams(cfg, max_rows, init_rng.split("fusion"))
         self.classifier = ClassifierParams(dims.hidden, len(answer_vocab),
@@ -176,21 +175,19 @@ class VivqaModel:
         for start in range(0, len(misses), self.cfg.batch_size):
             chunk = dict(misses[start:start + self.cfg.batch_size])
             stub = [isinstance(key, tuple) for key in chunk]       # `synthetic:` keys
-            feats = self.extract([ex for ex, s in zip(chunk.values(), stub) if s]) \
-                if any(stub) else ()
-            if not all(stub):           # stub rows and VVQF rows, in chunk order
-                parts = [np.empty((len(chunk),) + shape) for shape in shapes]
-                for part, f in zip(parts, feats):
+            glob, local = parts = [np.empty((len(chunk),) + shape) for shape in shapes]
+            if any(stub):               # the stubs run on no empty batch
+                synthetic = [ex for ex, s in zip(chunk.values(), stub) if s]
+                for part, f in zip(parts, self.extract(synthetic)):
                     part[stub] = f.data
-                for i, ref in ((i, ref) for i, ref in enumerate(chunk) if not stub[i]):
-                    for part, suffix in zip(parts, (".global.vvqf", ".local.vvqf")):
-                        t = read_feature_file(ref + suffix)
-                        if t.shape != part.shape[1:]:
-                            raise DataError(f"{ref}{suffix}: shape {t.shape}, "
-                                            f"expected {part.shape[1:]}")
-                        part[i] = t.data
-                feats = tuple(Tensor(part) for part in parts)
-            self.store.update(zip(chunk, zip(feats[0].data, adapt_local(feats[1], d).data)))
+            for i, ref in ((i, ref) for i, ref in enumerate(chunk) if not stub[i]):
+                for part, suffix in zip(parts, (".global.vvqf", ".local.vvqf")):
+                    t = read_feature_file(ref + suffix)
+                    if t.shape != part.shape[1:]:
+                        raise DataError(f"{ref}{suffix}: shape {t.shape}, "
+                                        f"expected {part.shape[1:]}")
+                    part[i] = t.data
+            self.store.update(zip(chunk, zip(glob, adapt_local(Tensor(local), d).data)))
         return keys
 
     def vision_tokens(self, examples) -> Tensor:
@@ -258,18 +255,22 @@ def _readable(path):
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
-def _read_params(path, zf, member: str, out: np.ndarray) -> None:
-    """`member` into the flat float64 `out`: an npy 1.0 header (np.savez's) that gives
-    `out.shape`, the data `_CHUNK` bytes at a time, and on to the member's end, where
-    zipfile checks its CRC."""
+def _read_params(path, zf, member: str, out: np.ndarray, params: dict) -> None:
+    """`member` into `out`, the flat float64 arena over `params`: an npy 1.0 header
+    (np.savez's) that gives `out.shape`, the data `_CHUNK` bytes at a time, its whole
+    floats checked finite as they land, and on to the end, where zipfile checks its CRC."""
     with _readable(path), zf.open(member) as fh:
         np.lib.format.read_magic(fh)
         shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
         if dtype != np.float64 or shape != out.shape:
             raise FormatError(f"{path}: params is {dtype} {shape}, "
                               f"the layout needs float64 {out.shape}")
-        view = memoryview(out).cast("B")
-        done = sum(fh.readinto(view[i:i + _CHUNK]) for i in range(0, len(view), _CHUNK))
+        view, done = memoryview(out).cast("B"), 0
+        while done < len(view) and (n := fh.readinto(view[done:done + _CHUNK])):
+            bad = nonfinite_param(params, out[done // 8:(done + n) // 8], done // 8)
+            if bad is not None:
+                raise FormatError(f"{path}: checkpoint params entry {bad!r} is not all finite")
+            done += n
         if done != len(view) or fh.read(1):
             raise FormatError(f"{path}: params does not hold the {shape} its header gives")
 
@@ -318,7 +319,7 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
                               f"not ['params']")
         # Into the model's own arena: forwards over arrays on the file's
         # bytes ran tiny-eval 15 % slower.
-        _read_params(path, zf, members["params"], model.arena)
+        _read_params(path, zf, members["params"], model.arena, model._params)
     return model, meta
 
 

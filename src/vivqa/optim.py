@@ -1,6 +1,6 @@
 """Parameters by arena name (`linear_params`, `norm_params`), the flat value
-and gradient arenas over them (`pack`), AdamW with decoupled weight decay
-over those arenas, and the cosine-with-warmup schedule."""
+and gradient arenas over them (`pack`) and their finite check (`nonfinite_param`),
+AdamW with decoupled weight decay over them, and the cosine-with-warmup schedule."""
 from __future__ import annotations
 
 import math
@@ -78,6 +78,17 @@ def pack(params: dict[str, Tensor], fill: bool = True) -> tuple[np.ndarray, np.n
     return arena, grad
 
 
+def nonfinite_param(params: dict[str, Tensor], flat: np.ndarray, start: int = 0) -> str | None:
+    """The first of `params`, in arena order, with a non-finite element in
+    `flat`, the slice of an arena over them that begins at element `start`;
+    None when `flat` is all finite."""
+    if np.isfinite(flat).all():
+        return None
+    ends = np.cumsum([p.size for p in params.values()])
+    first = start + np.flatnonzero(~np.isfinite(flat))[0]
+    return list(params)[np.searchsorted(ends, first, side="right")]
+
+
 class AdamW:
     """Bias-corrected Adam plus decoupled decay p <- p - lr*wd*p, in place
     over the flat `data` and `grad` arenas that `pack` made for `params`.
@@ -102,11 +113,7 @@ class AdamW:
     def nonfinite_grad(self) -> str | None:
         """The first parameter, in arena order, whose `grad` slice holds a
         non-finite value; None when the whole arena is finite."""
-        if np.isfinite(self.grad).all():
-            return None
-        ends = np.cumsum([p.size for p in self.params.values()])
-        first = np.flatnonzero(~np.isfinite(self.grad))[0]
-        return list(self.params)[np.searchsorted(ends, first, side="right")]
+        return nonfinite_param(self.params, self.grad)
 
     def step(self, lr: float) -> None:
         if lr < 0:

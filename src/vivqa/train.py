@@ -68,10 +68,9 @@ def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
     with T.no_grad():
         for start in range(0, len(split), size):
             chunk = split[start:start + size]
-            dists = predict(model.forward(chunk), model.answer_vocab.answers)
-            records += [PredictionRecord(id=ex.id, prediction=dist.answer,
-                                         ground_truth=ex.answer)
-                        for ex, dist in zip(chunk, dists)]
+            answers = predict(model.forward(chunk), model.answer_vocab.answers)
+            records += [PredictionRecord(id=ex.id, prediction=answer, ground_truth=ex.answer)
+                        for ex, answer in zip(chunk, answers)]
     return records
 
 

@@ -448,6 +448,29 @@ def test_cli_json_line_not_an_object_exits_3(tmp_path, capsys, command, line):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [("answer", 5), ("answer", None), ("id", 7)],
+                         ids=["numeric-answer", "null-answer", "numeric-id"])
+@pytest.mark.parametrize("command", ["train", "stats", "score"])
+def test_cli_json_field_not_a_string_exits_3(tmp_path, capsys, command, field, value):
+    """Corpus and prediction fields are JSON strings: a number or a null is a
+    data error naming the line and the field, never its str()."""
+    if command == "score" and field == "answer":
+        field = "ground_truth"          # the answer field of a predictions line
+    path = tmp_path / "lines.jsonl"
+    first = {"id": "a", "image": "synthetic:g=0,l=0", "question": "q", "answer": "x",
+             "prediction": "x", "ground_truth": "x"}
+    path.write_text(json.dumps(first) + "\n" + json.dumps({**first, "id": "b", field: value})
+                    + "\n")
+    argv = {"train": ["train", "--preset", "tiny", "--data", str(path)],
+            "stats": ["stats", "--data", str(path)],
+            "score": ["score", "--pred", str(path)]}[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:2: field {field!r} is {json.dumps(value)}, "
+                          f"not a string")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_train_extracts_nothing_inside_a_step(tmp_path, monkeypatch):
     """`vivqa train` renders and extracts its frozen features before the
     first `AdamW.zero_grad`, never between a `zero_grad` and its `step`."""
@@ -667,6 +690,22 @@ def test_cli_sweep(tmp_path, capsys):
                  "--config", cfg]) == 0
     curve = json.loads(capsys.readouterr().out)
     assert len(curve) == 2
+
+
+@pytest.mark.parametrize("axis, values", [("heads", "2,5"), ("layers", "1,0")])
+def test_cli_sweep_refuses_an_invalid_arm_before_any_trains(tmp_path, capsys, monkeypatch,
+                                                            axis, values):
+    """Every arm's config is built before the first arm runs, so an invalid
+    value after a valid one exits 2 with no arm trained."""
+    import vivqa.train as train_mod
+
+    calls, train_model = [], train_mod.train_model
+    monkeypatch.setattr(train_mod, "train_model", lambda *a: calls.append(a) or train_model(*a))
+    cfg = write_config(tmp_path, write_corpus(tmp_path))
+    assert main(["sweep", "--axis", axis, "--values", values, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_cli_unknown_config_field_rejected(tmp_path):

@@ -93,7 +93,6 @@ def test_vision_mode_row_counts(corpus):
                            ("global", "concatenate", 8), ("local", "add", 8)):
         cfg = tiny_cfg(vision_mode=mode, fusion_op=op)
         model = build_model(cfg, corpus)
-        assert model.vision_rows == want
         assert model.vision_tokens(corpus[:2]).shape == (2, want, 24)
 
 
@@ -526,7 +525,7 @@ def test_weights_sink_gets_each_layers_attention(corpus):
     batch = corpus[:4]
     sink = []
     logits = model.forward(batch, weights_sink=sink).data
-    k = model.vision_rows
+    k = model.vision_tokens(batch).shape[1]
     rows = k + cfg.l_max + 2
     assert [w.shape for w in sink] == [(4, 2, rows, rows)] * 2 + [(4, 2, 1, rows)]
     text_mask = np.stack([tokenize(ex.question, model.vocab, cfg.l_max).mask for ex in batch])
@@ -1372,6 +1371,31 @@ def test_compressed_checkpoint_loads_bitwise(tmp_path, corpus):
         assert zf.getinfo("params.npy").compress_type == zipfile.ZIP_DEFLATED
     loaded, _ = load_checkpoint(path)
     assert loaded.arena.tobytes() == model.arena.tobytes()
+
+
+@pytest.mark.parametrize("name, value", [("text.proj.bias", np.nan),
+                                         ("classifier.fc2.weight", np.inf)])
+def test_nonfinite_checkpoint_params_name_their_entry_and_eval_exits_3(
+        tmp_path, corpus, monkeypatch, capsys, name, value):
+    """A NaN in one entry or a +inf in another is a FormatError naming that
+    layout entry, found as the reads land: in one whole read, and in reads
+    whose first boundary splits the bad float.  `vivqa eval` exits 3."""
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    p = model.trainable_params()[name]
+    start = (p.data.ctypes.data - model.arena.ctypes.data) // 8
+    assert start > 0
+    p.data.flat[0] = value
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model)
+    for chunk in (1 << 24, 8 * start + 4):
+        monkeypatch.setattr(model_mod, "_CHUNK", chunk)
+        with pytest.raises(FormatError, match=rf"params entry '{re.escape(name)}' is not"):
+            load_checkpoint(path)
+    data = tmp_path / "corpus.jsonl"
+    save_jsonl(data, corpus)
+    assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and repr(name) in err and err.count("\n") == 1
 
 
 def _hold(path, arrays, extra):
