@@ -10,11 +10,11 @@ import sys
 from dataclasses import asdict
 
 from .config import RunConfig, read_config_file
-from .data import load_jsonl, make_synthetic, save_jsonl, corpus_stats, split_train_test
+from .data import load_jsonl, make_synthetic, corpus_stats, split_train_test
 from .errors import ConfigError, DataError, FormatError, VivqaError
 from .harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
-from .metrics import read_predictions, report as metrics_report
-from .model import ensure_out_dir, load_checkpoint
+from .metrics import read_predictions, report as metrics_report, write_json_lines
+from .model import load_checkpoint
 from .train import evaluate_model, run_training
 
 
@@ -111,9 +111,9 @@ def cmd_synth(args) -> None:
         examples = make_synthetic(args.n, getattr(args, "global"), args.local, args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = ensure_out_dir(args.out)
-    path = os.path.join(out, "corpus.jsonl")
-    save_jsonl(path, examples)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "corpus.jsonl")
+    write_json_lines(path, examples)
     print(path)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
@@ -116,9 +116,6 @@ class RunConfig:
     @property
     def dims(self) -> PresetDims:
         return preset_dims(self.preset)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":

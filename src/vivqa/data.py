@@ -11,7 +11,6 @@ one extractor caps at chance over the other cue.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -49,14 +48,6 @@ def load_jsonl(path) -> list[Example]:
         seen.add(ex.id)
         out.append(ex)
     return out
-
-
-def save_jsonl(path, examples) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(
-                {"id": ex.id, "image": ex.image, "question": ex.question, "answer": ex.answer},
-                ensure_ascii=False) + "\n")
 
 
 class AnswerVocab:

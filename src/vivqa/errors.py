@@ -37,7 +37,7 @@ class FormatError(VivqaError):
 
 
 class NumericalError(VivqaError):
-    """Non-finite value where training needs a finite one, e.g. the loss."""
+    """Non-finite value where a run needs a finite one: the loss, or logits."""
 
 
 class StatisticsError(VivqaError):

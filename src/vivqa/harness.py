@@ -11,7 +11,6 @@ arm scores the test split only (the train split when there is none).
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import asdict, replace
 
@@ -20,8 +19,7 @@ import numpy as np
 from . import train  # called through the module, whose names perfbench wraps
 from .config import RunConfig
 from .errors import ConfigError
-from .metrics import report as metrics_report, welch_t_test
-from .model import ensure_out_dir
+from .metrics import report as metrics_report, welch_t_test, write_json
 from .tensor import no_grad
 from .vision import FUSION_OPS, frozen_extractor, fused_token_count, sparsity_stats
 
@@ -84,12 +82,12 @@ def ablate_fusion(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
             "sparsity": sparsity_stats(np.asarray(means)),
         }
     if out_dir:
-        out = ensure_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         header = ["Operation", "Fused dims", "Accuracy"]
         rows = [[r["label"], r["fused_dims"], f"{r['accuracy']:.4f}"]
                 for r in results.values()]
-        _write_table(out, "fusion_ablation", header, rows)
-        _write_csv(os.path.join(out, "fusion_boxplot_data.csv"),
+        _write_table(out_dir, "fusion_ablation", header, rows)
+        _write_csv(os.path.join(out_dir, "fusion_boxplot_data.csv"),
                    ["operation", "example_index", "feature_mean"],
                    [(op, i, m) for op, r in results.items()
                     for i, m in enumerate(r["boxplot_means"])])
@@ -118,16 +116,15 @@ def ablate_extractors(cfg: RunConfig, train_split, test_split, seeds,
                "t_tests": {f"both_vs_{mode}": asdict(welch_t_test(accs["both"], accs[mode]))
                            for mode in ("local", "global")}}
     if out_dir:
-        out = ensure_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         header = ["Visual Extractor", "Accuracy (mean)", "p vs combined"]
         rows = []
         for mode, label in EXTRACTOR_ARMS:
             p = ("-" if mode == "both"
                  else f"{results['t_tests'][f'both_vs_{mode}']['p']:.4g}")
             rows.append([label, f"{results['mean'][mode]:.4f}", p])
-        _write_table(out, "extractor_ablation", header, rows)
-        with open(os.path.join(out, "extractor_ablation.json"), "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
+        _write_table(out_dir, "extractor_ablation", header, rows)
+        write_json(os.path.join(out_dir, "extractor_ablation.json"), results)
     return results
 
 
@@ -157,7 +154,7 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
         "fewer_backward_visits": fr["backward_node_visits"] < uf["backward_node_visits"],
     }
     if out_dir:
-        out = ensure_out_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         header = ["Visual Extractor", "Freeze", "Accuracy", "Epoch", "Training Time (s)",
                   "Trainable Params", "Backward Node Visits"]
         rows = [
@@ -165,7 +162,7 @@ def ablate_freeze(cfg: RunConfig, train_split, test_split, out_dir=None) -> dict
              f"{r['training_seconds']:.1f}", r["trainable_params"], r["backward_node_visits"]]
             for freeze, r in (("yes", fr), ("no", uf))
         ]
-        _write_table(out, "freeze_ablation", header, rows)
+        _write_table(out_dir, "freeze_ablation", header, rows)
     return results
 
 
@@ -178,8 +175,8 @@ def sweep(cfg: RunConfig, axis: str, values, train_split, test_split,
     curve = [{axis: getattr(c, axis), "accuracy": acc}
              for c, (_, _, acc) in zip(cfgs, _arms(cfgs, train_split, test_split))]
     if out_dir:
-        out = ensure_out_dir(out_dir)
-        _write_csv(os.path.join(out, f"sweep_{axis}.csv"), [axis, "accuracy"],
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(os.path.join(out_dir, f"sweep_{axis}.csv"), [axis, "accuracy"],
                    [[pt[axis], f"{pt['accuracy']:.6f}"] for pt in curve])
     return curve
 
@@ -196,9 +193,8 @@ def significance(cfg_a: RunConfig, cfg_b: RunConfig, train_split, test_split,
     result = {"seeds": seeds, "accuracies_a": a, "accuracies_b": b,
               **asdict(welch_t_test(a, b))}
     if out_dir:
-        out = ensure_out_dir(out_dir)
-        _write_csv(os.path.join(out, "significance_per_seed.csv"),
+        os.makedirs(out_dir, exist_ok=True)
+        _write_csv(os.path.join(out_dir, "significance_per_seed.csv"),
                    ["seed", "accuracy_a", "accuracy_b"], zip(seeds, a, b))
-        with open(os.path.join(out, "significance.json"), "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
+        write_json(os.path.join(out_dir, "significance.json"), result)
     return result

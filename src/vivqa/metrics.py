@@ -4,14 +4,15 @@ Accuracy is exact string match after canonicalization; precision/recall/F1
 work on whitespace token sets per question and are averaged over questions.
 The significance test is Welch's unequal-variance t-test with a two-sided
 p-value from the regularized incomplete beta function (evaluated by Lentz's
-continued fraction, tolerance 1e-10).  The JSON Lines reader lives here
-too, so corpus loading in `data` (which imports this module) can share it.
+continued fraction, tolerance 1e-10).  The one JSON Lines reader and the one
+writer per artifact format live here too, so corpus files in `data` (which
+imports this module), predictions and reports share one byte layout.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 from .errors import DataError, ParseError, StatisticsError
@@ -72,7 +73,7 @@ def report(records) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON Lines (UTF-8): the one line reader behind corpus and prediction files
+# JSON Lines and JSON (UTF-8): the one reader and writers behind every artifact
 
 
 def read_json_lines(path, required) -> Iterator[tuple[int, dict]]:
@@ -99,12 +100,16 @@ def read_json_lines(path, required) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def write_predictions(path, records) -> None:
+def write_json_lines(path, records) -> None:
+    """One line per dataclass record, its fields in declaration order, non-ASCII kept."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(
-                {"id": r.id, "prediction": r.prediction, "ground_truth": r.ground_truth},
-                ensure_ascii=False) + "\n")
+        fh.writelines(json.dumps(asdict(r), ensure_ascii=False) + "\n" for r in records)
+
+
+def write_json(path, obj) -> None:
+    """A report: 2-space indent, sorted keys, no trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def read_predictions(path) -> list[PredictionRecord]:

@@ -17,6 +17,8 @@ import json
 import os
 import zipfile
 import zlib
+from dataclasses import asdict
+from tokenize import TokenError
 
 import numpy as np
 
@@ -162,7 +164,8 @@ class VivqaModel:
     def fill_store(self, examples) -> list:
         """The store keys of `examples`, after storing the distinct ones a frozen
         model's store lacks in `batch_size` chunks: one `extract` over a chunk's
-        `synthetic:` refs, each VVQF pair read into its row, and one adapter pass."""
+        `synthetic:` refs, each VVQF pair read into its row (a DataError if it is not
+        all finite), and one adapter pass."""
         keys = [(ex.id, ex.image) if ex.image.startswith("synthetic:") else ex.image
                 for ex in examples]
         if not self.cfg.freeze_extractors:      # stores nothing, and refuses a file up front
@@ -180,13 +183,17 @@ class VivqaModel:
                 synthetic = [ex for ex, s in zip(chunk.values(), stub) if s]
                 for part, f in zip(parts, self.extract(synthetic)):
                     part[stub] = f.data
-            for i, ref in ((i, ref) for i, ref in enumerate(chunk) if not stub[i]):
-                for part, suffix in zip(parts, (".global.vvqf", ".local.vvqf")):
+            files = [(i, ref) for i, ref in enumerate(chunk) if not stub[i]]
+            for part, suffix in zip(parts, (".global.vvqf", ".local.vvqf")):
+                for i, ref in files:
                     t = read_feature_file(ref + suffix)
                     if t.shape != part.shape[1:]:
                         raise DataError(f"{ref}{suffix}: shape {t.shape}, "
                                         f"expected {part.shape[1:]}")
                     part[i] = t.data
+                if not np.isfinite(part).all():         # once per part: a stub's rows are finite
+                    ref = next(ref for i, ref in files if not np.isfinite(part[i]).all())
+                    raise DataError(f"{ref}{suffix}: holds a non-finite value")
             self.store.update(zip(chunk, zip(glob, adapt_local(Tensor(local), d).data)))
         return keys
 
@@ -235,7 +242,7 @@ class VivqaModel:
 def save_checkpoint(path, model: VivqaModel) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": json.loads(model.cfg.to_json()),
+        "config": asdict(model.cfg),
         "vocab": model.vocab.tokens,
         "answers": model.answer_vocab.answers,
         "layout": model.layout(),
@@ -251,7 +258,8 @@ def _readable(path):
     """A zip or npy read error under it is a FormatError naming `path`."""
     try:
         yield
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error, TokenError,
+            NotImplementedError, RuntimeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 
@@ -321,8 +329,3 @@ def load_checkpoint(path) -> tuple[VivqaModel, dict]:
         # bytes ran tiny-eval 15 % slower.
         _read_params(path, zf, members["params"], model.arena, model._params)
     return model, meta
-
-
-def ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

@@ -3,10 +3,10 @@
 The graph is define-by-run: every differentiable op attaches its parents and
 a backward function to the output tensor.  The math of the hot ops lives in
 kernel pairs on plain arrays, `*_fwd(...) -> (out, saved)` and
-`*_bwd(saved, g) -> (one gradient per input)`: an op runs one pair as one
-node, and a fused node (`chain`, or `residual`, which adds its input) runs
-several, the forwards in turn and the backwards in reverse.  `backward(loss)` walks the
-graph once in reverse topological order, accumulates total derivatives into
+`*_bwd(saved, g) -> (one gradient per input)`.  One graph node runs one
+pair or several (`chain`, or `residual`, which adds its input), the forwards
+in turn and the backwards in reverse.  `backward(loss)` walks the graph
+once in reverse topological order, accumulates total derivatives into
 requires_grad leaves, then clears the graph so a second backward on the same
 loss is a usage error.  The walk keeps its state on the nodes: `_mark` holds
 the number of the last walk that reached a node, `_g` its pending gradient.
@@ -112,12 +112,6 @@ def node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _op(fwd, bwd, parents: tuple[Tensor, ...], *args) -> Tensor:
-    """One kernel pair as one graph node."""
-    out, saved = fwd(*[p.data for p in parents], *args)
-    return node(out, parents, functools.partial(bwd, saved))
-
-
 def chain_fwd(x, steps):
     """Kernels in turn; each step is (fwd, bwd, parameter tensors)."""
     saved = []
@@ -218,7 +212,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expects (..., n, k) @ (k, m), got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return _op(linear_fwd, linear_bwd, (a, b))
+    return chain(a, [(linear_fwd, linear_bwd, (b,))])
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -228,7 +222,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: expects (..., n, k) @ (k, m) + (m,), got "
                          f"{x.shape} @ {w.shape} + {b.shape}")
-    return _op(linear_fwd, linear_bwd, (x, w, b))
+    return chain(x, [(linear_fwd, linear_bwd, (w, b))])
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -279,7 +273,7 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     if start < 0 or start + length > t.data.shape[axis]:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside axis {axis} of {t.shape}")
     idx = (slice(None),) * (axis % t.data.ndim) + (slice(start, start + length),)
-    return _op(select_fwd, select_bwd, (t,), idx)
+    return chain(t, [(functools.partial(select_fwd, idx=idx), select_bwd, ())])
 
 
 def permute(t: Tensor, axes: Sequence[int]) -> Tensor:
@@ -548,17 +542,17 @@ def drop_path_bwd(mask, g):
 
 
 def tanh(t: Tensor) -> Tensor:
-    return _op(tanh_fwd, tanh_bwd, (t,))
+    return chain(t, [(tanh_fwd, tanh_bwd, ())])
 
 
 def gelu(t: Tensor) -> Tensor:
-    return _op(gelu_fwd, gelu_bwd, (t,))
+    return chain(t, [(gelu_fwd, gelu_bwd, ())])
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     if axis not in (-1, t.data.ndim - 1):       # the only axis supported
         raise ShapeError(f"softmax: axis {axis} is not the last axis of {t.shape}")
-    return _op(softmax_fwd, softmax_bwd, (t,))
+    return chain(t, [(softmax_fwd, softmax_bwd, ())])
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -567,7 +561,7 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ShapeError(
             f"layer_norm: last axis {t.shape} vs gamma {gamma.shape} / beta {beta.shape}"
         )
-    return _op(layer_norm_fwd, layer_norm_bwd, (t, gamma, beta), eps)
+    return chain(t, [(functools.partial(layer_norm_fwd, eps=eps), layer_norm_bwd, (gamma, beta))])
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
@@ -588,7 +582,9 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, key_bias: np.ndarray,
         raise ShapeError(f"multi_head_attention: width {width} not divisible by {heads} heads")
     if np.shape(key_bias) != (batch, rows):
         raise ShapeError(f"multi_head_attention: key bias {np.shape(key_bias)} vs {(batch, rows)}")
-    return _op(attention_fwd, attention_bwd, (q, k, v), key_bias, heads, weights_sink)
+    fwd = functools.partial(attention_fwd, key_bias=key_bias, heads=heads,
+                            weights_sink=weights_sink)
+    return chain(q, [(fwd, attention_bwd, (k, v))])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ machines.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -24,8 +23,8 @@ from .classifier import predict
 from .config import RunConfig
 from .data import AnswerVocab, batch_iter
 from .errors import NumericalError
-from .metrics import PredictionRecord, report as metrics_report, write_predictions
-from .model import VivqaModel, ensure_out_dir, save_checkpoint
+from .metrics import PredictionRecord, report as metrics_report, write_json, write_json_lines
+from .model import VivqaModel, save_checkpoint
 from .multiway import block_drop_rates
 from .optim import AdamW, ScheduleConfig, lr_at
 from .rng import RngStream, keep_table
@@ -68,7 +67,11 @@ def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
     with T.no_grad():
         for start in range(0, len(split), size):
             chunk = split[start:start + size]
-            answers = predict(model.forward(chunk), model.answer_vocab.answers)
+            logits = model.forward(chunk)
+            finite = np.isfinite(logits.data).all(axis=1)
+            if not finite.all():
+                raise NumericalError(f"example {chunk[finite.argmin()].id!r} has non-finite logits")
+            answers = predict(logits, model.answer_vocab.answers)
             records += [PredictionRecord(id=ex.id, prediction=answer, ground_truth=ex.answer)
                         for ex, answer in zip(chunk, answers)]
     return records
@@ -85,7 +88,7 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
         drop = RngStream(cfg.seed).split("drop-path")
         item_keys = {(e.id, e.image): drop.split(e.id).split(e.image).seed for e in train_split}
         site_rates = np.repeat(block_drop_rates(cfg), 2)
-    report = RunReport(seed=cfg.seed, config=json.loads(cfg.to_json()))
+    report = RunReport(seed=cfg.seed, config=asdict(cfg))
     model.fill_store(train_split)       # extraction is not training time
     visits_before = T.backward_node_visits()
     started = time.perf_counter()
@@ -140,15 +143,14 @@ def run_training(cfg: RunConfig, train_split, test_split) -> tuple[RunReport, Vi
         report.test_metrics = asdict(metrics_report(test_records))
 
     if cfg.out:
-        out = ensure_out_dir(cfg.out)
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.deterministic_dict(), fh, indent=2, sort_keys=True)
-        with open(os.path.join(out, "timing.txt"), "w") as fh:
+        os.makedirs(cfg.out, exist_ok=True)
+        write_json(os.path.join(cfg.out, "report.json"), report.deterministic_dict())
+        with open(os.path.join(cfg.out, "timing.txt"), "w") as fh:
             fh.write(f"wall_clock_seconds={report.wall_clock_seconds:.3f}\n")
-        save_checkpoint(os.path.join(out, "checkpoint.npz"), model)
-        write_predictions(os.path.join(out, "train_predictions.jsonl"), train_records)
+        save_checkpoint(os.path.join(cfg.out, "checkpoint.npz"), model)
+        write_json_lines(os.path.join(cfg.out, "train_predictions.jsonl"), train_records)
         if test_records is not None:
-            write_predictions(os.path.join(out, "test_predictions.jsonl"), test_records)
+            write_json_lines(os.path.join(cfg.out, "test_predictions.jsonl"), test_records)
     return report, model
 
 
@@ -157,8 +159,7 @@ def evaluate_model(model: VivqaModel, corpus, out_dir=None):
     records = predict_split(model, corpus)
     rep = metrics_report(records)
     if out_dir:
-        ensure_out_dir(out_dir)
-        write_predictions(os.path.join(out_dir, "predictions.jsonl"), records)
-        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-            json.dump(asdict(rep), fh, indent=2, sort_keys=True)
+        os.makedirs(out_dir, exist_ok=True)
+        write_json_lines(os.path.join(out_dir, "predictions.jsonl"), records)
+        write_json(os.path.join(out_dir, "metrics.json"), asdict(rep))
     return rep, records

@@ -12,10 +12,11 @@ from vivqa.config import preset_dims
 from vivqa.data import (
     AnswerVocab, Example, FoldPlan, MAX_GLOBAL_CUES, OOV_TARGET, SyntheticSpec,
     batch_iter, corpus_stats, example_noise_seed, kfold, load_jsonl,
-    make_synthetic, render_synthetic, save_jsonl, split_train_test,
+    make_synthetic, render_synthetic, split_train_test,
     synthetic_answer, _local_positions,
 )
 from vivqa.errors import DataError, ParseError
+from vivqa.metrics import write_json_lines
 from vivqa.vision import VisionDims
 
 TINY = preset_dims("tiny").vision
@@ -39,7 +40,7 @@ def test_load_jsonl_round_trip(tmp_path):
     examples = load_jsonl(path)
     assert examples == [Example(**row) for row in GOOD]
     out = tmp_path / "copy.jsonl"
-    save_jsonl(out, examples)
+    write_json_lines(out, examples)
     assert load_jsonl(out) == examples
 
 

@@ -14,11 +14,13 @@ import pytest
 
 from vivqa.cli import build_parser, main
 from vivqa.config import RunConfig
-from vivqa.data import make_synthetic, save_jsonl
+from vivqa.data import make_synthetic
 from vivqa.errors import ConfigError, DataError
 from vivqa.harness import ablate_extractors, ablate_freeze, ablate_fusion, significance, sweep
+from vivqa.metrics import write_json_lines
+from vivqa.tensor import Tensor
 from vivqa.train import build_model
-from vivqa.vvqf import write_feature_file
+from vivqa.vvqf import read_feature_file, write_feature_file
 
 from numeric_baseline import baseline_env, run_child
 
@@ -308,7 +310,7 @@ def test_significance_runs_and_serializes(tmp_path, splits):
 
 def write_corpus(tmp_path, n=16):
     path = tmp_path / "corpus.jsonl"
-    save_jsonl(path, make_synthetic(n, 2, 2, seed=1))
+    write_json_lines(path, make_synthetic(n, 2, 2, seed=1))
     return str(path)
 
 
@@ -344,7 +346,7 @@ def test_cli_train_eval_score_round_trip(tmp_path, capsys):
 def test_cli_stats_fixture(tmp_path, capsys):
     from vivqa.data import Example
     path = tmp_path / "fixture.jsonl"
-    save_jsonl(path, [
+    write_json_lines(path, [
         Example("1", "x", "màu gì đây", "đỏ"),
         Example("2", "y", "con vật này là con gì vậy", "con mèo"),
         Example("3", "z", "ai", "một người đàn ông"),
@@ -503,7 +505,7 @@ def test_cli_train_extracts_nothing_inside_a_step(tmp_path, monkeypatch):
 ])
 def test_cli_bad_synthetic_ref_exits_3(tmp_path, capsys, ref):
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, [dataclasses.replace(ex, image=ref)
+    write_json_lines(data, [dataclasses.replace(ex, image=ref)
                       for ex in make_synthetic(16, 2, 2, seed=1)])
     assert main(["train", "--config", write_config(tmp_path, str(data))]) == 3
     err = capsys.readouterr().err
@@ -562,7 +564,7 @@ def write_vvqf_corpus(tmp_path):
             write_feature_file(base + suffix, part)
         files.append(dataclasses.replace(ex, image=base))
     path = tmp_path / "files.jsonl"
-    save_jsonl(path, files)
+    write_json_lines(path, files)
     return str(path), [ex.image for ex in files]
 
 
@@ -588,6 +590,32 @@ def test_cli_eval_with_a_missing_feature_file_exits_4(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--ckpt", str(run / "checkpoint.npz"), "--data", data]) == 4
     assert refs[3] + ".local.vvqf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, suffix, value", [(2, ".global.vvqf", np.nan),
+                                                   (5, ".local.vvqf", np.inf)],
+                         ids=["global-nan", "local-inf"])
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_cli_nonfinite_feature_file_exits_3_naming_it(tmp_path, capsys, command, index, suffix,
+                                                      value):
+    """A feature file holding a NaN or an inf is a data error naming that
+    file, from `vivqa eval` of a frozen checkpoint (not a class scored
+    silently) and from `vivqa train` (not a NaN loss naming no file)."""
+    data, refs = write_vvqf_corpus(tmp_path)
+    path = refs[index] + suffix
+    poisoned = read_feature_file(path).data.copy()
+    poisoned.flat[3] = value
+    write_feature_file(path, Tensor(poisoned))
+    if command == "eval":
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path, write_corpus(tmp_path))
+        assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+        argv = ["eval", "--ckpt", str(run / "checkpoint.npz"), "--data", data]
+    else:
+        argv = ["train", "--config", write_config(tmp_path, data)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"data error: {path}: holds a non-finite value\n"
 
 
 @pytest.mark.parametrize("command", [["train"], ["ablate", "freeze"]])

@@ -10,7 +10,7 @@ from scipy import stats as sstats
 from vivqa.errors import DataError, StatisticsError
 from vivqa.metrics import (
     MetricsReport, PredictionRecord, TTestResult, canonicalize, read_predictions,
-    regularized_incomplete_beta, report, student_t_sf2, welch_t_test, write_predictions,
+    regularized_incomplete_beta, report, student_t_sf2, welch_t_test, write_json_lines,
 )
 
 
@@ -152,7 +152,7 @@ def test_metrics_permutation_invariant(seed):
 def test_prediction_file_round_trip(tmp_path):
     records = [rec("màu đỏ", "màu đỏ", "q1"), rec("2", "3", "q2")]
     path = tmp_path / "preds.jsonl"
-    write_predictions(path, records)
+    write_json_lines(path, records)
     back = read_predictions(path)
     assert back == records
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import zipfile
+from tokenize import TokenError
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ import vivqa.train as train_mod
 from vivqa.classifier import classify
 from vivqa.cli import main
 from vivqa.config import RunConfig
-from vivqa.data import make_synthetic, save_jsonl, split_train_test
+from vivqa.data import make_synthetic, split_train_test
 from vivqa.errors import ConfigError, DataError, FormatError, NumericalError
-from vivqa.metrics import report as metrics_report
+from vivqa.metrics import report as metrics_report, write_json_lines
 from vivqa.model import load_checkpoint, save_checkpoint
 from vivqa.multiway import FusedSequence, block_drop_rates, concat_modalities, encode, pool_cls
 from vivqa.optim import AdamW
@@ -686,7 +687,7 @@ def test_cli_eval_misshapen_vvqf_exits_3(tmp_path, corpus, capsys, kind, shape):
     for k, good in want.items():
         write_feature_file(f"{base}.{k}.vvqf", T.Tensor(np.zeros(shape if k == kind else good)))
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, [dataclasses.replace(corpus[0], image=base)])
+    write_json_lines(data, [dataclasses.replace(corpus[0], image=base)])
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
@@ -949,6 +950,38 @@ def test_predictions_reproducible(corpus):
     assert a == b
 
 
+def test_cli_eval_exits_4_on_nonfinite_logits(tmp_path, corpus, capsys):
+    """Parameters of 1e300 are finite, so the checkpoint loads, but its
+    forward overflows to NaN logits: `vivqa eval` exits 4 naming the first
+    example, where it scored class 0 for every example."""
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    model.arena[:] = 1e300
+    path, data = tmp_path / "ckpt.npz", tmp_path / "corpus.jsonl"
+    save_checkpoint(path, model)
+    write_json_lines(data, corpus)
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 4
+    assert capsys.readouterr().err == f"error: example {corpus[0].id!r} has non-finite logits\n"
+
+
+def test_nonfinite_logits_name_their_example_in_a_later_chunk(corpus, monkeypatch):
+    """One non-finite logit in the second chunk names that row's example."""
+    cfg = tiny_cfg(epochs=0)
+    model = build_model(cfg, corpus)
+    forward, chunks = model.forward, []
+
+    def poisoned(examples):
+        chunks.append(examples)
+        logits = forward(examples)
+        if len(chunks) == 2:
+            logits.data[3, 1] = np.inf
+        return logits
+
+    monkeypatch.setattr(model, "forward", poisoned)
+    with pytest.raises(NumericalError, match=re.escape(repr(corpus[cfg.batch_size + 3].id))):
+        predict_split(model, corpus)
+
+
 def test_nan_loss_fails_fast_naming_epoch_and_step(corpus):
     cfg = tiny_cfg(epochs=2)
     model = build_model(cfg, corpus)
@@ -967,7 +1000,7 @@ def test_cli_train_exits_4_on_nan_loss(tmp_path, corpus, monkeypatch, capsys):
 
     monkeypatch.setattr(train_mod, "build_model", poisoned)
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(preset="tiny", epochs=1, batch_size=8, layers=1,
                                    heads=2, lr=1e-3)))
@@ -998,7 +1031,7 @@ def test_cli_train_exits_4_on_nonfinite_gradient_under_finite_loss(tmp_path, cor
     monkeypatch.setattr(AdamW, "zero_grad", recording_zero_grad)
     monkeypatch.setattr(T, "backward", poisoned_backward)
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(preset="tiny", epochs=2, batch_size=8, layers=1,
                                    heads=2, lr=1e-3)))
@@ -1190,7 +1223,7 @@ def _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys):
     with pytest.raises(FormatError):
         load_checkpoint(path)
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
@@ -1330,6 +1363,52 @@ def test_malformed_version2_checkpoint_is_format_error_and_eval_exits_3(tmp_path
     _assert_format_error_exits_3(tmp_path, corpus, path, corrupt, capsys)
 
 
+def _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, cause):
+    """`corrupt` (bytes -> bytes) of a fresh save fails inside zipfile or numpy
+    with `cause`: a FormatError naming the path, and `vivqa eval` exits 3."""
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, build_model(tiny_cfg(epochs=0), corpus))
+    _assert_format_error_exits_3(tmp_path, corpus, path, lambda path, arrays: path.write_bytes(
+        corrupt(bytearray(path.read_bytes()))), capsys)
+    with pytest.raises(FormatError, match=re.escape(str(path))) as info:
+        load_checkpoint(path)
+    assert isinstance(info.value.__cause__, cause)
+
+
+def _params_central_record(raw: bytearray) -> int:
+    """Offset of `params.npy`'s central-directory record, the last copy of its name."""
+    at = raw.rindex(b"params.npy") - 46
+    assert raw[at:at + 4] == b"PK\x01\x02"
+    return at
+
+
+def test_checkpoint_with_an_unparsable_npy_header_exits_3(tmp_path, corpus, capsys):
+    """The brace that closes `params`' npy header dict made a space: numpy's
+    header parser raises tokenize.TokenError ("EOF in multi-line statement")."""
+    def corrupt(raw):
+        raw[raw.index(b"}", raw.index(b"{'descr': '<f8'"))] = ord(" ")
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, TokenError)
+
+
+def test_checkpoint_needing_a_later_zip_version_exits_3(tmp_path, corpus, capsys):
+    """`params.npy`'s "version needed to extract" raised past zipfile's
+    maximum: zipfile raises NotImplementedError ("zip file version")."""
+    def corrupt(raw):
+        raw[_params_central_record(raw) + 6] ^= 0x80
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, NotImplementedError)
+
+
+def test_checkpoint_with_an_encrypted_flag_exits_3(tmp_path, corpus, capsys):
+    """`params.npy`'s general-purpose flags marked encrypted: zipfile raises
+    RuntimeError ("password required")."""
+    def corrupt(raw):
+        raw[_params_central_record(raw) + 8] ^= 0x01
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, RuntimeError)
+
+
 def test_checkpoint_params_stream_into_the_arena_in_chunks(tmp_path, corpus, monkeypatch):
     """`params` is never read whole: it goes into the arena at most `_CHUNK`
     bytes a read, here in 1000-byte reads that split floats, and the load
@@ -1392,7 +1471,7 @@ def test_nonfinite_checkpoint_params_name_their_entry_and_eval_exits_3(
         with pytest.raises(FormatError, match=rf"params entry '{re.escape(name)}' is not"):
             load_checkpoint(path)
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and repr(name) in err and err.count("\n") == 1
@@ -1461,7 +1540,7 @@ def test_older_checkpoint_is_refused(tmp_path, corpus, capsys, write, code, expe
     with np.load(path) as z:
         arrays = dict(z)
     write(path, arrays, model)
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == code
     err = capsys.readouterr().err
     assert err.startswith(expect[0]) and err.count("\n") == 1 and expect[1] in err
@@ -1479,7 +1558,7 @@ def test_checkpoint_with_retired_field_value_exits_2(tmp_path, corpus, capsys, f
     meta = _meta(arrays)
     _rewrite(path, arrays, dict(meta, config=dict(meta["config"], **{field: value})))
     data = tmp_path / "corpus.jsonl"
-    save_jsonl(data, corpus)
+    write_json_lines(data, corpus)
     assert main(["eval", "--ckpt", str(path), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown config fields") and err.count("\n") == 1
