@@ -14,6 +14,7 @@ import ctypes
 import functools
 import io
 import json
+import lzma
 import os
 import zipfile
 import zlib
@@ -258,8 +259,8 @@ def _readable(path):
     """A zip or npy read error under it is a FormatError naming `path`."""
     try:
         yield
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error, TokenError,
-            NotImplementedError, RuntimeError) as exc:
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, zlib.error, lzma.LZMAError,
+            TokenError, SyntaxError, TypeError, NotImplementedError, RuntimeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 

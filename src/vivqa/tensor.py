@@ -201,9 +201,17 @@ _ones = functools.lru_cache(maxsize=None)(      # (shape, dtype) -> one shared, 
     lambda shape, dtype: np.lib.stride_tricks.as_strided(np.ones(shape, dtype), writeable=False))
 
 
+def _product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, a 2-D x's rows zero-padded to a multiple of 8 and cut back: OpenBLAS rounds
+    a partial row block apart from a full one.  (B, ...) products are per item already."""
+    if x.ndim != 2 or len(x) % 8 == 0:
+        return x @ w
+    return (np.concatenate([x, np.zeros((-len(x) % 8, x.shape[1]), x.dtype)]) @ w)[:len(x)]
+
+
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """(..., d) -> (..., 1) sums, one product with a ones column: BLAS loops the rows."""
-    return x @ _ones((x.shape[-1], 1), x.dtype)
+    return _product(x, _ones((x.shape[-1], 1), x.dtype))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -418,7 +426,7 @@ def erf(x) -> np.ndarray:
 
 def linear_fwd(x, w, b=None):
     """(..., n, k) @ (k, m), plus the bias row b[m] when given."""
-    return (x @ w if b is None else x @ w + b), (x, w, b is not None)
+    return (_product(x, w) if b is None else _product(x, w) + b), (x, w, b is not None)
 
 
 def linear_bwd(saved, g):

@@ -2,15 +2,16 @@
 AdamW with the cosine-warmup schedule, deterministic batching per seed.
 Each minibatch is one forward graph, fed its drop-path masks as one table
 (a pure function of seed, epoch, example id and image, and site), one
-backward and one optimizer step; evaluation runs batch_size chunks with no
-drop path and without recording a graph.
+backward and one optimizer step; evaluation runs 2 * batch_size chunks (the
+forward is batch-invariant) with no drop path and without recording a graph.
 
 Reports are split into a deterministic part (report.json — a pure function
-of config, seed, corpus) and a timing file that is allowed to vary between
-machines.
+of config, seed, corpus) and two files that are allowed to vary between
+machines: timing.txt and platform.json, the kernels the bits came from.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -60,9 +61,9 @@ def build_model(cfg: RunConfig, train_split, store: dict | None = None) -> Vivqa
 
 
 def predict_split(model: VivqaModel, split) -> list[PredictionRecord]:
-    """Deterministic eval-mode inference over a split, in split order."""
+    """Eval-mode inference over a split, in split order, 2 * batch_size examples a forward."""
     split = list(split)
-    size = model.cfg.batch_size
+    size = 2 * model.cfg.batch_size
     records = []
     with T.no_grad():
         for start in range(0, len(split), size):
@@ -129,6 +130,20 @@ def train_model(model: VivqaModel, train_split, cfg: RunConfig) -> RunReport:
     return report
 
 
+def platform_record() -> dict:
+    """The kernels a run's bits come from: numpy's version and dispatch targets (each
+    with whether it runs here), and OpenBLAS's core and config, or "unknown"."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    text = ctypes.CFUNCTYPE(ctypes.c_char_p)        # const char *(void)
+    blas = ctypes.CDLL(umath.__file__)      # its lookups reach the BLAS numpy links
+    record = {"numpy": np.__version__, "cpu_dispatch": {
+        t: bool(umath.__cpu_features__.get(t)) for t in umath.__cpu_dispatch__}}
+    for key in ("corename", "config"):
+        get = getattr(blas, f"scipy_openblas_get_{key}64_", None)
+        record[f"openblas_{key}"] = ctypes.cast(get, text)().decode() if get else "unknown"
+    return record
+
+
 def run_training(cfg: RunConfig, train_split, test_split) -> tuple[RunReport, VivqaModel]:
     """Full train entry: train, evaluate both splits, write report and
     checkpoint when cfg.out is set."""
@@ -147,6 +162,7 @@ def run_training(cfg: RunConfig, train_split, test_split) -> tuple[RunReport, Vi
         write_json(os.path.join(cfg.out, "report.json"), report.deterministic_dict())
         with open(os.path.join(cfg.out, "timing.txt"), "w") as fh:
             fh.write(f"wall_clock_seconds={report.wall_clock_seconds:.3f}\n")
+        write_json(os.path.join(cfg.out, "platform.json"), platform_record())
         save_checkpoint(os.path.join(cfg.out, "checkpoint.npz"), model)
         write_json_lines(os.path.join(cfg.out, "train_predictions.jsonl"), train_records)
         if test_records is not None:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import lzma
 import os
 import re
 import subprocess
@@ -965,7 +966,8 @@ def test_cli_eval_exits_4_on_nonfinite_logits(tmp_path, corpus, capsys):
 
 
 def test_nonfinite_logits_name_their_example_in_a_later_chunk(corpus, monkeypatch):
-    """One non-finite logit in the second chunk names that row's example."""
+    """One non-finite logit in row 3 of the second eval chunk (of 2 * batch_size
+    examples each) names that row's example."""
     cfg = tiny_cfg(epochs=0)
     model = build_model(cfg, corpus)
     forward, chunks = model.forward, []
@@ -978,8 +980,25 @@ def test_nonfinite_logits_name_their_example_in_a_later_chunk(corpus, monkeypatc
         return logits
 
     monkeypatch.setattr(model, "forward", poisoned)
-    with pytest.raises(NumericalError, match=re.escape(repr(corpus[cfg.batch_size + 3].id))):
+    with pytest.raises(NumericalError, match=re.escape(repr(corpus[2 * cfg.batch_size + 3].id))):
         predict_split(model, corpus)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17])
+def test_predict_split_runs_2_batch_size_examples_a_forward(corpus, monkeypatch, n):
+    """At batch 8, n = 1, 2B and 2B + 1 examples take ceil(n / 16) forwards,
+    and the records come back in split order."""
+    model = build_model(tiny_cfg(epochs=0), corpus)
+    forward, sizes = model.forward, []
+
+    def spy(examples):
+        sizes.append(len(examples))
+        return forward(examples)
+
+    monkeypatch.setattr(model, "forward", spy)
+    records = predict_split(model, corpus[:n])
+    assert len(sizes) == -(-n // (2 * model.cfg.batch_size)) and sum(sizes) == n
+    assert [r.id for r in records] == [ex.id for ex in corpus[:n]]
 
 
 def test_nan_loss_fails_fast_naming_epoch_and_step(corpus):
@@ -1064,6 +1083,26 @@ def test_run_training_writes_artifacts(tmp_path, corpus):
     assert "wall_clock_seconds" not in loaded
     assert loaded["epoch_losses"] == report.epoch_losses
     assert loaded["train_metrics"]["n"] == len(train)
+
+
+def test_run_training_records_its_platform_beside_timing(tmp_path, corpus):
+    """platform.json names numpy's version, its dispatch targets and OpenBLAS's
+    core and config; report.json names none of them."""
+    out = tmp_path / "run"
+    run_training(tiny_cfg(epochs=0, out=str(out)), corpus, [])
+    record = json.loads((out / "platform.json").read_text())
+    umath = np._core._multiarray_umath
+    assert record["numpy"] == np.__version__
+    assert sorted(record["cpu_dispatch"]) == sorted(umath.__cpu_dispatch__)
+    assert record["openblas_corename"] and record["openblas_config"]
+    report = (out / "report.json").read_text()
+    assert "openblas" not in report and "cpu_dispatch" not in report
+
+
+def test_platform_record_says_unknown_without_the_openblas_symbols(monkeypatch):
+    monkeypatch.setattr(train_mod.ctypes, "CDLL", lambda path: object())
+    record = train_mod.platform_record()
+    assert record["openblas_corename"] == record["openblas_config"] == "unknown"
 
 
 def test_report_json_bitwise_reproducible(tmp_path, corpus):
@@ -1407,6 +1446,34 @@ def test_checkpoint_with_an_encrypted_flag_exits_3(tmp_path, corpus, capsys):
         raw[_params_central_record(raw) + 8] ^= 0x01
         return raw
     _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, RuntimeError)
+
+
+def test_checkpoint_with_a_comma_for_the_byte_order_exits_3(tmp_path, corpus, capsys):
+    """The `<` of `params`' `'descr': '<f8'` xor 0x10 makes `',f8'`: numpy's
+    dtype parser raises SyntaxError."""
+    def corrupt(raw):
+        raw[raw.index(b"{'descr': '<f8'") + len(b"{'descr': '")] ^= 0x10
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, SyntaxError)
+
+
+def test_checkpoint_with_a_bytes_header_key_exits_3(tmp_path, corpus, capsys):
+    """The space after `params`' `'<f8',` xor 0x42 makes the next key
+    `b'fortran_order'`: numpy's header check sorts bytes against str and
+    raises TypeError."""
+    def corrupt(raw):
+        raw[raw.index(b"'descr': '<f8', ") + len(b"'descr': '<f8',")] ^= 0x42
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, TypeError)
+
+
+def test_checkpoint_with_lzma_as_its_compression_method_exits_3(tmp_path, corpus, capsys):
+    """`params.npy`'s central compression method xor 0x0e makes 14, LZMA, over
+    stored bytes: zipfile's decompressor raises lzma.LZMAError."""
+    def corrupt(raw):
+        raw[_params_central_record(raw) + 10] ^= 0x0e
+        return raw
+    _assert_corrupt_field_exits_3(tmp_path, corpus, capsys, corrupt, lzma.LZMAError)
 
 
 def test_checkpoint_params_stream_into_the_arena_in_chunks(tmp_path, corpus, monkeypatch):
